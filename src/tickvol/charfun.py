@@ -52,7 +52,7 @@ from .errors import (
 )
 from .moments import DEFAULT_DEGREE_CAP, check_degree
 from .sums import csum
-from .trades import TradeSeries
+from .trades import TradeSeries, window_bounds
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i^n for n % 4 = 0,1,2,3
 
@@ -95,9 +95,8 @@ class PairSeries:
         return cls(records.timestamps, records.cost_ratio, records.volume_ratio)
 
     def _window_slice(self, center: float, width: float) -> tuple[int, int]:
-        lo = int(np.searchsorted(self.timestamps, center - width / 2, side="left"))
-        hi = int(np.searchsorted(self.timestamps, center + width / 2, side="right"))
-        return lo, max(lo, hi)
+        lo, count = window_bounds(self.timestamps, center, width)
+        return int(lo), int(lo + count)
 
 
 @dataclass(frozen=True)

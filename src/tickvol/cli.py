@@ -5,8 +5,20 @@ diagnostics go to stderr only. Numbers in tables serialize with 17
 significant digits, which round-trips doubles exactly, so CSV and JSON
 outputs of the same run carry identical values and diff cleanly.
 
-Exit codes: 0 success/pass, 1 identity-check fail, 2 config error,
-3 input error, 4 unsupported configuration.
+Exit codes: 0 success/pass, 1 identity-check fail, 2 config error
+(including an unwritable --output path, and a window grid of more than
+moments.MAX_WINDOWS = 10**9 windows), 3 input error (including a
+missing, unreadable or non-UTF-8 input file), 4 unsupported
+configuration. Every error prints one "error:" line on stderr.
+
+Every table command except charfun runs in four array steps: the bounds
+of all windows from one searchsorted per edge (window_bounds), the power
+sums of all windows from one kernel call (window_sums), the moment and
+volatility algebra on the sum arrays, and one row per window. The
+kernel converts each summand column to Python floats once and sums
+every window's slice of it with math.fsum, so tables carry exactly the
+csum (math.fsum) values of the per-window library API, which stays the
+test oracle.
 
 High-degree note: sums of C^n mix magnitudes badly; if p(2)*N approaches
 1e300, rescale the input units before asking for high degrees.
@@ -15,8 +27,10 @@ High-degree note: sums of C^n mix magnitudes badly; if p(2)*N approaches
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import sys
 
 import numpy as np
@@ -31,16 +45,19 @@ from .errors import (
     ValidationError,
 )
 from .ingest import IngestSchema, load_trades, render_trades, write_trades
-from .moments import DEFAULT_DEGREE_CAP, collect_price_moments, window_centers
-from .returns import (
-    build_returns,
-    mean_return,
-    records_in_window,
-    returns_volatility_report,
-)
+from .moments import DEFAULT_DEGREE_CAP, moment_sums, window_centers
+from .returns import build_returns, returns_summands, rform_from_sums
+from .sums import windowed_sums
 from .synth import SimConfig, simulate_trades
-from .trades import TradeSeries, WindowSpec, select_window
-from .volatility import price_volatility_report
+from .trades import TradeSeries
+from .volatility import dispersion_summands, volatility_forms
+
+# Per-window entry points the commands no longer call. They stay
+# importable from this module, where bench/tracer.py wraps them by name.
+from .moments import collect_price_moments  # noqa: F401
+from .returns import mean_return, records_in_window, returns_volatility_report  # noqa: F401
+from .trades import select_window  # noqa: F401
+from .volatility import price_volatility_report  # noqa: F401
 
 EXIT_OK = 0
 EXIT_IDENTITY_FAIL = 1
@@ -116,10 +133,33 @@ def _emit(rows: list[dict], columns: list[str], args) -> None:
 
 def _write_output(text: str, args) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with _output_errors(args.output):
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+@contextlib.contextmanager
+def _output_errors(path: str):
+    """An unwritable --output path is a configuration error (exit 2)."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+@contextlib.contextmanager
+def _input_errors(path: str):
+    """A missing, unreadable or non-UTF-8 input file is an input error (exit 3)."""
+    try:
+        yield
+    except FileNotFoundError:
+        raise ParseError(f"input file not found: {path}")
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError:
+        raise ParseError(f"{path} is not UTF-8 text")
 
 
 def _schema(args) -> IngestSchema:
@@ -130,10 +170,9 @@ def _schema(args) -> IngestSchema:
 
 
 def _load_input(args) -> TradeSeries:
-    try:
-        series = load_trades(args.input, _schema(args))
-    except FileNotFoundError:
-        raise ParseError(f"input file not found: {args.input}")
+    schema = _schema(args)
+    with _input_errors(args.input):
+        series = load_trades(args.input, schema)
     if len(series) == 0:
         raise ParseError(f"input file has no trades: {args.input}")
     return series
@@ -160,51 +199,68 @@ def _window_stride(args) -> tuple[float, float]:
     return args.window, stride
 
 
+def _emit_windows(centers, counts, count_key: str, columns: dict, args) -> None:
+    """Emit one row per window: t, its count, then the named columns.
+
+    Column arrays hold values for the non-empty windows only; empty
+    windows get empty cells.
+    """
+    values = {name: iter(col.tolist()) for name, col in columns.items()}
+    rows = []
+    for t, n in zip(centers.tolist(), counts.tolist()):
+        row = {"t": t, count_key: n}
+        if n:
+            for name, it in values.items():
+                row[name] = next(it)
+        rows.append(row)
+    _emit(rows, ["t", count_key, *columns], args)
+
+
+def _price_forms(series: TradeSeries, centers, width: float) -> tuple:
+    """Trade counts, then (direct, closed, dispersion terms) of non-empty windows."""
+    counts, sums = windowed_sums(series.timestamps, centers, width,
+                                 dispersion_summands(series.costs, series.volumes))
+    return counts, volatility_forms(counts[counts > 0], *sums.T)
+
+
+def _returns_forms(records, centers, width: float) -> tuple:
+    """Record counts, the seven returns sums, and the volatility forms
+    (direct, closed, terms) and rform terms (r11, r21, r22, rform) of
+    non-empty windows."""
+    summands = returns_summands(records.cost_ratio, records.volume_ratio,
+                                records.simple_return)
+    counts, sums = windowed_sums(records.timestamps, centers, width, summands)
+    sums = sums.T
+    forms = volatility_forms(counts[counts > 0], *sums[:4])
+    return counts, sums, forms, rform_from_sums(*sums[2:])
+
+
 def cmd_moments(args) -> int:
     series = _load_input(args)
     width, stride = _window_stride(args)
     degrees = _parse_degrees(args.degrees)
-    columns = ["t", "n_trades"]
-    for n in degrees:
-        columns += [f"C{n}", f"V{n}", f"p{n}"]
-    rows = []
-    for center in window_centers(series, width, stride):
-        view = select_window(series, WindowSpec(float(center), width))
-        pm = collect_price_moments(view, degrees)
-        row = {"t": float(center), "n_trades": pm.trade_count}
-        for n in degrees:
-            if pm.empty:
-                row[f"C{n}"] = row[f"V{n}"] = row[f"p{n}"] = None
-            else:
-                c, v, p = pm.entries[n]
-                row[f"C{n}"], row[f"V{n}"], row[f"p{n}"] = c, v, p
-        rows.append(row)
-    _emit(rows, columns, args)
+    centers = window_centers(series, width, stride)
+    counts, sums = moment_sums(series, centers, width, degrees)
+    columns = {}
+    with np.errstate(all="ignore"):  # inf/inf from overflowed sums is nan, as in Python
+        for i, n in enumerate(degrees):
+            c, v = sums[:, i], sums[:, len(degrees) + i]
+            columns.update({f"C{n}": c, f"V{n}": v, f"p{n}": c / v})
+    _emit_windows(centers, counts, "n_trades", columns, args)
     return EXIT_OK
 
 
 def cmd_price_vol(args) -> int:
     series = _load_input(args)
     width, stride = _window_stride(args)
-    columns = ["t", "n_trades", "sigma2_direct", "sigma2_closed",
-               "sigma_c2", "sigma_v2", "phi_c2", "phi_v2", "negative_flag"]
-    rows = []
-    for center in window_centers(series, width, stride):
-        view = select_window(series, WindowSpec(float(center), width))
-        row = {"t": float(center), "n_trades": len(view)}
-        if len(view) > 0:
-            rep = price_volatility_report(view)
-            row.update(
-                sigma2_direct=rep.sigma_p2_direct,
-                sigma2_closed=rep.sigma_p2_closed,
-                sigma_c2=rep.stats.sigma_c2,
-                sigma_v2=rep.stats.sigma_v2,
-                phi_c2=rep.stats.phi_c2,
-                phi_v2=rep.stats.phi_v2,
-                negative_flag=rep.negative_flag,
-            )
-        rows.append(row)
-    _emit(rows, columns, args)
+    centers = window_centers(series, width, stride)
+    counts, (direct, closed, terms) = _price_forms(series, centers, width)
+    _, _, _, _, sigma_c2, sigma_v2, phi_c2, phi_v2 = terms
+    _emit_windows(centers, counts, "n_trades", {
+        "sigma2_direct": direct, "sigma2_closed": closed,
+        "sigma_c2": sigma_c2, "sigma_v2": sigma_v2, "phi_c2": phi_c2, "phi_v2": phi_v2,
+        "negative_flag": direct < 0,
+    }, args)
     return EXIT_OK
 
 
@@ -217,26 +273,14 @@ def cmd_returns_vol(args) -> int:
         records = build_returns(series, args.lag)
     except LagTooLargeError as exc:
         raise ConfigError(str(exc))
-    columns = ["t", "n_records", "mean_return", "sigma2_direct", "sigma2_rform",
-               "sigma2_closed", "r11", "r21", "r22", "negative_flag"]
-    rows = []
-    for center in window_centers(series, width, stride):
-        in_win = records_in_window(records, WindowSpec(float(center), width))
-        row = {"t": float(center), "n_records": len(in_win)}
-        if len(in_win) > 0:
-            rep = returns_volatility_report(in_win)
-            row.update(
-                mean_return=mean_return(in_win),
-                sigma2_direct=rep.sigma_q2_direct,
-                sigma2_rform=rep.sigma_q2_rform,
-                sigma2_closed=rep.sigma_q2_closed,
-                r11=rep.r11,
-                r21=rep.r21,
-                r22=rep.r22,
-                negative_flag=rep.negative_flag,
-            )
-        rows.append(row)
-    _emit(rows, columns, args)
+    centers = window_centers(series, width, stride)
+    counts, sums, (direct, closed, _), (r11, r21, r22, rform) = (
+        _returns_forms(records, centers, width))
+    _emit_windows(centers, counts, "n_records", {
+        "mean_return": sums[0] / sums[2] - 1.0,
+        "sigma2_direct": direct, "sigma2_rform": rform, "sigma2_closed": closed,
+        "r11": r11, "r21": r21, "r22": r22, "negative_flag": direct < 0,
+    }, args)
     return EXIT_OK
 
 
@@ -255,11 +299,9 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
 
 
 def _load_testfn(path: str, count: int) -> list[float]:
-    try:
+    with _input_errors(path):
         with open(path, encoding="utf-8") as fh:
             lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
-    except FileNotFoundError:
-        raise ParseError(f"test-function file not found: {path}")
     try:
         values = [float(ln) for ln in lines]
     except ValueError as exc:
@@ -329,50 +371,36 @@ def cmd_simulate(args) -> int:
     series = simulate_trades(config)
     schema = _schema(args)
     if args.output:
-        write_trades(series, args.output, schema)
+        with _output_errors(args.output):
+            write_trades(series, args.output, schema)
     else:
         sys.stdout.write(render_trades(series, schema, "csv"))
     print(f"seed: {config.seed}", file=sys.stderr)
     return EXIT_OK
 
 
+def _max_rel_dev(direct, *others) -> float:
+    """Largest pairwise |x - y| / max(1, |direct|) among the forms, over all
+    windows (0.0 when there are none)."""
+    scale = np.maximum(1.0, np.abs(direct))
+    forms = (direct, *others)
+    devs = [np.abs(x - y) / scale for x, y in itertools.combinations(forms, 2)]
+    return float(np.max(devs, initial=0.0))
+
+
 def _identity_rows(series: TradeSeries, width: float, stride: float, lags: list[int]):
     centers = window_centers(series, width, stride)
-    views = [select_window(series, WindowSpec(float(c), width)) for c in centers]
-    rows = []
-
-    dev = 0.0
-    n_windows = 0
-    for view in views:
-        if len(view) == 0:
-            continue
-        rep = price_volatility_report(view)
-        dev = max(dev, abs(rep.sigma_p2_direct - rep.sigma_p2_closed)
-                  / max(1.0, abs(rep.sigma_p2_direct)))
-        n_windows += 1
-    rows.append(("price_vol_direct_vs_closed", None, n_windows, dev))
-
+    counts, (direct, closed, _) = _price_forms(series, centers, width)
+    rows = [("price_vol_direct_vs_closed", None, int(np.count_nonzero(counts)),
+             _max_rel_dev(direct, closed))]
     for m in lags:
         if m >= len(series):
             rows.append(("returns_vol_three_way", m, 0, 0.0))
             continue
-        records = build_returns(series, m)
-        dev = 0.0
-        n_windows = 0
-        for center in centers:
-            in_win = records_in_window(records, WindowSpec(float(center), width))
-            if len(in_win) == 0:
-                continue
-            rep = returns_volatility_report(in_win)
-            scale = max(1.0, abs(rep.sigma_q2_direct))
-            dev = max(
-                dev,
-                abs(rep.sigma_q2_direct - rep.sigma_q2_rform) / scale,
-                abs(rep.sigma_q2_direct - rep.sigma_q2_closed) / scale,
-                abs(rep.sigma_q2_rform - rep.sigma_q2_closed) / scale,
-            )
-            n_windows += 1
-        rows.append(("returns_vol_three_way", m, n_windows, dev))
+        counts, _, (direct, closed, _), (*_, rform) = _returns_forms(
+            build_returns(series, m), centers, width)
+        rows.append(("returns_vol_three_way", m, int(np.count_nonzero(counts)),
+                     _max_rel_dev(direct, rform, closed)))
     return rows
 
 

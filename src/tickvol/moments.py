@@ -22,14 +22,22 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DegreeOutOfRangeError, EmptyWindowError
-from .sums import csum
-from .trades import TradeSeries, WindowSpec, WindowView, select_window
+from .errors import ConfigError, DegreeOutOfRangeError, EmptyWindowError
+from .sums import csum, windowed_sums
+from .trades import TradeSeries, WindowSpec, WindowView
 
 # C^n overflows double range for large prices at high n; the default cap
 # keeps desk-scale data safe and the hard limit is a sanity stop.
 DEFAULT_DEGREE_CAP = 8
 MAX_DEGREE = 16
+
+# Largest window grid window_centers builds, so that a stride far below
+# the trade spacing (1e-12 s over a day gives ~1e17 windows) is refused
+# before the centers array is allocated. A moments table takes ~850 B of
+# peak memory per window (measured for degrees 1,2 written as CSV), so a
+# grid at the cap already needs most of a terabyte: no grid that fits in
+# memory is refused.
+MAX_WINDOWS = 1_000_000_000
 
 
 def check_degree(n: int, degree_cap: int | None = None) -> None:
@@ -75,6 +83,12 @@ class PriceMoments:
         return self.entries[n][2]
 
 
+def power_summands(costs, volumes, degrees) -> list:
+    """C^n for each degree, then V^n for each degree: the moment summands."""
+    return ([costs if n == 1 else costs ** n for n in degrees]
+            + [volumes if n == 1 else volumes ** n for n in degrees])
+
+
 def aggregate_degree(view: WindowView, n: int, *, degree_cap: int | None = None) -> DegreeAggregate:
     """Sums of n-th powers of cost and volume over a window.
 
@@ -84,9 +98,8 @@ def aggregate_degree(view: WindowView, n: int, *, degree_cap: int | None = None)
     if len(view) == 0:
         raise EmptyWindowError(f"window at t={view.center} is empty")
     check_degree(n, degree_cap)
-    if n == 1:
-        return DegreeAggregate(1, csum(view.costs), csum(view.volumes))
-    return DegreeAggregate(n, csum(view.costs ** n), csum(view.volumes ** n))
+    cost_n, volume_n = power_summands(view.costs, view.volumes, [n])
+    return DegreeAggregate(n, csum(cost_n), csum(volume_n))
 
 
 def price_moment(view: WindowView, n: int, *, degree_cap: int | None = None) -> float:
@@ -148,13 +161,25 @@ def window_centers(series: TradeSeries, width: float, stride: float) -> np.ndarr
         return np.empty(0)
     t0, t1 = series.span()
     span = t1 - t0
-    k = int(math.floor(span / stride))
+    steps = span / stride
+    k = int(math.floor(steps)) if steps < MAX_WINDOWS else MAX_WINDOWS
     # guard against float fuzz on the boundary step
-    while (k + 1) * stride <= span:
+    while k < MAX_WINDOWS and (k + 1) * stride <= span:
         k += 1
     while k > 0 and k * stride > span:
         k -= 1
+    if k + 1 > MAX_WINDOWS:
+        raise ConfigError(
+            f"a {span:g} s span at stride {stride:g} gives more than {MAX_WINDOWS} windows"
+        )
     return t0 + width / 2 + stride * np.arange(k + 1, dtype=np.float64)
+
+
+def moment_sums(series: TradeSeries, centers, width: float, degrees) -> tuple:
+    """Trade counts of every window, and the power_summands sums of the
+    non-empty ones (columns C^n per degree, then V^n per degree)."""
+    summands = power_summands(series.costs, series.volumes, degrees)
+    return windowed_sums(series.timestamps, centers, width, summands)
 
 
 def rolling_moments(
@@ -173,8 +198,15 @@ def rolling_moments(
     degs = sorted(set(int(n) for n in degrees))
     for n in degs:
         check_degree(n, degree_cap)
+    centers = window_centers(series, width, stride)
+    counts, sums = moment_sums(series, centers, width, degs)
+    rows = iter(sums.tolist())
     out = []
-    for center in window_centers(series, width, stride):
-        view = select_window(series, WindowSpec(float(center), width))
-        out.append(collect_price_moments(view, degs, degree_cap=degree_cap))
+    for center, count in zip(centers.tolist(), counts.tolist()):
+        entries = {}
+        if count:
+            row = next(rows)
+            for n, c, v in zip(degs, row, row[len(degs):]):
+                entries[n] = (c, v, c / v)
+        out.append(PriceMoments(WindowSpec(center, width), count, entries))
     return out

@@ -30,11 +30,17 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError, EmptyWindowError, LagTooLargeError
-from .moments import check_degree
+from .errors import EmptyWindowError, LagTooLargeError
+from .moments import check_degree, power_summands
 from .sums import csum
-from .trades import TradeSeries, WindowSpec
-from .volatility import clamp_dispersion
+from .trades import TradeSeries, WindowSpec, window_bounds
+from .volatility import (
+    closed_volatility,
+    direct_volatility,
+    dispersion_summands,
+    dispersion_terms,
+    volatility_forms,
+)
 
 
 @dataclass(frozen=True)
@@ -148,9 +154,8 @@ def build_returns(series: TradeSeries, m: int) -> ReturnsSet:
 
 def records_in_window(records: ReturnsSet, spec: WindowSpec) -> ReturnsSet:
     """Records whose (later-trade) timestamp falls in the window, ends inclusive."""
-    lo = int(np.searchsorted(records.timestamps, spec.lo, side="left"))
-    hi = int(np.searchsorted(records.timestamps, spec.hi, side="right"))
-    return records._slice(lo, max(lo, hi))
+    lo, count = window_bounds(records.timestamps, spec.center, spec.width)
+    return records._slice(int(lo), int(lo + count))
 
 
 def returns_aggregate(records: ReturnsSet, n: int, *, degree_cap: int | None = None) -> tuple[float, float]:
@@ -158,9 +163,8 @@ def returns_aggregate(records: ReturnsSet, n: int, *, degree_cap: int | None = N
     if len(records) == 0:
         raise EmptyWindowError("no returns records in window")
     check_degree(n, degree_cap)
-    if n == 1:
-        return csum(records.cost_ratio), csum(records.volume_ratio)
-    return csum(records.cost_ratio ** n), csum(records.volume_ratio ** n)
+    q_c, q_v = power_summands(records.cost_ratio, records.volume_ratio, [n])
+    return csum(q_c), csum(q_v)
 
 
 def returns_moment(records: ReturnsSet, n: int, *, degree_cap: int | None = None) -> float:
@@ -174,6 +178,38 @@ def mean_return(records: ReturnsSet) -> float:
     return returns_moment(records, 1) - 1.0
 
 
+def returns_summands(cost_ratio, volume_ratio, simple_return) -> list:
+    """Values whose window sums feed every returns volatility form:
+
+    qc, qc^2, qv, qv^2 (the dispersion summands) and r qv, r qv^2,
+    (r qv)^2 (the weighted return means).
+    """
+    r_qv = simple_return * volume_ratio
+    return [*dispersion_summands(cost_ratio, volume_ratio),
+            r_qv, simple_return * volume_ratio ** 2, r_qv ** 2]
+
+
+def rform_from_sums(sum_qv, sum_qv2, sum_rqv, sum_rqv2, sum_rqv_sq) -> tuple:
+    """(r11, r21, r22, r22 - r11^2 + 2 (r21 - r11)) from window sums.
+
+    Scalars or arrays with one entry per window, like volatility_forms.
+    """
+    r11 = sum_rqv / sum_qv
+    r21 = sum_rqv2 / sum_qv2
+    r22 = sum_rqv_sq / sum_qv2
+    return r11, r21, r22, r22 - r11 * r11 + 2.0 * (r21 - r11)
+
+
+def _record_sums(records: ReturnsSet, picks: slice = slice(None)) -> tuple:
+    """(n, csums of the picked returns_summands) of a non-empty record set."""
+    n = len(records)
+    if n == 0:
+        raise EmptyWindowError("no returns records in window")
+    summands = returns_summands(records.cost_ratio, records.volume_ratio,
+                                records.simple_return)
+    return (n, *(csum(x) for x in summands[picks]))
+
+
 def rform_terms(records: ReturnsSet) -> tuple[float, float, float]:
     """Weighted return means (r11, r21, r22).
 
@@ -181,16 +217,7 @@ def rform_terms(records: ReturnsSet) -> tuple[float, float, float]:
     r21 = sum(r * qv^2)   / sum(qv^2)
     r22 = sum(r^2 * qv^2) / sum(qv^2)
     """
-    if len(records) == 0:
-        raise EmptyWindowError("no returns records in window")
-    qv = records.volume_ratio
-    r = records.simple_return
-    qv1 = csum(qv)
-    qv2 = csum(qv ** 2)
-    r11 = csum(r * qv) / qv1
-    r21 = csum(r * qv ** 2) / qv2
-    r22 = csum((r * qv) ** 2) / qv2
-    return r11, r21, r22
+    return rform_from_sums(*_record_sums(records, slice(2, None))[1:])[:3]
 
 
 def returns_volatility_direct(records: ReturnsSet) -> float:
@@ -199,13 +226,7 @@ def returns_volatility_direct(records: ReturnsSet) -> float:
     A single record is an exact degeneracy (q(2) and q(1)^2 are the same
     real number), so it returns 0.0 rather than evaluation noise.
     """
-    if len(records) == 0:
-        raise EmptyWindowError("no returns records in window")
-    if len(records) == 1:
-        return 0.0
-    q1 = returns_moment(records, 1)
-    q2 = returns_moment(records, 2)
-    return q2 - q1 * q1
+    return float(direct_volatility(*_record_sums(records, slice(4))))
 
 
 def returns_volatility_rform(records: ReturnsSet) -> float:
@@ -216,12 +237,8 @@ def returns_volatility_rform(records: ReturnsSet) -> float:
     With a single record the expression collapses to zero identically, so
     that case returns 0.0 exactly.
     """
-    if len(records) == 0:
-        raise EmptyWindowError("no returns records in window")
-    if len(records) == 1:
-        return 0.0
-    r11, r21, r22 = rform_terms(records)
-    return r22 - r11 * r11 + 2.0 * (r21 - r11)
+    n, *sums = _record_sums(records, slice(2, None))
+    return 0.0 if n == 1 else rform_from_sums(*sums)[3]
 
 
 @dataclass(frozen=True)
@@ -260,24 +277,8 @@ class ReturnsVolatilityReport:
 
 def returns_dispersion_stats(records: ReturnsSet) -> ReturnsDispersionStats:
     """Means/dispersions of cost and volume ratios over the records."""
-    n = len(records)
-    if n == 0:
-        raise EmptyWindowError("no returns records in window")
-    qc1 = csum(records.cost_ratio) / n
-    qc2 = csum(records.cost_ratio ** 2) / n
-    qv1 = csum(records.volume_ratio) / n
-    qv2 = csum(records.volume_ratio ** 2) / n
-    return ReturnsDispersionStats(
-        n_records=n,
-        cost_ratio_mean=qc1,
-        cost_ratio_sq_mean=qc2,
-        volume_ratio_mean=qv1,
-        volume_ratio_sq_mean=qv2,
-        omega_c2=clamp_dispersion(qc2 - qc1 * qc1, qc2),
-        omega_v2=clamp_dispersion(qv2 - qv1 * qv1, qv2),
-        phi_c2=qc2 + qc1 * qc1,
-        phi_v2=qv2 + qv1 * qv1,
-    )
+    n, *sums = _record_sums(records, slice(4))
+    return ReturnsDispersionStats(n, *(float(x) for x in dispersion_terms(n, *sums)))
 
 
 def returns_volatility_closed(stats: ReturnsDispersionStats) -> float:
@@ -285,39 +286,28 @@ def returns_volatility_closed(stats: ReturnsDispersionStats) -> float:
 
     2 * (Phi_v^2 Omega_c^2 - Phi_c^2 Omega_v^2) / (Phi_v^4 - Omega_v^4)
 
-    evaluated, like the price counterpart, through the exact
-    factorizations of the fourth-power difference and the numerator in
-    terms of the ratio means, which keeps rounding at the scale of the
-    result instead of the scale of Phi^4.
+    the price decomposition over ratio means (see closed_volatility).
     """
-    denom = stats.volume_ratio_mean ** 2 * (stats.phi_v2 + stats.omega_v2)
-    if not denom > 0:
-        raise DegenerateDenominatorError(
-            f"Phi_v^4 - Omega_v^4 = {2 * denom!r} is not positive; stats are corrupted"
-        )
-    num = (stats.omega_c2 * stats.volume_ratio_mean ** 2
-           - stats.omega_v2 * stats.cost_ratio_mean ** 2)
-    return 2.0 * num / denom
+    return float(closed_volatility(stats.cost_ratio_mean, stats.volume_ratio_mean,
+                                   stats.omega_c2, stats.omega_v2, stats.phi_v2))
 
 
 def returns_volatility_report(records: ReturnsSet) -> ReturnsVolatilityReport:
     """All three volatility forms plus the weighted means for one record set."""
-    stats = returns_dispersion_stats(records)
-    direct = returns_volatility_direct(records)
-    r11, r21, r22 = rform_terms(records)
-    rform = r22 - r11 * r11 + 2.0 * (r21 - r11)
-    closed = returns_volatility_closed(stats)
+    n, *sums = _record_sums(records)
+    direct, closed, terms = volatility_forms(n, *sums[:4])
+    r11, r21, r22, rform = rform_from_sums(*sums[2:])
     return ReturnsVolatilityReport(
         lag=records.lag,
-        n_records=len(records),
-        sigma_q2_direct=direct,
+        n_records=n,
+        sigma_q2_direct=float(direct),
         sigma_q2_rform=rform,
-        sigma_q2_closed=closed,
+        sigma_q2_closed=float(closed),
         r11=r11,
         r21=r21,
         r22=r22,
-        stats=stats,
-        negative_flag=direct < 0,
+        stats=ReturnsDispersionStats(n, *(float(x) for x in terms)),
+        negative_flag=bool(direct < 0),
     )
 
 

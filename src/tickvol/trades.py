@@ -200,15 +200,26 @@ class WindowView:
         return [self.series[i] for i in self.members]
 
 
+def window_bounds(timestamps: np.ndarray, centers, width: float) -> tuple:
+    """(first index, member count) of every window [c - width/2, c + width/2].
+
+    Both ends inclusive, over sorted timestamps; centers may be a scalar
+    or an array, and all windows are located by one searchsorted per edge.
+    """
+    half = width / 2
+    lo = np.searchsorted(timestamps, centers - half, side="left")
+    hi = np.searchsorted(timestamps, centers + half, side="right")
+    return lo, np.maximum(hi - lo, 0)
+
+
 def select_window(series: TradeSeries, spec: WindowSpec) -> WindowView:
     """All trades with center - width/2 <= t_i <= center + width/2.
 
     Both ends inclusive. An empty view is legal; consumers decide whether
     that is an error.
     """
-    lo = int(np.searchsorted(series.timestamps, spec.lo, side="left"))
-    hi = int(np.searchsorted(series.timestamps, spec.hi, side="right"))
-    return WindowView(series, lo, max(lo, hi), spec)
+    lo, count = window_bounds(series.timestamps, spec.center, spec.width)
+    return WindowView(series, int(lo), int(lo + count), spec)
 
 
 def trade_count(view: WindowView) -> int:

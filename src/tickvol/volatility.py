@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DegenerateDenominatorError, EmptyWindowError
-from .moments import aggregate_degree
 from .sums import csum
 from .trades import WindowSpec, WindowView
 
@@ -30,16 +31,92 @@ from .trades import WindowSpec, WindowView
 DISPERSION_CLAMP_REL = 1e-12
 
 
-def clamp_dispersion(value: float, mean_sq: float) -> float:
+def clamp_dispersion(value, mean_sq):
     """Zero out negative rounding residue in a dispersion.
 
     Residue within 1e-12 * max(mean_sq, 1) of zero is floored to 0; larger
     negatives are left alone so real data corruption stays visible.
+    Works elementwise on arrays.
     """
-    threshold = DISPERSION_CLAMP_REL * max(mean_sq, 1.0)
-    if -threshold <= value < 0.0:
-        return 0.0
-    return value
+    threshold = DISPERSION_CLAMP_REL * np.maximum(mean_sq, 1.0)
+    return np.where((-threshold <= value) & (value < 0.0), 0.0, value)[()]
+
+
+# The algebra below is written once, over the window sums of a numerator
+# a and a denominator b, and serves prices (a = C, b = V) and returns
+# (a = cost ratio, b = volume ratio). Every argument may be a scalar or an
+# array with one entry per window; the per-window API passes csum values,
+# the CLI passes window_sums columns, so both evaluate the same operations.
+
+
+def dispersion_summands(a, b) -> list:
+    """Values whose window sums feed the volatility forms: a, a^2, b, b^2."""
+    return [a, a ** 2, b, b ** 2]
+
+
+def dispersion_terms(count, sum_a, sum_a2, sum_b, sum_b2) -> tuple:
+    """Per-item means and dispersions from window sums.
+
+    Returns (a1, a2, b1, b2, sigma_a2, sigma_b2, phi_a2, phi_b2) with
+    a1 = mean(a), a2 = mean(a^2), sigma_a2 = a2 - a1^2, phi_a2 = a2 + a1^2
+    (and the same for b). Dispersions use the uncentered identity; tiny
+    negative rounding residue is clamped to 0 (see clamp_dispersion).
+    """
+    a1, a2 = sum_a / count, sum_a2 / count
+    b1, b2 = sum_b / count, sum_b2 / count
+    return (a1, a2, b1, b2,
+            clamp_dispersion(a2 - a1 * a1, a2), clamp_dispersion(b2 - b1 * b1, b2),
+            a2 + a1 * a1, b2 + b1 * b1)
+
+
+def direct_volatility(count, sum_a, sum_a2, sum_b, sum_b2):
+    """sum(a^2)/sum(b^2) - (sum(a)/sum(b))^2. May be negative.
+
+    A one-item window is an exact degeneracy (both terms are the same
+    real number), so it yields 0.0 rather than evaluation noise.
+    """
+    p1 = sum_a / sum_b
+    p2 = sum_a2 / sum_b2
+    return np.where(count == 1, 0.0, p2 - p1 * p1)
+
+
+def closed_volatility(a_mean, b_mean, sigma_a2, sigma_b2, phi_b2):
+    """The dispersion decomposition
+
+    2 * (phi_b^2 sigma_a^2 - phi_a^2 sigma_b^2) / (phi_b^4 - sigma_b^4)
+
+    evaluated through the exact factorizations
+
+        phi_b^4 - sigma_b^4                   = 2 b1^2 (phi_b^2 + sigma_b^2)
+        phi_b^2 sigma_a^2 - phi_a^2 sigma_b^2 = 2 (sigma_a^2 b1^2 - sigma_b^2 a1^2)
+
+    which hold identically in the defining means and avoid the needless
+    cancellation the literal fourth powers suffer when the b dispersion
+    dominates the b mean. The denominator is strictly positive for terms
+    from any non-empty window; a non-positive value means the terms are
+    corrupted, not that the input was unusual.
+
+    Squares use float_power, which like Python's float ** 2 calls libm
+    pow; x * x differs from it in the last bit for about 1 in 1000 values.
+    """
+    b1_sq = np.float_power(b_mean, 2.0)
+    denom = b1_sq * (phi_b2 + sigma_b2)
+    bad = ~(denom > 0)
+    if np.any(bad):
+        first = float(np.extract(bad, denom)[0])
+        raise DegenerateDenominatorError(
+            f"phi_b^4 - sigma_b^4 = {2 * first!r} is not positive; stats are corrupted"
+        )
+    num = sigma_a2 * b1_sq - sigma_b2 * np.float_power(a_mean, 2.0)
+    return 2.0 * num / denom
+
+
+def volatility_forms(count, sum_a, sum_a2, sum_b, sum_b2) -> tuple:
+    """(direct, closed, dispersion_terms) from the four window sums."""
+    terms = dispersion_terms(count, sum_a, sum_a2, sum_b, sum_b2)
+    a1, _, b1, _, sigma_a2, sigma_b2, _, phi_b2 = terms
+    closed = closed_volatility(a1, b1, sigma_a2, sigma_b2, phi_b2)
+    return direct_volatility(count, sum_a, sum_a2, sum_b, sum_b2), closed, terms
 
 
 @dataclass(frozen=True)
@@ -67,30 +144,18 @@ class PriceVolatilityReport:
     negative_flag: bool
 
 
-def dispersion_stats(view: WindowView) -> TradeDispersionStats:
-    """Cost/volume means and dispersions of the trades in a window.
-
-    Dispersions use the uncentered identity mean(x^2) - mean(x)^2; tiny
-    negative rounding residue is clamped to 0 (see clamp_dispersion).
-    """
+def _view_sums(view: WindowView) -> tuple:
+    """(n, sum C, sum C^2, sum V, sum V^2) of a non-empty window."""
     n = len(view)
     if n == 0:
         raise EmptyWindowError(f"window at t={view.center} is empty")
-    c1 = csum(view.costs) / n
-    c2 = csum(view.costs ** 2) / n
-    v1 = csum(view.volumes) / n
-    v2 = csum(view.volumes ** 2) / n
-    return TradeDispersionStats(
-        n_trades=n,
-        cost_mean=c1,
-        cost_sq_mean=c2,
-        volume_mean=v1,
-        volume_sq_mean=v2,
-        sigma_c2=clamp_dispersion(c2 - c1 * c1, c2),
-        sigma_v2=clamp_dispersion(v2 - v1 * v1, v2),
-        phi_c2=c2 + c1 * c1,
-        phi_v2=v2 + v1 * v1,
-    )
+    return (n, *(csum(x) for x in dispersion_summands(view.costs, view.volumes)))
+
+
+def dispersion_stats(view: WindowView) -> TradeDispersionStats:
+    """Cost/volume means and dispersions of the trades in a window."""
+    n, *sums = _view_sums(view)
+    return TradeDispersionStats(n, *(float(x) for x in dispersion_terms(n, *sums)))
 
 
 def price_volatility_direct(view: WindowView) -> float:
@@ -99,52 +164,27 @@ def price_volatility_direct(view: WindowView) -> float:
     A one-trade window is an exact degeneracy (p(2) and p(1)^2 are the
     same real number), so it returns 0.0 rather than evaluation noise.
     """
-    if len(view) == 0:
-        raise EmptyWindowError(f"window at t={view.center} is empty")
-    if len(view) == 1:
-        return 0.0
-    a1 = aggregate_degree(view, 1)
-    a2 = aggregate_degree(view, 2)
-    p1 = a1.cost_sum / a1.volume_sum
-    p2 = a2.cost_sum / a2.volume_sum
-    return p2 - p1 * p1
+    return float(direct_volatility(*_view_sums(view)))
 
 
 def price_volatility_closed(stats: TradeDispersionStats) -> float:
-    """sigma_p^2 from the dispersion decomposition:
+    """sigma_p^2 from the dispersion decomposition (see closed_volatility):
 
     2 * (phi_V^2 sigma_C^2 - phi_C^2 sigma_V^2) / (phi_V^4 - sigma_V^4)
-
-    evaluated through the exact factorizations
-
-        phi_V^4 - sigma_V^4                   = 2 V1^2 (phi_V^2 + sigma_V^2)
-        phi_V^2 sigma_C^2 - phi_C^2 sigma_V^2 = 2 (sigma_C^2 V1^2 - sigma_V^2 C1^2)
-
-    which hold identically in the defining means and avoid the needless
-    cancellation the literal fourth powers suffer when volume dispersion
-    dominates the volume mean. The denominator is strictly positive for
-    stats from any non-empty window; a non-positive value means the stats
-    are corrupted, not that the input was unusual.
     """
-    denom = stats.volume_mean ** 2 * (stats.phi_v2 + stats.sigma_v2)
-    if not denom > 0:
-        raise DegenerateDenominatorError(
-            f"phi_v^4 - sigma_v^4 = {2 * denom!r} is not positive; stats are corrupted"
-        )
-    num = stats.sigma_c2 * stats.volume_mean ** 2 - stats.sigma_v2 * stats.cost_mean ** 2
-    return 2.0 * num / denom
+    return float(closed_volatility(stats.cost_mean, stats.volume_mean,
+                                   stats.sigma_c2, stats.sigma_v2, stats.phi_v2))
 
 
 def price_volatility_report(view: WindowView) -> PriceVolatilityReport:
     """Both volatility forms plus the dispersion stats for one window."""
-    stats = dispersion_stats(view)
-    direct = price_volatility_direct(view)
-    closed = price_volatility_closed(stats)
+    sums = _view_sums(view)
+    direct, closed, terms = volatility_forms(*sums)
     return PriceVolatilityReport(
         window=view.spec,
-        n_trades=len(view),
-        sigma_p2_direct=direct,
-        sigma_p2_closed=closed,
-        stats=stats,
-        negative_flag=direct < 0,
+        n_trades=sums[0],
+        sigma_p2_direct=float(direct),
+        sigma_p2_closed=float(closed),
+        stats=TradeDispersionStats(sums[0], *(float(x) for x in terms)),
+        negative_flag=bool(direct < 0),
     )

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -433,19 +434,73 @@ class TestMoreSurface:
         assert float(rows[0]["t"]) == pytest.approx(3.0)  # 1s + 4/2
 
 
+class TestFileErrors:
+    """I/O failures map to documented exit codes with one error line."""
+
+    @staticmethod
+    def _one_error_line(err):
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_unwritable_output_exits_2(self, two_trade_file, tmp_path, capsys):
+        out = tmp_path / "no" / "such" / "x.csv"
+        code, stdout, err = run_cli(
+            ["price-vol", "--input", two_trade_file, "--window", "4", "--output", str(out)],
+            capsys)
+        assert code == 2 and stdout == ""
+        self._one_error_line(err)
+
+    def test_simulate_to_a_directory_exits_2(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["simulate", "--seed", "1", "--n-trades", "5", "--output", str(tmp_path)], capsys)
+        assert code == 2
+        self._one_error_line(err)
+
+    def test_directory_input_exits_3(self, tmp_path, capsys):
+        code, _, err = run_cli(["moments", "--input", str(tmp_path), "--window", "2"], capsys)
+        assert code == 3
+        self._one_error_line(err)
+
+    def test_non_utf8_input_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "binary.csv"
+        path.write_bytes(b"ts,cost,volume\n\xff\xfe,1,1\n")
+        code, _, err = run_cli(["price-vol", "--input", str(path), "--window", "2"], capsys)
+        assert code == 3
+        self._one_error_line(err)
+
+    def test_unreadable_testfn_exits_3(self, two_trade_file, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["charfun", "--input", two_trade_file, "--window", "1", "--grid", "0:1:1",
+             "--testfn", str(tmp_path)], capsys)
+        assert code == 3
+        self._one_error_line(err)
+
+    def test_oversized_window_grid_exits_2(self, two_trade_file, capsys):
+        code, _, err = run_cli(
+            ["moments", "--input", two_trade_file, "--window", "1", "--stride", "1e-12"],
+            capsys)
+        assert code == 2
+        self._one_error_line(err)
+
+
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+
+
+def run_module(args):
+    """`python -m tickvol ARGS` with this checkout's src/ importable."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, "-m", "tickvol", *args],
+                          capture_output=True, text=True, env=env)
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(TWO_TRADE_CSV)
-        proc = subprocess.run(
-            [sys.executable, "-m", "tickvol", "moments", "--input", str(path),
-             "--window", "4"],
-            capture_output=True, text=True)
+        proc = run_module(["moments", "--input", str(path), "--window", "4"])
         assert proc.returncode == 0
         assert proc.stdout.startswith("t,n_trades")
 
     def test_unknown_flag_exits_2(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "tickvol", "moments", "--nope"],
-            capture_output=True, text=True)
+        proc = run_module(["moments", "--nope"])
         assert proc.returncode == 2

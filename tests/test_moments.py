@@ -2,21 +2,27 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 import naive_ref
+import tickvol.moments as moments_mod
 from tickvol import (
+    ConfigError,
     DegreeOutOfRangeError,
     EmptyWindowError,
+    SimConfig,
     WindowSpec,
     aggregate_degree,
+    collect_price_moments,
     price_moment,
     rolling_moments,
     select_window,
     simple_average_price,
+    simulate_trades,
     validate_series,
     vwap,
     window_centers,
@@ -141,6 +147,13 @@ class TestRollingMoments:
             if pm.empty:
                 assert pm.trade_count == 0 and pm.entries == {}
 
+    def test_matches_the_per_window_path(self):
+        series = simulate_trades(SimConfig(n_trades=400, seed=3))
+        degrees = [1, 2, 3, 8]
+        out = rolling_moments(series, width=30.0, stride=7.0, degrees=degrees)
+        for pm in out:
+            assert pm == collect_price_moments(select_window(series, pm.window), degrees)
+
     def test_centers_anchor_to_first_trade(self):
         series = validate_series([(7.0, 1.0, 1.0), (9.0, 2.0, 1.0)])
         centers = window_centers(series, width=1.0, stride=0.5)
@@ -160,6 +173,32 @@ class TestRollingMoments:
         last_k = len(centers) - 1
         assert last_k * stride <= span * (1 + 1e-12)
         assert (last_k + 1) * stride > span * (1 - 1e-12)
+
+
+class TestWindowGridCap:
+    def test_tiny_stride_rejected_before_allocation(self):
+        series = validate_series([(0.0, 1.0, 1.0), (2e5, 2.0, 1.0)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="windows"):
+                window_centers(series, width=10.0, stride=1e-12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_subnormal_stride_rejected(self):
+        series = validate_series([(0.0, 1.0, 1.0), (1.0, 2.0, 1.0)])
+        with pytest.raises(ConfigError):
+            window_centers(series, width=1.0, stride=5e-324)
+
+    def test_cap_is_the_largest_grid_allowed(self, monkeypatch):
+        monkeypatch.setattr(moments_mod, "MAX_WINDOWS", 10)
+        series = validate_series([(0.0, 1.0, 1.0), (9.0, 1.0, 1.0)])
+        assert len(window_centers(series, width=1.0, stride=1.0)) == 10
+        series = validate_series([(0.0, 1.0, 1.0), (10.0, 1.0, 1.0)])
+        with pytest.raises(ConfigError):
+            window_centers(series, width=1.0, stride=1.0)
 
 
 class TestScaleProperties:

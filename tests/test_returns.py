@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +11,7 @@ import naive_ref
 from tickvol import (
     EmptyWindowError,
     LagTooLargeError,
+    SimConfig,
     WindowSpec,
     build_returns,
     collect_returns_moments,
@@ -24,8 +26,12 @@ from tickvol import (
     returns_volatility_report,
     returns_volatility_rform,
     rform_terms,
+    simulate_trades,
     validate_series,
 )
+from tickvol.returns import returns_summands, rform_from_sums
+from tickvol.sums import windowed_sums
+from tickvol.volatility import volatility_forms
 
 
 def _identity_tol(direct):
@@ -283,3 +289,21 @@ def test_collect_returns_moments(three_trade_series):
         assert q == qc / qv  # stored as the division result
     assert rm.entries[1] == (3.0, 2.5, 1.2)
     assert abs(rm.r11 - (rm.entries[1][2] - 1.0)) <= 1e-12
+
+
+def test_all_windows_path_matches_per_window_reports():
+    """The CLI's kernel path and the per-window API share one algebra."""
+    records = build_returns(simulate_trades(SimConfig(n_trades=600, seed=13)), 3)
+    width = 25.0
+    centers = records.timestamps[0] + np.arange(0.0, 600.0, 8.0)
+    summands = returns_summands(records.cost_ratio, records.volume_ratio,
+                                records.simple_return)
+    counts, sums = windowed_sums(records.timestamps, centers, width, summands)
+    direct, closed, _ = volatility_forms(counts[counts > 0], *sums.T[:4])
+    r11, _, _, rform = rform_from_sums(*sums.T[2:])
+    reports = [returns_volatility_report(records_in_window(records, WindowSpec(c, width)))
+               for c, n in zip(centers.tolist(), counts.tolist()) if n]
+    assert direct.tolist() == [r.sigma_q2_direct for r in reports]
+    assert rform.tolist() == [r.sigma_q2_rform for r in reports]
+    assert closed.tolist() == [r.sigma_q2_closed for r in reports]
+    assert r11.tolist() == [r.r11 for r in reports]

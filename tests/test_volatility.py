@@ -1,6 +1,7 @@
 """Price volatility: dispersion stats, direct vs closed identity."""
 
 import random
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ import naive_ref
 from tickvol import (
     DegenerateDenominatorError,
     EmptyWindowError,
+    SimConfig,
     TradeDispersionStats,
     WindowSpec,
     dispersion_stats,
@@ -17,8 +19,12 @@ from tickvol import (
     price_volatility_direct,
     price_volatility_report,
     select_window,
+    simulate_trades,
     validate_series,
+    window_centers,
 )
+from tickvol.sums import windowed_sums
+from tickvol.volatility import dispersion_summands, volatility_forms
 
 
 def _view(rows):
@@ -183,3 +189,19 @@ def test_report_consistency(two_trade_view):
     assert abs(rep.sigma_p2_direct - rep.sigma_p2_closed) <= _identity_tol(rep.sigma_p2_direct)
     assert rep.stats.n_trades == 2
     assert rep.window == two_trade_view.spec
+
+
+def test_all_windows_path_matches_per_window_reports():
+    """The CLI's kernel path and the per-window API share one algebra."""
+    series = simulate_trades(SimConfig(n_trades=600, seed=12))
+    width = 20.0
+    centers = window_centers(series, width, 6.0)
+    summands = dispersion_summands(series.costs, series.volumes)
+    counts, sums = windowed_sums(series.timestamps, centers, width, summands)
+    direct, closed, terms = volatility_forms(counts[counts > 0], *sums.T)
+    reports = [price_volatility_report(select_window(series, WindowSpec(c, width)))
+               for c, n in zip(centers.tolist(), counts.tolist()) if n]
+    assert direct.tolist() == [r.sigma_p2_direct for r in reports]
+    assert closed.tolist() == [r.sigma_p2_closed for r in reports]
+    assert [list(t) for t in zip(*(x.tolist() for x in terms))] == [
+        list(astuple(r.stats))[1:] for r in reports]
