@@ -34,7 +34,7 @@ for pm in records:
     if pm.empty:
         print(f"{pm.window.center:>8.1f} {0:>5}")
         continue
-    print(f"{pm.window.center:>8.1f} {pm.trade_count:>5}"
+    print(f"{pm.window.center:>8.1f} {pm.n_trades:>5}"
           f" {pm.moment(1):>12.4f} {pm.moment(2):>12.2f} {pm.moment(3):>14.1f}")
 
 # VWAP weights trades by volume; the simple average ignores volume.

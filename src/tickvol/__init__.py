@@ -1,10 +1,12 @@
 """Volume-weighted trade analytics over averaging windows.
 
-Core objects: a validated, time-sorted TradeSeries; WindowView slices of
-it; degree-n price moments p(n) = sum(C^n)/sum(V^n); price and returns
-volatilities in algebraically equivalent direct and dispersion-decomposed
-forms; and truncated characteristic functionals built from multi-time
-moments.
+Core objects: a validated, time-sorted TradeSeries of columns; WindowView
+slices of it; degree-n price moments p(n) = sum(C^n)/sum(V^n); price and
+returns volatilities in algebraically equivalent direct and
+dispersion-decomposed forms, written once over the window sums of a
+numerator and a denominator (one DispersionStats type and one closed form
+serve both); and truncated characteristic functionals built from
+multi-time moments.
 """
 
 from .errors import (
@@ -20,19 +22,15 @@ from .errors import (
     ValidationError,
 )
 from .trades import (
-    Trade,
     TradeSeries,
     WindowSpec,
     WindowView,
-    price_of,
     select_window,
-    trade_count,
     validate_series,
 )
 from .moments import (
     DEFAULT_DEGREE_CAP,
     MAX_DEGREE,
-    DegreeAggregate,
     PriceMoments,
     aggregate_degree,
     collect_price_moments,
@@ -43,22 +41,17 @@ from .moments import (
     window_centers,
 )
 from .volatility import (
+    DispersionStats,
     PriceVolatilityReport,
-    TradeDispersionStats,
     dispersion_stats,
     price_volatility_closed,
     price_volatility_direct,
     price_volatility_report,
 )
 from .returns import (
-    ReturnsDispersionStats,
-    ReturnsMoments,
-    ReturnsRecord,
     ReturnsSet,
     ReturnsVolatilityReport,
     build_returns,
-    collect_returns_moments,
-    log_return,
     mean_return,
     records_in_window,
     returns_aggregate,
@@ -68,7 +61,6 @@ from .returns import (
     returns_volatility_direct,
     returns_volatility_report,
     returns_volatility_rform,
-    rform_terms,
 )
 from .charfun import (
     CharFunResult,
@@ -90,8 +82,8 @@ __all__ = [
     "ConfigError",
     "DEFAULT_DEGREE_CAP",
     "DegenerateDenominatorError",
-    "DegreeAggregate",
     "DegreeOutOfRangeError",
+    "DispersionStats",
     "EmptyWindowError",
     "IngestSchema",
     "LagTooLargeError",
@@ -102,15 +94,10 @@ __all__ = [
     "ParseError",
     "PriceMoments",
     "PriceVolatilityReport",
-    "ReturnsDispersionStats",
-    "ReturnsMoments",
-    "ReturnsRecord",
     "ReturnsSet",
     "ReturnsVolatilityReport",
     "SimConfig",
     "TickvolError",
-    "Trade",
-    "TradeDispersionStats",
     "TradeSeries",
     "TruncationOrderOutOfRangeError",
     "UnsupportedWindowOverlapError",
@@ -122,15 +109,12 @@ __all__ = [
     "charfun_derivative_check",
     "charfun_truncated",
     "collect_price_moments",
-    "collect_returns_moments",
     "dispersion_stats",
     "load_trades",
-    "log_return",
     "mean_return",
     "moment_provider",
     "multi_time_moment",
     "price_moment",
-    "price_of",
     "price_volatility_closed",
     "price_volatility_direct",
     "price_volatility_report",
@@ -143,12 +127,10 @@ __all__ = [
     "returns_volatility_direct",
     "returns_volatility_report",
     "returns_volatility_rform",
-    "rform_terms",
     "rolling_moments",
     "select_window",
     "simple_average_price",
     "simulate_trades",
-    "trade_count",
     "validate_series",
     "vwap",
     "window_centers",

@@ -39,6 +39,7 @@ explicit cycle (i, -1, -i, 1).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,8 +51,8 @@ from .errors import (
     TruncationOrderOutOfRangeError,
     UnsupportedWindowOverlapError,
 )
-from .moments import DEFAULT_DEGREE_CAP, check_degree
-from .sums import csum
+from .moments import DEFAULT_DEGREE_CAP, check_degree, power_summands
+from .sums import csum, windowed_sums
 from .trades import TradeSeries, window_bounds
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i^n for n % 4 = 0,1,2,3
@@ -89,15 +90,6 @@ class PairSeries:
         """Cost/volume pairs of a trade series."""
         return cls(series.timestamps, series.costs, series.volumes)
 
-    @classmethod
-    def from_returns(cls, records) -> "PairSeries":
-        """Cost-ratio/volume-ratio pairs of a lag-m returns set."""
-        return cls(records.timestamps, records.cost_ratio, records.volume_ratio)
-
-    def _window_slice(self, center: float, width: float) -> tuple[int, int]:
-        lo, count = window_bounds(self.timestamps, center, width)
-        return int(lo), int(lo + count)
-
 
 @dataclass(frozen=True)
 class MultiTimeMoment:
@@ -118,11 +110,7 @@ class MultiTimeMoment:
 
 def _grouped(times: Sequence[float]) -> list[tuple[float, int]]:
     """Distinct times in ascending order with their multiplicities."""
-    groups: dict[float, int] = {}
-    for t in times:
-        t = float(t)
-        groups[t] = groups.get(t, 0) + 1
-    return sorted(groups.items())
+    return sorted(Counter(float(t) for t in times).items())
 
 
 def _check_disjoint(groups: list[tuple[float, int]], width: float) -> None:
@@ -160,14 +148,14 @@ def multi_time_moment(
     b_sum = 1.0
     combos = 1
     for t, mult in groups:
-        lo, hi = series._window_slice(t, width)
-        if hi == lo:
+        lo, count = (int(x) for x in window_bounds(series.timestamps, t, width))
+        if count == 0:
             raise EmptyWindowError(f"window at t={t} (width {width}) is empty")
-        a_w = series.a[lo:hi]
-        b_w = series.b[lo:hi]
+        a_w = series.a[lo:lo + count]
+        b_w = series.b[lo:lo + count]
         a_sum *= csum(a_w ** mult) if mult > 1 else csum(a_w)
         b_sum *= csum(b_w ** mult) if mult > 1 else csum(b_w)
-        combos *= hi - lo
+        combos *= count
     return MultiTimeMoment(
         times=tuple(float(t) for t in times),
         width=width,
@@ -181,9 +169,8 @@ def multi_time_moment(
 class MomentProvider:
     """Callable source of multi-time moments for one series and width.
 
-    provider(times) returns the moment value; diagonal power-sum profiles
-    are cached per window, which is what the truncated-functional
-    evaluation consumes.
+    provider(times) returns the moment value; charfun_truncated reads the
+    diagonal moments of its grid from the provider's series and width.
     """
 
     def __init__(self, series: PairSeries, width: float,
@@ -193,26 +180,10 @@ class MomentProvider:
         self.series = series
         self.width = width
         self.degree_cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
-        self._profiles: dict[tuple[float, int], list[float]] = {}
 
     def __call__(self, times: Sequence[float]) -> float:
         return multi_time_moment(self.series, times, self.width,
                                  degree_cap=self.degree_cap).moment
-
-    def diagonal_profile(self, t: float, n_max: int) -> list[float]:
-        """[p(1;t), ..., p(n_max;t)] for the window at t."""
-        key = (float(t), int(n_max))
-        cached = self._profiles.get(key)
-        if cached is not None:
-            return cached
-        lo, hi = self.series._window_slice(t, self.width)
-        if hi == lo:
-            raise EmptyWindowError(f"window at t={t} (width {self.width}) is empty")
-        a_w = self.series.a[lo:hi]
-        b_w = self.series.b[lo:hi]
-        profile = [csum(a_w ** m) / csum(b_w ** m) for m in range(1, n_max + 1)]
-        self._profiles[key] = profile
-        return profile
 
 
 def moment_provider(series: PairSeries, width: float,
@@ -278,10 +249,18 @@ def charfun_truncated(
             raise ValueError("grid must be strictly increasing")
     _check_disjoint([(t, 1) for t in grid], provider.width)
 
+    # diagonal profiles [p(1;t_g), ..., p(n_max;t_g)] of every grid point
+    series, width = provider.series, provider.width
+    summands = power_summands(series.a, series.b, range(1, n_max + 1))
+    counts, sums = windowed_sums(series.timestamps, np.array(grid), width, summands)
+    if not counts.all():
+        t = grid[int(np.argmin(counts))]
+        raise EmptyWindowError(f"window at t={t} (width {width}) is empty")
+    profiles = (sums[:, :n_max] / sums[:, n_max:]).tolist()
+
     # per-point series: coeff[m] = p(m;t_g) * (x_g h)^m / m!
     coeffs = [1.0] + [0.0] * n_max
-    for t_g, x_g in zip(grid, xs):
-        profile = provider.diagonal_profile(t_g, n_max)
+    for profile, x_g in zip(profiles, xs):
         y = x_g * step
         point = [1.0]
         y_pow = 1.0
@@ -291,9 +270,7 @@ def charfun_truncated(
         coeffs = _truncated_convolve(coeffs, point, n_max)
 
     terms = tuple(_I_POW[n % 4] * coeffs[n] for n in range(1, n_max + 1))
-    value = 1.0 + 0.0j
-    for term in terms:
-        value += term
+    value = sum(terms, 1.0 + 0.0j)
     return CharFunResult(
         grid=tuple(grid),
         step=float(step),

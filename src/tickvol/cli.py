@@ -6,27 +6,29 @@ significant digits, which round-trips doubles exactly, so CSV and JSON
 outputs of the same run carry identical values and diff cleanly.
 
 Exit codes: 0 success/pass, 1 identity-check fail, 2 config error
-(including an unwritable --output path, and a window grid of more than
-moments.MAX_WINDOWS = 10**9 windows), 3 input error (including a
-missing, unreadable or non-UTF-8 input file), 4 unsupported
-configuration. Every error prints one "error:" line on stderr.
+(including an unwritable --output path, a window grid of more than
+moments.MAX_WINDOWS = 10**9 windows, and a value that overflows the
+double range, such as C^8 of costs near 1e40: the error names the
+column and the window center, and nothing is written), 3 input error
+(including a missing, unreadable or non-UTF-8 input file), 4
+unsupported configuration. Every error prints one "error:" line on
+stderr.
 
-Every table command except charfun runs in four array steps: the bounds
-of all windows from one searchsorted per edge (window_bounds), the power
-sums of all windows from one kernel call (window_sums), the moment and
-volatility algebra on the sum arrays, and one row per window. The
+Every command that sums over windows, charfun included, runs in four
+array steps: the bounds of all windows from one searchsorted per edge
+(window_bounds), the power sums of all windows from one kernel call
+(window_sums), the moment and volatility algebra on the sum arrays, and
+one row per window (for charfun, one polynomial per grid point). The
 kernel converts each summand column to Python floats once and sums
 every window's slice of it with math.fsum, so tables carry exactly the
 csum (math.fsum) values of the per-window library API, which stays the
 test oracle.
-
-High-degree note: sums of C^n mix magnitudes badly; if p(2)*N approaches
-1e300, rescale the input units before asking for high degrees.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import csv
 import io
@@ -199,12 +201,24 @@ def _window_stride(args) -> tuple[float, float]:
     return args.window, stride
 
 
+def _check_finite(centers, counts, columns: dict) -> None:
+    """Raise ConfigError naming the first value, in row then column order,
+    that overflowed to inf or nan. Column arrays hold values for the
+    non-empty windows only."""
+    bad = ~np.isfinite(np.column_stack([*columns.values()]))
+    if bad.any():
+        row, col = divmod(int(np.argmax(bad)), bad.shape[1])
+        raise ConfigError(f"{[*columns][col]} overflows the double range in the window "
+                          f"at t={centers[counts > 0][row]}; rescale the input units")
+
+
 def _emit_windows(centers, counts, count_key: str, columns: dict, args) -> None:
     """Emit one row per window: t, its count, then the named columns.
 
     Column arrays hold values for the non-empty windows only; empty
     windows get empty cells.
     """
+    _check_finite(centers, counts, columns)
     values = {name: iter(col.tolist()) for name, col in columns.items()}
     rows = []
     for t, n in zip(centers.tolist(), counts.tolist()):
@@ -242,10 +256,9 @@ def cmd_moments(args) -> int:
     centers = window_centers(series, width, stride)
     counts, sums = moment_sums(series, centers, width, degrees)
     columns = {}
-    with np.errstate(all="ignore"):  # inf/inf from overflowed sums is nan, as in Python
-        for i, n in enumerate(degrees):
-            c, v = sums[:, i], sums[:, len(degrees) + i]
-            columns.update({f"C{n}": c, f"V{n}": v, f"p{n}": c / v})
+    for i, n in enumerate(degrees):
+        c, v = sums[:, i], sums[:, len(degrees) + i]
+        columns.update({f"C{n}": c, f"V{n}": v, f"p{n}": c / v})
     _emit_windows(centers, counts, "n_trades", columns, args)
     return EXIT_OK
 
@@ -325,6 +338,9 @@ def cmd_charfun(args) -> int:
     partial = 1.0 + 0.0j
     orders = []
     for n, term in enumerate(result.order_terms, start=1):
+        if not cmath.isfinite(term):
+            raise ConfigError(f"the order-{n} term overflows the double range; "
+                              "lower --nmax or rescale the input units")
         partial += term
         orders.append({
             "order": n,
@@ -391,6 +407,7 @@ def _max_rel_dev(direct, *others) -> float:
 def _identity_rows(series: TradeSeries, width: float, stride: float, lags: list[int]):
     centers = window_centers(series, width, stride)
     counts, (direct, closed, _) = _price_forms(series, centers, width)
+    _check_finite(centers, counts, {"sigma2_direct": direct, "sigma2_closed": closed})
     rows = [("price_vol_direct_vs_closed", None, int(np.count_nonzero(counts)),
              _max_rel_dev(direct, closed))]
     for m in lags:
@@ -399,6 +416,9 @@ def _identity_rows(series: TradeSeries, width: float, stride: float, lags: list[
             continue
         counts, _, (direct, closed, _), (*_, rform) = _returns_forms(
             build_returns(series, m), centers, width)
+        _check_finite(centers, counts, {f"lag-{m} sigma2_direct": direct,
+                                        f"lag-{m} sigma2_rform": rform,
+                                        f"lag-{m} sigma2_closed": closed})
         rows.append(("returns_vol_three_way", m, int(np.count_nonzero(counts)),
                      _max_rel_dev(direct, rform, closed)))
     return rows
@@ -528,7 +548,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # inf and nan are reported by _check_finite before anything is written
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

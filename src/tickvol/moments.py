@@ -54,30 +54,21 @@ def check_degree(n: int, degree_cap: int | None = None) -> None:
 
 
 @dataclass(frozen=True)
-class DegreeAggregate:
-    """Window sums of C^n and V^n for one degree n."""
-
-    degree: int
-    cost_sum: float
-    volume_sum: float
-
-
-@dataclass(frozen=True)
 class PriceMoments:
     """Per-window price moments for a set of degrees.
 
     entries maps degree n to (cost_sum, volume_sum, moment); the moment is
     stored exactly as the division cost_sum/volume_sum. An empty window
-    yields trade_count == 0 and no entries.
+    yields n_trades == 0 and no entries.
     """
 
     window: WindowSpec
-    trade_count: int
+    n_trades: int
     entries: dict[int, tuple[float, float, float]]
 
     @property
     def empty(self) -> bool:
-        return self.trade_count == 0
+        return self.n_trades == 0
 
     def moment(self, n: int) -> float:
         return self.entries[n][2]
@@ -89,8 +80,8 @@ def power_summands(costs, volumes, degrees) -> list:
             + [volumes if n == 1 else volumes ** n for n in degrees])
 
 
-def aggregate_degree(view: WindowView, n: int, *, degree_cap: int | None = None) -> DegreeAggregate:
-    """Sums of n-th powers of cost and volume over a window.
+def aggregate_degree(view: WindowView, n: int, *, degree_cap: int | None = None) -> tuple[float, float]:
+    """(sum of C^n, sum of V^n) over a window.
 
     Raises EmptyWindowError on an empty view and DegreeOutOfRangeError when
     n exceeds the cap.
@@ -99,13 +90,13 @@ def aggregate_degree(view: WindowView, n: int, *, degree_cap: int | None = None)
         raise EmptyWindowError(f"window at t={view.center} is empty")
     check_degree(n, degree_cap)
     cost_n, volume_n = power_summands(view.costs, view.volumes, [n])
-    return DegreeAggregate(n, csum(cost_n), csum(volume_n))
+    return csum(cost_n), csum(volume_n)
 
 
 def price_moment(view: WindowView, n: int, *, degree_cap: int | None = None) -> float:
     """Degree-n price moment p(n) = sum(C^n) / sum(V^n)."""
-    agg = aggregate_degree(view, n, degree_cap=degree_cap)
-    return agg.cost_sum / agg.volume_sum
+    cost_n, volume_n = aggregate_degree(view, n, degree_cap=degree_cap)
+    return cost_n / volume_n
 
 
 def vwap(view: WindowView) -> float:
@@ -140,8 +131,8 @@ def collect_price_moments(
         return PriceMoments(view.spec, 0, {})
     entries: dict[int, tuple[float, float, float]] = {}
     for n in degs:
-        agg = aggregate_degree(view, n, degree_cap=degree_cap)
-        entries[n] = (agg.cost_sum, agg.volume_sum, agg.cost_sum / agg.volume_sum)
+        cost_n, volume_n = aggregate_degree(view, n, degree_cap=degree_cap)
+        entries[n] = (cost_n, volume_n, cost_n / volume_n)
     return PriceMoments(view.spec, len(view), entries)
 
 
@@ -192,7 +183,7 @@ def rolling_moments(
 ) -> list[PriceMoments]:
     """Evaluate collect_price_moments on the rolling window grid.
 
-    Empty windows yield records flagged empty (trade_count == 0, no
+    Empty windows yield records flagged empty (n_trades == 0, no
     entries) rather than being dropped, so the output grid is regular.
     """
     degs = sorted(set(int(n) for n in degrees))

@@ -26,7 +26,6 @@ the earlier partner may sit outside the window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -35,41 +34,25 @@ from .moments import check_degree, power_summands
 from .sums import csum
 from .trades import TradeSeries, WindowSpec, window_bounds
 from .volatility import (
-    closed_volatility,
+    DispersionStats,
     direct_volatility,
     dispersion_summands,
     dispersion_terms,
+    price_volatility_closed,
     volatility_forms,
 )
 
 
-@dataclass(frozen=True)
-class ReturnsRecord:
-    """Ratios of trade i against trade i-m (its m-th predecessor)."""
-
-    index: int
-    lag: int
-    timestamp: float
-    price_ratio: float
-    simple_return: float
-    log_return: float
-    cost_ratio: float
-    volume_ratio: float
-
-
-def log_return(record: ReturnsRecord) -> float:
-    """Log return ln(price_ratio); exp of it equals 1 + simple return."""
-    return record.log_return
-
-
-class ReturnsSet(Sequence[ReturnsRecord]):
-    """Immutable sequence of lag-m returns records, array-backed."""
+class ReturnsSet:
+    """Immutable lag-m returns records as aligned read-only columns, one
+    entry per later trade i (its series index in indices), with
+    simple_return = price_ratio - 1 and log_return = ln(price_ratio)."""
 
     __slots__ = ("lag", "indices", "timestamps", "price_ratio", "cost_ratio",
                  "volume_ratio", "simple_return", "log_return")
 
     def __init__(self, lag, indices, timestamps, price_ratio, cost_ratio,
-                 volume_ratio, simple_return, log_ret):
+                 volume_ratio, simple_return, log_return):
         self.lag = int(lag)
         self.indices = indices
         self.timestamps = timestamps
@@ -77,51 +60,20 @@ class ReturnsSet(Sequence[ReturnsRecord]):
         self.cost_ratio = cost_ratio
         self.volume_ratio = volume_ratio
         self.simple_return = simple_return
-        self.log_return = log_ret
+        self.log_return = log_return
         for arr in (indices, timestamps, price_ratio, cost_ratio,
-                    volume_ratio, simple_return, log_ret):
+                    volume_ratio, simple_return, log_return):
             arr.setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.indices)
 
-    def __getitem__(self, i) -> ReturnsRecord:
-        if isinstance(i, slice):
-            raise TypeError("ReturnsSet does not support slicing; use records_in_window")
-        i = int(i)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        return ReturnsRecord(
-            index=int(self.indices[i]),
-            lag=self.lag,
-            timestamp=float(self.timestamps[i]),
-            price_ratio=float(self.price_ratio[i]),
-            simple_return=float(self.simple_return[i]),
-            log_return=float(self.log_return[i]),
-            cost_ratio=float(self.cost_ratio[i]),
-            volume_ratio=float(self.volume_ratio[i]),
-        )
-
-    def __iter__(self) -> Iterator[ReturnsRecord]:
-        for i in range(len(self)):
-            yield self[i]
-
     def __repr__(self) -> str:
         return f"ReturnsSet(lag={self.lag}, n={len(self)})"
 
     def _slice(self, start: int, stop: int) -> "ReturnsSet":
-        return ReturnsSet(
-            self.lag,
-            self.indices[start:stop],
-            self.timestamps[start:stop],
-            self.price_ratio[start:stop],
-            self.cost_ratio[start:stop],
-            self.volume_ratio[start:stop],
-            self.simple_return[start:stop],
-            self.log_return[start:stop],
-        )
+        columns = (getattr(self, name)[start:stop] for name in self.__slots__[1:])
+        return ReturnsSet(self.lag, *columns)
 
 
 def build_returns(series: TradeSeries, m: int) -> ReturnsSet:
@@ -210,16 +162,6 @@ def _record_sums(records: ReturnsSet, picks: slice = slice(None)) -> tuple:
     return (n, *(csum(x) for x in summands[picks]))
 
 
-def rform_terms(records: ReturnsSet) -> tuple[float, float, float]:
-    """Weighted return means (r11, r21, r22).
-
-    r11 = sum(r * qv)     / sum(qv)     (volume-returns weighted mean)
-    r21 = sum(r * qv^2)   / sum(qv^2)
-    r22 = sum(r^2 * qv^2) / sum(qv^2)
-    """
-    return rform_from_sums(*_record_sums(records, slice(2, None))[1:])[:3]
-
-
 def returns_volatility_direct(records: ReturnsSet) -> float:
     """Returns volatility q(2) - q(1)^2. May be negative.
 
@@ -242,26 +184,6 @@ def returns_volatility_rform(records: ReturnsSet) -> float:
 
 
 @dataclass(frozen=True)
-class ReturnsDispersionStats:
-    """Per-record means and dispersions of the cost/volume ratios.
-
-    Built from means (sums divided by the record count), mirroring the
-    per-trade dispersion stats; raw sums would make the closed volatility
-    form dimensionally inconsistent with the direct one.
-    """
-
-    n_records: int
-    cost_ratio_mean: float
-    cost_ratio_sq_mean: float
-    volume_ratio_mean: float
-    volume_ratio_sq_mean: float
-    omega_c2: float
-    omega_v2: float
-    phi_c2: float
-    phi_v2: float
-
-
-@dataclass(frozen=True)
 class ReturnsVolatilityReport:
     lag: int
     n_records: int
@@ -271,25 +193,23 @@ class ReturnsVolatilityReport:
     r11: float
     r21: float
     r22: float
-    stats: ReturnsDispersionStats
+    stats: DispersionStats
     negative_flag: bool
 
 
-def returns_dispersion_stats(records: ReturnsSet) -> ReturnsDispersionStats:
-    """Means/dispersions of cost and volume ratios over the records."""
+def returns_dispersion_stats(records: ReturnsSet) -> DispersionStats:
+    """Means/dispersions of the cost ratio (a) and volume ratio (b) over
+    the records. Built from means, like the per-trade stats; raw sums
+    would make the closed form dimensionally inconsistent with the
+    direct one."""
     n, *sums = _record_sums(records, slice(4))
-    return ReturnsDispersionStats(n, *(float(x) for x in dispersion_terms(n, *sums)))
+    return DispersionStats(n, *map(float, dispersion_terms(n, *sums)))
 
 
-def returns_volatility_closed(stats: ReturnsDispersionStats) -> float:
-    """Returns volatility from the ratio dispersions:
-
-    2 * (Phi_v^2 Omega_c^2 - Phi_c^2 Omega_v^2) / (Phi_v^4 - Omega_v^4)
-
-    the price decomposition over ratio means (see closed_volatility).
-    """
-    return float(closed_volatility(stats.cost_ratio_mean, stats.volume_ratio_mean,
-                                   stats.omega_c2, stats.omega_v2, stats.phi_v2))
+# Sigma_q^2 from the ratio dispersions,
+# 2 (Phi_v^2 Omega_c^2 - Phi_c^2 Omega_v^2) / (Phi_v^4 - Omega_v^4),
+# is the price decomposition over ratio means: the same function.
+returns_volatility_closed = price_volatility_closed
 
 
 def returns_volatility_report(records: ReturnsSet) -> ReturnsVolatilityReport:
@@ -306,48 +226,6 @@ def returns_volatility_report(records: ReturnsSet) -> ReturnsVolatilityReport:
         r11=r11,
         r21=r21,
         r22=r22,
-        stats=ReturnsDispersionStats(n, *(float(x) for x in terms)),
+        stats=DispersionStats(n, *map(float, terms)),
         negative_flag=bool(direct < 0),
-    )
-
-
-@dataclass(frozen=True)
-class ReturnsMoments:
-    """Per-window returns moments for a set of degrees.
-
-    entries maps degree n to (sum qc^n, sum qv^n, q(n)); the moment is
-    stored exactly as the division of the two sums.
-    """
-
-    window: WindowSpec | None
-    lag: int
-    n_records: int
-    entries: dict[int, tuple[float, float, float]]
-    r11: float
-    r21: float
-    r22: float
-
-
-def collect_returns_moments(
-    records: ReturnsSet,
-    degrees,
-    *,
-    window: WindowSpec | None = None,
-    degree_cap: int | None = None,
-) -> ReturnsMoments:
-    """ReturnsMoments record for one record set."""
-    degs = sorted(set(int(n) for n in degrees))
-    entries: dict[int, tuple[float, float, float]] = {}
-    for n in degs:
-        q_c, q_v = returns_aggregate(records, n, degree_cap=degree_cap)
-        entries[n] = (q_c, q_v, q_c / q_v)
-    r11, r21, r22 = rform_terms(records)
-    return ReturnsMoments(
-        window=window,
-        lag=records.lag,
-        n_records=len(records),
-        entries=entries,
-        r11=r11,
-        r21=r21,
-        r22=r22,
     )

@@ -51,8 +51,22 @@ def windowed_sums(timestamps, centers, width: float, summands) -> tuple:
 
     summands are arrays aligned with the sorted timestamps; column i of
     the sums holds the window sums of summands[i], one row per window
-    with a non-zero count, in window order.
+    with a non-zero count, in window order. Where csum would raise (its
+    partials overflow, or inf meets -inf), the window gets the plain
+    float sum, inf or nan, so the caller can report which one overflowed.
     """
     starts, counts = window_bounds(timestamps, centers, width)
     full = counts > 0
-    return counts, window_sums(np.column_stack(summands), starts[full], counts[full])
+    values = np.column_stack(summands)
+    try:
+        return counts, window_sums(values, starts[full], counts[full])
+    except (OverflowError, ValueError):
+        rows = [values[lo:lo + n].T.tolist() for lo, n in zip(starts[full], counts[full])]
+        return counts, np.array([[_fsum_or_sum(col) for col in row] for row in rows])
+
+
+def _fsum_or_sum(values: list) -> float:
+    try:
+        return math.fsum(values)
+    except (OverflowError, ValueError):
+        return sum(values)

@@ -4,8 +4,8 @@ A trade is the atomic input of every statistic in this package: a
 (timestamp, cost, volume) triple with cost and volume strictly positive,
 so the per-trade price cost/volume is always defined and positive.
 
-A TradeSeries keeps the trades time-sorted and stores them as numpy
-arrays; a WindowView is a zero-copy slice of a series covering one
+A TradeSeries keeps the trades time-sorted as three aligned numpy
+columns; a WindowView is a zero-copy slice of a series covering one
 averaging window [center - width/2, center + width/2], inclusive at both
 ends (a trade sitting exactly on a window edge is a member).
 """
@@ -13,33 +13,11 @@ ends (a trade sitting exactly on a window edge is a member).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .errors import ValidationError
-
-
-@dataclass(frozen=True)
-class Trade:
-    """One market transaction.
-
-    index is the 0-based position in the (time-sorted) parent series.
-    """
-
-    index: int
-    timestamp: float
-    cost: float
-    volume: float
-
-    @property
-    def price(self) -> float:
-        return self.cost / self.volume
-
-
-def price_of(trade: Trade) -> float:
-    """Per-trade price: cost divided by volume."""
-    return trade.cost / trade.volume
 
 
 @dataclass(frozen=True)
@@ -52,14 +30,6 @@ class WindowSpec:
     def __post_init__(self):
         if not (self.width > 0):
             raise ValueError(f"window width must be positive, got {self.width}")
-
-    @property
-    def lo(self) -> float:
-        return self.center - self.width / 2
-
-    @property
-    def hi(self) -> float:
-        return self.center + self.width / 2
 
 
 def _validate_columns(ts: np.ndarray, costs: np.ndarray, volumes: np.ndarray) -> None:
@@ -78,12 +48,10 @@ def _validate_columns(ts: np.ndarray, costs: np.ndarray, volumes: np.ndarray) ->
     raise ValidationError(f"trade {i}: cost must be positive (got {costs[i]!r})")
 
 
-class TradeSeries(Sequence[Trade]):
-    """Immutable, time-sorted trade sequence.
-
-    Internally three aligned float64 arrays (timestamps, costs, volumes);
-    Trade objects are materialized on demand. Arrays are read-only, so a
-    series is safe for unrestricted concurrent reads.
+class TradeSeries:
+    """Immutable, time-sorted trades as three aligned float64 columns
+    (timestamps, costs, volumes). The arrays are read-only, so a series
+    is safe for unrestricted concurrent reads.
     """
 
     __slots__ = ("timestamps", "costs", "volumes")
@@ -113,20 +81,6 @@ class TradeSeries(Sequence[Trade]):
     def __len__(self) -> int:
         return len(self.timestamps)
 
-    def __getitem__(self, i) -> Trade:
-        if isinstance(i, slice):
-            raise TypeError("TradeSeries does not support slicing; use select_window")
-        i = int(i)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        return Trade(i, float(self.timestamps[i]), float(self.costs[i]), float(self.volumes[i]))
-
-    def __iter__(self) -> Iterator[Trade]:
-        for i in range(len(self)):
-            yield self[i]
-
     def __repr__(self) -> str:
         return f"TradeSeries(n={len(self)})"
 
@@ -141,7 +95,7 @@ def validate_series(raw_trades: Iterable[tuple[float, float, float]]) -> TradeSe
     """Build a TradeSeries from raw (timestamp, cost, volume) rows.
 
     Rows are checked in input order (errors name the offending row),
-    then stably sorted by timestamp; indices are assigned after sorting.
+    then stably sorted by timestamp.
     """
     rows = list(raw_trades)
     if not rows:
@@ -156,8 +110,8 @@ def validate_series(raw_trades: Iterable[tuple[float, float, float]]) -> TradeSe
 class WindowView:
     """Members of one averaging window, as a contiguous index range.
 
-    The series is time-sorted, so the trades inside [lo, hi] are exactly
-    series[start:stop]; the view holds no copies.
+    The series is time-sorted, so the trades inside the window are exactly
+    rows start:stop of its columns; the view holds no copies.
     """
 
     series: TradeSeries
@@ -166,16 +120,8 @@ class WindowView:
     spec: WindowSpec
 
     @property
-    def members(self) -> range:
-        return range(self.start, self.stop)
-
-    @property
     def center(self) -> float:
         return self.spec.center
-
-    @property
-    def width(self) -> float:
-        return self.spec.width
 
     @property
     def timestamps(self) -> np.ndarray:
@@ -195,9 +141,6 @@ class WindowView:
 
     def __len__(self) -> int:
         return self.stop - self.start
-
-    def trades(self) -> list[Trade]:
-        return [self.series[i] for i in self.members]
 
 
 def window_bounds(timestamps: np.ndarray, centers, width: float) -> tuple:
@@ -221,7 +164,3 @@ def select_window(series: TradeSeries, spec: WindowSpec) -> WindowView:
     lo, count = window_bounds(series.timestamps, spec.center, spec.width)
     return WindowView(series, int(lo), int(lo + count), spec)
 
-
-def trade_count(view: WindowView) -> int:
-    """Number of trades in the window."""
-    return len(view)

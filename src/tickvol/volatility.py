@@ -120,18 +120,20 @@ def volatility_forms(count, sum_a, sum_a2, sum_b, sum_b2) -> tuple:
 
 
 @dataclass(frozen=True)
-class TradeDispersionStats:
-    """Per-trade means and dispersions of cost and volume in a window."""
+class DispersionStats:
+    """Per-item means and dispersions of a numerator a and denominator b
+    over one window: cost and volume for trades, the cost and volume
+    ratios for returns records. Fields follow dispersion_terms."""
 
-    n_trades: int
-    cost_mean: float        # C1 = mean(C)
-    cost_sq_mean: float     # C2 = mean(C^2)
-    volume_mean: float      # V1
-    volume_sq_mean: float   # V2
-    sigma_c2: float         # C2 - C1^2
-    sigma_v2: float         # V2 - V1^2
-    phi_c2: float           # C2 + C1^2
-    phi_v2: float           # V2 + V1^2
+    n: int
+    a_mean: float       # a1 = mean(a)
+    a_sq_mean: float    # a2 = mean(a^2)
+    b_mean: float       # b1
+    b_sq_mean: float    # b2
+    sigma_a2: float     # a2 - a1^2
+    sigma_b2: float     # b2 - b1^2
+    phi_a2: float       # a2 + a1^2
+    phi_b2: float       # b2 + b1^2
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,7 @@ class PriceVolatilityReport:
     n_trades: int
     sigma_p2_direct: float
     sigma_p2_closed: float
-    stats: TradeDispersionStats
+    stats: DispersionStats
     negative_flag: bool
 
 
@@ -152,10 +154,10 @@ def _view_sums(view: WindowView) -> tuple:
     return (n, *(csum(x) for x in dispersion_summands(view.costs, view.volumes)))
 
 
-def dispersion_stats(view: WindowView) -> TradeDispersionStats:
+def dispersion_stats(view: WindowView) -> DispersionStats:
     """Cost/volume means and dispersions of the trades in a window."""
     n, *sums = _view_sums(view)
-    return TradeDispersionStats(n, *(float(x) for x in dispersion_terms(n, *sums)))
+    return DispersionStats(n, *map(float, dispersion_terms(n, *sums)))
 
 
 def price_volatility_direct(view: WindowView) -> float:
@@ -167,13 +169,16 @@ def price_volatility_direct(view: WindowView) -> float:
     return float(direct_volatility(*_view_sums(view)))
 
 
-def price_volatility_closed(stats: TradeDispersionStats) -> float:
-    """sigma_p^2 from the dispersion decomposition (see closed_volatility):
+def price_volatility_closed(stats: DispersionStats) -> float:
+    """Volatility from the dispersion decomposition (see closed_volatility):
 
-    2 * (phi_V^2 sigma_C^2 - phi_C^2 sigma_V^2) / (phi_V^4 - sigma_V^4)
+    2 * (phi_b^2 sigma_a^2 - phi_a^2 sigma_b^2) / (phi_b^4 - sigma_b^4)
+
+    sigma_p^2 for the stats of trades, Sigma_q^2 for those of returns
+    records (returns.returns_volatility_closed is this function).
     """
-    return float(closed_volatility(stats.cost_mean, stats.volume_mean,
-                                   stats.sigma_c2, stats.sigma_v2, stats.phi_v2))
+    return float(closed_volatility(stats.a_mean, stats.b_mean,
+                                   stats.sigma_a2, stats.sigma_b2, stats.phi_b2))
 
 
 def price_volatility_report(view: WindowView) -> PriceVolatilityReport:
@@ -185,6 +190,6 @@ def price_volatility_report(view: WindowView) -> PriceVolatilityReport:
         n_trades=sums[0],
         sigma_p2_direct=float(direct),
         sigma_p2_closed=float(closed),
-        stats=TradeDispersionStats(sums[0], *(float(x) for x in terms)),
+        stats=DispersionStats(sums[0], *map(float, terms)),
         negative_flag=bool(direct < 0),
     )

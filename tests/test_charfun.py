@@ -54,7 +54,7 @@ class TestMultiTimeMoment:
         trades = naive_ref.lognormal_trades(rng, 25)
         series = validate_series(trades)
         recs = build_returns(series, 1)
-        ps = PairSeries.from_returns(recs)
+        ps = PairSeries(recs.timestamps, recs.cost_ratio, recs.volume_ratio)
         for n in range(1, 5):
             mm = multi_time_moment(ps, (12.0,) * n, 30.0)
             assert mm.moment == pytest.approx(returns_moment(recs, n), rel=1e-12)

@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -232,6 +233,18 @@ class TestCharFun:
              "--grid", "0:1:2", "--testfn", str(testfn)], capsys)
         assert code == 4
         assert "disjoint" in err
+
+    def test_empty_window_exits_2(self, tmp_path, capsys):
+        # the grid's second point (665) lies past the last trade (~632);
+        # the first empty grid point is the one named
+        golden = pathlib.Path(__file__).parent / "data" / "golden"
+        out = tmp_path / "cf.csv"
+        code, stdout, err = run_cli(
+            ["charfun", "--input", str(golden / "trades.csv"), "--window", "30",
+             "--grid", "590:75:8", "--testfn", str(golden / "charfun_testfn.txt"),
+             "--output", str(out)], capsys)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err == "error: window at t=665.0 (width 30.0) is empty\n"
 
     def test_testfn_count_mismatch_exits_2(self, three_trade_file, tmp_path, capsys):
         testfn = tmp_path / "x.txt"
@@ -482,15 +495,63 @@ class TestFileErrors:
         self._one_error_line(err)
 
 
+class TestOverflow:
+    """A value past the double range exits 2 naming the column and window
+    center, writes nothing and leaks no numpy warning."""
+
+    @pytest.mark.parametrize("cost, args, message", [
+        # the fsum partials of C1 overflow
+        ("1e308", ["moments", "--window", "5"],
+         "C1 overflows the double range in the window at t=2.5"),
+        # C^2 is inf, so the dispersion algebra meets inf - inf
+        ("1e200", ["price-vol", "--window", "5"],
+         "sigma2_direct overflows the double range in the window at t=2.5"),
+        # C^8 is inf; JSON has no inf literal
+        ("1e40", ["moments", "--window", "5", "--degrees", "1,8", "--format", "json"],
+         "C8 overflows the double range in the window at t=2.5"),
+        # one-trade windows give direct = 0 exactly, but the closed form is nan
+        ("1e200", ["identity-check"],
+         "sigma2_closed overflows the double range in the window at t=0.03125"),
+    ])
+    def test_overflow_exits_2(self, cost, args, message, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text(f"ts,cost,volume\n0.0,{cost},1.0\n1.0,{cost},1.0\n")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run_cli(
+                [args[0], "--input", str(path), *args[1:], "--output", str(out)], capsys)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err == f"error: {message}; rescale the input units\n"
+
+    def test_charfun_overflow_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text("ts,cost,volume\n0.0,1e200,1.0\n")
+        testfn = tmp_path / "x.txt"
+        testfn.write_text("1e300\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run_cli(
+                ["charfun", "--input", str(path), "--window", "1", "--grid", "0:1:1",
+                 "--testfn", str(testfn), "--nmax", "2"], capsys)
+        assert code == 2 and stdout == ""
+        assert err == ("error: the order-1 term overflows the double range; "
+                       "lower --nmax or rescale the input units\n")
+
+
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(args):
+    """`python ARGS` with this checkout's src/ importable."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def run_module(args):
     """`python -m tickvol ARGS` with this checkout's src/ importable."""
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, "-m", "tickvol", *args],
-                          capture_output=True, text=True, env=env)
+    return run_python(["-m", "tickvol", *args])
 
 
 class TestEntryPoint:

@@ -39,14 +39,14 @@ class TestLoadCsv:
         path.write_text("ts,cost,volume\n1.0,10.0,2.0\n")
         series = load_trades(path, COST_SCHEMA)
         assert len(series) == 1
-        assert series[0].cost == 10.0 and series[0].volume == 2.0
+        assert series.costs[0] == 10.0 and series.volumes[0] == 2.0
 
     def test_price_volume_derives_cost(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("ts,price,volume\n1.0,5.0,2.0\n")
         series = load_trades(path, PRICE_SCHEMA)
-        assert series[0].cost == 10.0
-        assert series[0].timestamp == 1.0
+        assert series.costs[0] == 10.0
+        assert series.timestamps[0] == 1.0
 
     def test_zero_volume_names_row(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -81,7 +81,7 @@ class TestLoadCsv:
         path = tmp_path / "t.csv"
         path.write_text("ts,cost,volume\n1500000000,10.0,2.0\n")
         series = load_trades(path, IngestSchema("ts_cost_volume", "nanoseconds"))
-        assert series[0].timestamp == 1.5
+        assert series.timestamps[0] == 1.5
 
     def test_nanoseconds_must_be_integer(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -99,13 +99,13 @@ class TestLoadNdjson:
         )
         series = load_trades(path, COST_SCHEMA)
         assert len(series) == 2
-        assert series[0].timestamp == 0.5  # sorted on load
+        assert series.timestamps[0] == 0.5  # sorted on load
 
     def test_price_fields(self, tmp_path):
         path = tmp_path / "t.ndjson"
         path.write_text('{"ts": 1.0, "price": 5.0, "volume": 2.0}\n')
         series = load_trades(path, PRICE_SCHEMA)
-        assert series[0].cost == 10.0
+        assert series.costs[0] == 10.0
 
     def test_wrong_fields_rejected(self, tmp_path):
         path = tmp_path / "t.ndjson"
@@ -123,7 +123,7 @@ class TestLoadNdjson:
         path = tmp_path / "t.ndjson"
         path.write_text('{"ts": 2500000000, "cost": 10.0, "volume": 2.0}\n')
         series = load_trades(path, IngestSchema("ts_cost_volume", "nanoseconds"))
-        assert series[0].timestamp == 2.5
+        assert series.timestamps[0] == 2.5
         path.write_text('{"ts": 2.5e9, "cost": 10.0, "volume": 2.0}\n')
         with pytest.raises(ParseError, match="integer nanoseconds"):
             load_trades(path, IngestSchema("ts_cost_volume", "nanoseconds"))
@@ -200,7 +200,7 @@ class TestSimulate:
     def test_output_is_valid_series(self):
         series = simulate_trades(SimConfig(n_trades=200, seed=6))
         revalidated = validate_series(
-            [(tr.timestamp, tr.cost, tr.volume) for tr in series])
+            zip(series.timestamps, series.costs, series.volumes))
         np.testing.assert_array_equal(revalidated.costs, series.costs)
 
     def test_config_validation(self):

@@ -40,17 +40,13 @@ def _view(rows, center=None, width=None):
 
 class TestAggregateDegree:
     def test_two_trade_sums(self, two_trade_view):
-        agg1 = aggregate_degree(two_trade_view, 1)
-        assert (agg1.cost_sum, agg1.volume_sum) == (16.0, 5.0)
-        agg2 = aggregate_degree(two_trade_view, 2)
-        assert (agg2.cost_sum, agg2.volume_sum) == (136.0, 13.0)
+        assert aggregate_degree(two_trade_view, 1) == (16.0, 5.0)
+        assert aggregate_degree(two_trade_view, 2) == (136.0, 13.0)
 
     def test_single_trade_powers(self):
         view = _view([(0.0, 3.0, 2.0)])
         for n in range(1, 9):
-            agg = aggregate_degree(view, n)
-            assert agg.cost_sum == 3.0 ** n
-            assert agg.volume_sum == 2.0 ** n
+            assert aggregate_degree(view, n) == (3.0 ** n, 2.0 ** n)
 
     def test_empty_window_raises(self, two_trade_series):
         empty = select_window(two_trade_series, WindowSpec(100.0, 1.0))
@@ -119,7 +115,7 @@ class TestRollingMoments:
         series = validate_series([(0.0, 1.0, 1.0), (1.0, 2.0, 1.0), (2.0, 3.0, 1.0)])
         out = rolling_moments(series, width=2.0, stride=1.0, degrees={1})
         assert [pm.window.center for pm in out] == [1.0, 2.0, 3.0]
-        assert [pm.trade_count for pm in out] == [3, 2, 1]
+        assert [pm.n_trades for pm in out] == [3, 2, 1]
         # first window covers everything: p1 = 6/3
         assert out[0].moment(1) == pytest.approx(2.0)
 
@@ -127,14 +123,14 @@ class TestRollingMoments:
         series = validate_series([(0.0, 1.0, 1.0), (3.0, 2.0, 1.0)])
         out = rolling_moments(series, width=10.0, stride=100.0, degrees=[1])
         assert len(out) == 1
-        assert out[0].trade_count == 2
+        assert out[0].n_trades == 2
 
     def test_single_trade_series(self):
         series = validate_series([(5.0, 8.0, 2.0)])
         out = rolling_moments(series, width=2.0, stride=1.0, degrees=[1, 2, 3])
         assert len(out) == 1
         pm = out[0]
-        assert pm.trade_count == 1
+        assert pm.n_trades == 1
         for n in (1, 2, 3):
             assert pm.moment(n) == 4.0 ** n
 
@@ -145,7 +141,7 @@ class TestRollingMoments:
         assert any(pm.empty for pm in out)
         for pm in out:
             if pm.empty:
-                assert pm.trade_count == 0 and pm.entries == {}
+                assert pm.n_trades == 0 and pm.entries == {}
 
     def test_matches_the_per_window_path(self):
         series = simulate_trades(SimConfig(n_trades=400, seed=3))
@@ -258,7 +254,7 @@ class TestOracleEquivalence:
         assert len(out) > 10
         for pm in out:
             members = naive_ref.window_members(trades, pm.window.center, pm.window.width)
-            assert pm.trade_count == len(members)
+            assert pm.n_trades == len(members)
             if members:
                 for n in (1, 2):
                     assert pm.moment(n) == pytest.approx(

@@ -14,9 +14,8 @@ from tickvol import (
     SimConfig,
     WindowSpec,
     build_returns,
-    collect_returns_moments,
-    log_return,
     mean_return,
+    price_volatility_closed,
     records_in_window,
     returns_aggregate,
     returns_dispersion_stats,
@@ -25,7 +24,6 @@ from tickvol import (
     returns_volatility_direct,
     returns_volatility_report,
     returns_volatility_rform,
-    rform_terms,
     simulate_trades,
     validate_series,
 )
@@ -42,26 +40,20 @@ class TestBuildReturns:
     def test_three_trade_fixture(self, three_trade_series):
         recs = build_returns(three_trade_series, 1)
         assert len(recs) == 2
-        r1, r2 = recs
-        assert (r1.index, r1.timestamp) == (1, 1.0)
-        assert r1.price_ratio == pytest.approx(1.5, rel=1e-15)
-        assert r1.simple_return == pytest.approx(0.5, rel=1e-15)
-        assert r1.cost_ratio == pytest.approx(1.5, rel=1e-15)
-        assert r1.volume_ratio == pytest.approx(1.0, rel=1e-15)
-        assert (r2.index, r2.timestamp) == (2, 2.0)
-        assert r2.price_ratio == pytest.approx(1.0, rel=1e-15)
-        assert r2.simple_return == pytest.approx(0.0, abs=1e-15)
-        assert r2.cost_ratio == pytest.approx(1.5, rel=1e-15)
-        assert r2.volume_ratio == pytest.approx(1.5, rel=1e-15)
+        assert recs.indices.tolist() == [1, 2]
+        assert recs.timestamps.tolist() == [1.0, 2.0]
+        np.testing.assert_allclose(recs.price_ratio, [1.5, 1.0], rtol=1e-15)
+        np.testing.assert_allclose(recs.simple_return, [0.5, 0.0], rtol=1e-15, atol=1e-15)
+        np.testing.assert_allclose(recs.cost_ratio, [1.5, 1.5], rtol=1e-15)
+        np.testing.assert_allclose(recs.volume_ratio, [1.0, 1.5], rtol=1e-15)
 
     def test_identical_trades_give_unit_ratios(self):
         series = validate_series([(float(i), 4.0, 2.0) for i in range(5)])
-        for rec in build_returns(series, 2):
-            assert rec.price_ratio == 1.0
-            assert rec.cost_ratio == 1.0
-            assert rec.volume_ratio == 1.0
-            assert rec.simple_return == 0.0
-            assert rec.log_return == 0.0
+        recs = build_returns(series, 2)
+        for column, value in ((recs.price_ratio, 1.0), (recs.cost_ratio, 1.0),
+                              (recs.volume_ratio, 1.0), (recs.simple_return, 0.0),
+                              (recs.log_return, 0.0)):
+            assert column.tolist() == [value] * 3
 
     def test_lag_too_large(self):
         series = validate_series([(0.0, 1.0, 1.0), (1.0, 2.0, 1.0)])
@@ -80,9 +72,8 @@ class TestBuildReturns:
             [(0.0, 2.0, 1.0), (10.0, 3.0, 1.0), (10.5, 8.0, 1.0), (30.0, 9.0, 1.0)]
         )
         recs = build_returns(series, 2)
-        assert [r.index for r in recs] == [2, 3]
-        assert recs[0].cost_ratio == pytest.approx(8.0 / 2.0)
-        assert recs[1].cost_ratio == pytest.approx(9.0 / 3.0)
+        assert recs.indices.tolist() == [2, 3]
+        assert recs.cost_ratio.tolist() == pytest.approx([8.0 / 2.0, 9.0 / 3.0])
 
 
 class TestPerRecordRelations:
@@ -94,27 +85,27 @@ class TestPerRecordRelations:
         series = validate_series(rows)
         if m >= len(series):
             return
-        for rec in build_returns(series, m):
-            assert rec.cost_ratio == pytest.approx(
-                rec.price_ratio * rec.volume_ratio, rel=1e-12)
-            assert rec.price_ratio > 0 and rec.volume_ratio > 0 and rec.cost_ratio > 0
+        recs = build_returns(series, m)
+        np.testing.assert_allclose(recs.cost_ratio, recs.price_ratio * recs.volume_ratio,
+                                   rtol=1e-12)
+        for column in (recs.price_ratio, recs.volume_ratio, recs.cost_ratio):
+            assert (column > 0).all()
 
     @given(st.lists(st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
                     min_size=2, max_size=50))
     def test_exp_log_return_matches_simple_return(self, pairs):
         rows = [(float(i), p * v, v) for i, (p, v) in enumerate(pairs)]
         series = validate_series(rows)
-        for rec in build_returns(series, 1):
-            assert math.exp(rec.log_return) == pytest.approx(
-                1.0 + rec.simple_return, rel=1e-12)
+        recs = build_returns(series, 1)
+        np.testing.assert_allclose(np.exp(recs.log_return), 1.0 + recs.simple_return,
+                                   rtol=1e-12)
 
     def test_log_return_values(self, three_trade_series):
         recs = build_returns(three_trade_series, 1)
-        assert log_return(recs[0]) == pytest.approx(math.log(1.5), rel=1e-15)
-        assert log_return(recs[1]) == 0.0
+        assert recs.log_return[0] == pytest.approx(math.log(1.5), rel=1e-15)
+        assert recs.log_return[1] == 0.0
         series = validate_series([(0.0, 1.0, 1.0), (1.0, math.e, 1.0)])
-        rec = build_returns(series, 1)[0]
-        assert log_return(rec) == pytest.approx(1.0, rel=1e-15)
+        assert build_returns(series, 1).log_return[0] == pytest.approx(1.0, rel=1e-15)
 
 
 class TestAggregatesAndMoments:
@@ -150,7 +141,7 @@ class TestAggregatesAndMoments:
 
     def test_mean_return_matches_r11(self, three_trade_series):
         recs = build_returns(three_trade_series, 1)
-        r11, _, _ = rform_terms(recs)
+        r11 = returns_volatility_report(recs).r11
         assert abs(mean_return(recs) - r11) <= 1e-12 * max(1.0, abs(r11))
 
 
@@ -165,9 +156,9 @@ class TestVolatilityForms:
             assert value == pytest.approx(expected, abs=1e-12)
         assert direct < 0  # legal negative value
 
-    def test_fixture_rform_terms(self, three_trade_series):
-        recs = build_returns(three_trade_series, 1)
-        r11, r21, r22 = rform_terms(recs)
+    def test_fixture_weighted_return_means(self, three_trade_series):
+        rep = returns_volatility_report(build_returns(three_trade_series, 1))
+        r11, r21, r22 = rep.r11, rep.r21, rep.r22
         assert r11 == pytest.approx(0.2, rel=1e-12)
         assert r21 == pytest.approx(0.5 / 3.25, rel=1e-12)
         assert r22 == pytest.approx(0.25 / 3.25, rel=1e-12)
@@ -175,14 +166,15 @@ class TestVolatilityForms:
     def test_fixture_dispersion_stats(self, three_trade_series):
         recs = build_returns(three_trade_series, 1)
         s = returns_dispersion_stats(recs)
-        assert s.cost_ratio_mean == 1.5
-        assert s.cost_ratio_sq_mean == 2.25
-        assert s.omega_c2 == 0.0
-        assert s.phi_c2 == 4.5
-        assert s.volume_ratio_mean == 1.25
-        assert s.volume_ratio_sq_mean == 1.625
-        assert s.omega_v2 == 0.0625
-        assert s.phi_v2 == 3.1875
+        assert s.a_mean == 1.5
+        assert s.a_sq_mean == 2.25
+        assert s.sigma_a2 == 0.0
+        assert s.phi_a2 == 4.5
+        assert s.b_mean == 1.25
+        assert s.b_sq_mean == 1.625
+        assert s.sigma_b2 == 0.0625
+        assert s.phi_b2 == 3.1875
+        assert returns_volatility_report(recs).stats == s
 
     def test_all_unit_ratios_zero(self):
         series = validate_series([(float(i), 4.0, 2.0) for i in range(5)])
@@ -233,12 +225,12 @@ class TestWindowing:
         # window [1.5, 2.5] contains only the record at t=2; its partner
         # at t=1 lies outside the window and that is fine
         inside = records_in_window(recs, WindowSpec(2.0, 1.0))
-        assert [r.index for r in inside] == [2]
+        assert inside.indices.tolist() == [2]
 
     def test_window_ends_inclusive(self, three_trade_series):
         recs = build_returns(three_trade_series, 1)
         inside = records_in_window(recs, WindowSpec(1.5, 1.0))
-        assert [r.index for r in inside] == [1, 2]
+        assert inside.indices.tolist() == [1, 2]
 
     def test_time_shift_invariance(self):
         rng = random.Random(5)
@@ -281,14 +273,18 @@ class TestOracleEquivalence:
                        - naive_ref.returns_vol_closed(ref)) / scale < 1e-10
 
 
-def test_collect_returns_moments(three_trade_series):
+def test_returns_moments_store_division(three_trade_series):
     recs = build_returns(three_trade_series, 1)
-    rm = collect_returns_moments(recs, [1, 2])
-    assert rm.lag == 1 and rm.n_records == 2
-    for n, (qc, qv, q) in rm.entries.items():
-        assert q == qc / qv  # stored as the division result
-    assert rm.entries[1] == (3.0, 2.5, 1.2)
-    assert abs(rm.r11 - (rm.entries[1][2] - 1.0)) <= 1e-12
+    assert returns_aggregate(recs, 1) == (3.0, 2.5)
+    for n in (1, 2):
+        q_c, q_v = returns_aggregate(recs, n)
+        assert returns_moment(recs, n) == q_c / q_v  # stored as the division result
+    r11 = returns_volatility_report(recs).r11
+    assert abs(r11 - (returns_moment(recs, 1) - 1.0)) <= 1e-12
+
+
+def test_closed_form_is_shared_with_prices():
+    assert returns_volatility_closed is price_volatility_closed
 
 
 def test_all_windows_path_matches_per_window_reports():

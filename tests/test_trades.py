@@ -5,13 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tickvol import (
-    Trade,
     TradeSeries,
     ValidationError,
     WindowSpec,
-    price_of,
     select_window,
-    trade_count,
     validate_series,
 )
 
@@ -20,8 +17,8 @@ class TestValidateSeries:
     def test_sorts_by_timestamp(self):
         s = validate_series([(1.0, 4.0, 2.0), (0.5, 6.0, 3.0)])
         assert list(s.timestamps) == [0.5, 1.0]
-        assert s[0].index == 0 and s[1].index == 1
-        assert s[0].cost == 6.0 and s[1].cost == 4.0
+        assert list(s.costs) == [6.0, 4.0]
+        assert list(s.volumes) == [3.0, 2.0]
 
     def test_zero_volume_rejected(self):
         with pytest.raises(ValidationError, match="volume must be positive"):
@@ -46,7 +43,7 @@ class TestValidateSeries:
     def test_equal_timestamps_keep_input_order(self):
         s = validate_series([(1.0, 4.0, 2.0), (1.0, 6.0, 3.0)])
         assert len(s) == 2
-        assert s[0].cost == 4.0 and s[1].cost == 6.0
+        assert list(s.costs) == [4.0, 6.0]
 
     def test_empty_series_is_legal(self):
         assert len(validate_series([])) == 0
@@ -55,7 +52,7 @@ class TestValidateSeries:
         rows = [(2.0, 1.0, 1.0), (1.0, 2.0, 1.0), (2.0, 3.0, 1.0), (1.0, 4.0, 1.0)]
         s = validate_series(rows)
         # per timestamp, input order preserved
-        assert [tr.cost for tr in s] == [2.0, 4.0, 1.0, 3.0]
+        assert list(s.costs) == [2.0, 4.0, 1.0, 3.0]
 
     def test_series_arrays_are_read_only(self):
         s = validate_series([(0.0, 1.0, 1.0)])
@@ -64,17 +61,21 @@ class TestValidateSeries:
 
 
 class TestPriceOf:
+    """The per-trade price column is cost / volume."""
+
     def test_direct_division(self):
-        assert price_of(Trade(0, 0.0, 10.0, 2.0)) == 5.0
-        assert price_of(Trade(0, 0.0, 6.0, 3.0)) == 2.0
+        s = validate_series([(0.0, 10.0, 2.0), (1.0, 6.0, 3.0)])
+        assert list(s.prices) == [5.0, 2.0]
 
     def test_unit_volume_identity(self):
-        for x in (0.25, 1.0, 3.7, 1e6):
-            assert price_of(Trade(0, 0.0, x, 1.0)) == x
+        xs = [0.25, 1.0, 3.7, 1e6]
+        s = validate_series([(float(i), x, 1.0) for i, x in enumerate(xs)])
+        assert list(s.prices) == xs
 
     def test_price_property_matches(self):
-        tr = Trade(0, 0.0, 10.0, 4.0)
-        assert tr.price == price_of(tr)
+        s = validate_series([(0.0, 10.0, 4.0), (1.0, 6.0, 3.0), (2.0, 7.0, 2.0)])
+        view = select_window(s, WindowSpec(1.5, 1.0))
+        assert list(view.prices) == list(s.prices[1:])
 
 
 class TestSelectWindow:
@@ -84,21 +85,20 @@ class TestSelectWindow:
 
     def test_inclusive_boundaries(self, series):
         view = select_window(series, WindowSpec(center=1.0, width=2.0))
-        assert list(view.members) == [0, 1, 2]
+        assert (view.start, view.stop) == (0, 3)
 
     def test_boundary_exclusion(self, series):
         view = select_window(series, WindowSpec(center=1.0, width=1.9))
-        assert list(view.members) == [1]
+        assert (view.start, view.stop) == (1, 2)
 
     def test_disjoint_window_is_empty(self, series):
         view = select_window(series, WindowSpec(center=10.0, width=1.0))
         assert len(view) == 0
-        assert trade_count(view) == 0
 
-    def test_trade_count(self, series):
-        assert trade_count(select_window(series, WindowSpec(1.0, 2.0))) == 3
+    def test_view_length(self, series):
+        assert len(select_window(series, WindowSpec(1.0, 2.0))) == 3
         one = validate_series([(5.0, 1.0, 1.0)])
-        assert trade_count(select_window(one, WindowSpec(5.0, 1.0))) == 1
+        assert len(select_window(one, WindowSpec(5.0, 1.0))) == 1
 
     def test_window_spec_rejects_bad_width(self):
         with pytest.raises(ValueError):
@@ -108,7 +108,7 @@ class TestSelectWindow:
 
     def test_view_slices_match_members(self, series):
         view = select_window(series, WindowSpec(1.5, 1.0))
-        assert list(view.members) == [1, 2]
+        assert (view.start, view.stop) == (1, 3)
         np.testing.assert_array_equal(view.costs, [2.0, 3.0])
         np.testing.assert_array_equal(view.timestamps, [1.0, 2.0])
 
@@ -134,9 +134,7 @@ class TestWindowProperties:
         series = validate_series(rows)
         spec = WindowSpec(center, width)
         view = select_window(series, spec)
-        sub = validate_series(
-            [(tr.timestamp, tr.cost, tr.volume) for tr in view.trades()]
-        )
+        sub = validate_series(zip(view.timestamps, view.costs, view.volumes))
         again = select_window(sub, spec)
         assert len(again) == len(view)
         np.testing.assert_array_equal(again.timestamps, view.timestamps)
@@ -150,7 +148,7 @@ class TestWindowProperties:
         series = validate_series(rows)
         narrow = select_window(series, WindowSpec(center, width))
         wide = select_window(series, WindowSpec(center, width + extra))
-        assert set(narrow.members) <= set(wide.members)
+        assert wide.start <= narrow.start and narrow.stop <= wide.stop
 
     @given(st.integers(min_value=0, max_value=40).map(lambda k: k / 4),
            st.integers(min_value=1, max_value=48).map(lambda k: k / 4))

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 import naive_ref
 from tickvol import (
     DegenerateDenominatorError,
+    DispersionStats,
     EmptyWindowError,
     SimConfig,
-    TradeDispersionStats,
     WindowSpec,
     dispersion_stats,
     price_moment,
@@ -40,28 +40,28 @@ def _identity_tol(direct):
 class TestDispersionStats:
     def test_two_trade_values(self, two_trade_view):
         s = dispersion_stats(two_trade_view)
-        assert s.n_trades == 2
-        assert s.cost_mean == 8.0
-        assert s.cost_sq_mean == 68.0
-        assert s.sigma_c2 == 4.0
-        assert s.phi_c2 == 132.0
-        assert s.volume_mean == 2.5
-        assert s.volume_sq_mean == 6.5
-        assert s.sigma_v2 == 0.25
-        assert s.phi_v2 == 12.75
+        assert s.n == 2
+        assert s.a_mean == 8.0
+        assert s.a_sq_mean == 68.0
+        assert s.sigma_a2 == 4.0
+        assert s.phi_a2 == 132.0
+        assert s.b_mean == 2.5
+        assert s.b_sq_mean == 6.5
+        assert s.sigma_b2 == 0.25
+        assert s.phi_b2 == 12.75
 
     def test_identical_trades_zero_dispersion(self):
         view = _view([(float(i), 5.0, 2.0) for i in range(7)])
         s = dispersion_stats(view)
-        assert s.sigma_c2 == 0.0
-        assert s.sigma_v2 == 0.0
+        assert s.sigma_a2 == 0.0
+        assert s.sigma_b2 == 0.0
 
     def test_single_trade_degeneracy(self):
         view = _view([(0.0, 3.0, 2.0)])
         s = dispersion_stats(view)
-        assert s.sigma_c2 == 0.0 and s.sigma_v2 == 0.0
-        assert s.phi_c2 == 2 * 9.0
-        assert s.phi_v2 == 2 * 4.0
+        assert s.sigma_a2 == 0.0 and s.sigma_b2 == 0.0
+        assert s.phi_a2 == 2 * 9.0
+        assert s.phi_b2 == 2 * 4.0
 
     def test_empty_window_raises(self, two_trade_series):
         empty = select_window(two_trade_series, WindowSpec(50.0, 1.0))
@@ -73,9 +73,9 @@ class TestDispersionStats:
         for _ in range(20):
             trades = naive_ref.lognormal_trades(rng, rng.randint(1, 50))
             s = dispersion_stats(_view(trades))
-            assert s.sigma_c2 >= 0.0 and s.sigma_v2 >= 0.0
-            assert s.phi_c2 >= s.sigma_c2
-            assert s.phi_v2 > s.sigma_v2  # strict: volume mean is positive
+            assert s.sigma_a2 >= 0.0 and s.sigma_b2 >= 0.0
+            assert s.phi_a2 >= s.sigma_a2
+            assert s.phi_b2 > s.sigma_b2  # strict: volume mean is positive
 
 
 class TestDirectForm:
@@ -117,10 +117,9 @@ class TestClosedForm:
         assert price_volatility_closed(dispersion_stats(view)) == 0.0
 
     def test_degenerate_denominator_rejected(self):
-        corrupt = TradeDispersionStats(
-            n_trades=2, cost_mean=1.0, cost_sq_mean=1.0,
-            volume_mean=0.0, volume_sq_mean=1.0,
-            sigma_c2=0.0, sigma_v2=1.0, phi_c2=2.0, phi_v2=1.0,
+        corrupt = DispersionStats(
+            n=2, a_mean=1.0, a_sq_mean=1.0, b_mean=0.0, b_sq_mean=1.0,
+            sigma_a2=0.0, sigma_b2=1.0, phi_a2=2.0, phi_b2=1.0,
         )
         with pytest.raises(DegenerateDenominatorError):
             price_volatility_closed(corrupt)
@@ -187,7 +186,7 @@ def test_report_consistency(two_trade_view):
     assert rep.n_trades == 2
     assert not rep.negative_flag
     assert abs(rep.sigma_p2_direct - rep.sigma_p2_closed) <= _identity_tol(rep.sigma_p2_direct)
-    assert rep.stats.n_trades == 2
+    assert rep.stats.n == 2
     assert rep.window == two_trade_view.spec
 
 
