@@ -1,12 +1,14 @@
 """Volume-weighted trade analytics over averaging windows.
 
-Core objects: a validated, time-sorted TradeSeries of columns; WindowView
-slices of it; degree-n price moments p(n) = sum(C^n)/sum(V^n); price and
+Core objects: one validated, time-sorted (timestamp, a, b) stream,
+PairSeries, of which TradeSeries (a = cost, b = volume) and ReturnsSet
+(a = cost ratio, b = volume ratio) are the two kinds; WindowView slices
+of any stream; degree-n moments sum(a^n)/sum(b^n), the price moments
+p(n) of trades and the returns moments q(n) of returns records; price and
 returns volatilities in algebraically equivalent direct and
-dispersion-decomposed forms, written once over the window sums of a
-numerator and a denominator (one DispersionStats type and one closed form
-serve both); and truncated characteristic functionals built from
-multi-time moments.
+dispersion-decomposed forms, one set of functions over a and b serving
+both streams; and truncated characteristic functionals built from
+multi-time moments of any stream.
 """
 
 from .errors import (
@@ -15,6 +17,7 @@ from .errors import (
     DegreeOutOfRangeError,
     EmptyWindowError,
     LagTooLargeError,
+    NonFiniteError,
     ParseError,
     TickvolError,
     TruncationOrderOutOfRangeError,
@@ -22,6 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .trades import (
+    PairSeries,
     TradeSeries,
     WindowSpec,
     WindowView,
@@ -30,7 +34,6 @@ from .trades import (
 )
 from .moments import (
     DEFAULT_DEGREE_CAP,
-    MAX_DEGREE,
     PriceMoments,
     aggregate_degree,
     collect_price_moments,
@@ -64,9 +67,7 @@ from .returns import (
 )
 from .charfun import (
     CharFunResult,
-    MomentProvider,
     MultiTimeMoment,
-    PairSeries,
     charfun_derivative_check,
     charfun_truncated,
     moment_provider,
@@ -87,9 +88,8 @@ __all__ = [
     "EmptyWindowError",
     "IngestSchema",
     "LagTooLargeError",
-    "MAX_DEGREE",
-    "MomentProvider",
     "MultiTimeMoment",
+    "NonFiniteError",
     "PairSeries",
     "ParseError",
     "PriceMoments",

@@ -1,9 +1,9 @@
 """Multi-time moments and truncated characteristic functionals.
 
-Works on a PairSeries: an ordered stream of (timestamp, a, b) with a
-cost-like numerator and volume-like denominator, so the same machinery
-serves trade prices (a=cost, b=volume) and returns (a=cost ratio,
-b=volume ratio).
+Works on any PairSeries stream of (timestamp, a, b) with a cost-like
+numerator and volume-like denominator, so the same machinery serves a
+TradeSeries (a=cost, b=volume) and a ReturnsSet (a=cost ratio, b=volume
+ratio) directly.
 
 Multi-time moment semantics. For time points (t_1..t_n) with equal-width
 windows W_j = [t_j +- width/2], the combination set is only well defined
@@ -38,6 +38,7 @@ explicit cycle (i, -1, -i, 1).
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -48,47 +49,15 @@ import numpy as np
 from .errors import (
     DegreeOutOfRangeError,
     EmptyWindowError,
+    NonFiniteError,
     TruncationOrderOutOfRangeError,
     UnsupportedWindowOverlapError,
 )
 from .moments import DEFAULT_DEGREE_CAP, check_degree, power_summands
 from .sums import csum, windowed_sums
-from .trades import TradeSeries, window_bounds
+from .trades import PairSeries, window_bounds
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i^n for n % 4 = 0,1,2,3
-
-
-class PairSeries:
-    """Time-ordered (timestamp, a, b) stream with strictly positive a, b."""
-
-    __slots__ = ("timestamps", "a", "b")
-
-    def __init__(self, timestamps, a, b):
-        ts = np.array(timestamps, dtype=np.float64, copy=True)
-        av = np.array(a, dtype=np.float64, copy=True)
-        bv = np.array(b, dtype=np.float64, copy=True)
-        if not (ts.ndim == av.ndim == bv.ndim == 1 and len(ts) == len(av) == len(bv)):
-            raise ValueError("timestamps, a, b must be 1-d arrays of equal length")
-        if len(ts) and np.any(np.diff(ts) < 0):
-            raise ValueError("timestamps must be non-decreasing")
-        for name, arr in (("a", av), ("b", bv)):
-            if not np.all(np.isfinite(arr) & (arr > 0)):
-                raise ValueError(f"{name} values must be finite and strictly positive")
-        if not np.all(np.isfinite(ts)):
-            raise ValueError("timestamps must be finite")
-        for arr in (ts, av, bv):
-            arr.setflags(write=False)
-        self.timestamps = ts
-        self.a = av
-        self.b = bv
-
-    def __len__(self) -> int:
-        return len(self.timestamps)
-
-    @classmethod
-    def from_trades(cls, series: TradeSeries) -> "PairSeries":
-        """Cost/volume pairs of a trade series."""
-        return cls(series.timestamps, series.costs, series.volumes)
 
 
 @dataclass(frozen=True)
@@ -124,24 +93,20 @@ def _check_disjoint(groups: list[tuple[float, int]], width: float) -> None:
             )
 
 
-def multi_time_moment(
-    series: PairSeries,
-    times: Sequence[float],
-    width: float,
-    *,
-    degree_cap: int | None = None,
-) -> MultiTimeMoment:
+def multi_time_moment(series: PairSeries, times: Sequence[float], width: float) -> MultiTimeMoment:
     """Moment p(n; t_1..t_n) with n = len(times); see module docstring.
 
     Raises UnsupportedWindowOverlapError for distinct-but-overlapping
-    windows and EmptyWindowError when any involved window has no data.
+    windows, EmptyWindowError when any involved window has no data and
+    NonFiniteError when a sum or the moment overflows the double range.
     """
     if not width > 0:
         raise ValueError("width must be positive")
+    times = tuple(float(t) for t in times)
     n = len(times)
     if n == 0:
         raise DegreeOutOfRangeError("times tuple must not be empty")
-    check_degree(n, degree_cap)
+    check_degree(n)
     groups = _grouped(times)
     _check_disjoint(groups, width)
     a_sum = 1.0
@@ -153,11 +118,17 @@ def multi_time_moment(
             raise EmptyWindowError(f"window at t={t} (width {width}) is empty")
         a_w = series.a[lo:lo + count]
         b_w = series.b[lo:lo + count]
-        a_sum *= csum(a_w ** mult) if mult > 1 else csum(a_w)
-        b_sum *= csum(b_w ** mult) if mult > 1 else csum(b_w)
+        try:
+            with np.errstate(over="ignore"):  # an inf power is reported below
+                a_sum *= csum(a_w ** mult) if mult > 1 else csum(a_w)
+                b_sum *= csum(b_w ** mult) if mult > 1 else csum(b_w)
+        except OverflowError:  # csum's partials overflow
+            a_sum = math.inf
         combos *= count
+    if not (math.isfinite(a_sum) and 0.0 < b_sum < math.inf and math.isfinite(a_sum / b_sum)):
+        raise NonFiniteError(f"the degree-{n} moment at times {times} overflows the double range")
     return MultiTimeMoment(
-        times=tuple(float(t) for t in times),
+        times=times,
         width=width,
         combo_count=combos,
         a_sum=a_sum,
@@ -166,29 +137,20 @@ def multi_time_moment(
     )
 
 
+@dataclass(frozen=True)
 class MomentProvider:
-    """Callable source of multi-time moments for one series and width.
+    """The stream and window width whose diagonal moments charfun_truncated
+    reads: a plain (series, width) record."""
 
-    provider(times) returns the moment value; charfun_truncated reads the
-    diagonal moments of its grid from the provider's series and width.
-    """
+    series: PairSeries
+    width: float
 
-    def __init__(self, series: PairSeries, width: float,
-                 degree_cap: int | None = None):
-        if not width > 0:
+    def __post_init__(self):
+        if not self.width > 0:
             raise ValueError("width must be positive")
-        self.series = series
-        self.width = width
-        self.degree_cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
-
-    def __call__(self, times: Sequence[float]) -> float:
-        return multi_time_moment(self.series, times, self.width,
-                                 degree_cap=self.degree_cap).moment
 
 
-def moment_provider(series: PairSeries, width: float,
-                    degree_cap: int | None = None) -> MomentProvider:
-    return MomentProvider(series, width, degree_cap)
+moment_provider = MomentProvider
 
 
 @dataclass(frozen=True)
@@ -229,6 +191,8 @@ def charfun_truncated(
     than the provider's window width (so every required multi-time moment
     is well defined); x holds the test-function values on the grid and
     step is the quadrature step h of the left-point Riemann rule.
+    Raises NonFiniteError at the lowest order whose term, or a diagonal
+    sum under it, overflows the double range, or when the value does.
     """
     grid = [float(t) for t in grid]
     xs = [float(v) for v in x]
@@ -240,9 +204,9 @@ def charfun_truncated(
         raise ValueError("step must be positive")
     if not isinstance(n_max, (int, np.integer)) or isinstance(n_max, bool) or n_max < 1:
         raise TruncationOrderOutOfRangeError(f"truncation order must be an integer >= 1, got {n_max!r}")
-    if n_max > provider.degree_cap:
+    if n_max > DEFAULT_DEGREE_CAP:
         raise TruncationOrderOutOfRangeError(
-            f"truncation order {n_max} exceeds degree cap {provider.degree_cap}"
+            f"truncation order {n_max} exceeds degree cap {DEFAULT_DEGREE_CAP}"
         )
     for t_prev, t_next in zip(grid, grid[1:]):
         if not t_next > t_prev:
@@ -251,12 +215,13 @@ def charfun_truncated(
 
     # diagonal profiles [p(1;t_g), ..., p(n_max;t_g)] of every grid point
     series, width = provider.series, provider.width
-    summands = power_summands(series.a, series.b, range(1, n_max + 1))
-    counts, sums = windowed_sums(series.timestamps, np.array(grid), width, summands)
-    if not counts.all():
-        t = grid[int(np.argmin(counts))]
-        raise EmptyWindowError(f"window at t={t} (width {width}) is empty")
-    profiles = (sums[:, :n_max] / sums[:, n_max:]).tolist()
+    with np.errstate(all="ignore"):  # inf and nan are reported below
+        summands = power_summands(series.a, series.b, range(1, n_max + 1))
+        counts, sums = windowed_sums(series.timestamps, np.array(grid), width, summands)
+        if not counts.all():
+            t = grid[int(np.argmin(counts))]
+            raise EmptyWindowError(f"window at t={t} (width {width}) is empty")
+        profiles = (sums[:, :n_max] / sums[:, n_max:]).tolist()
 
     # per-point series: coeff[m] = p(m;t_g) * (x_g h)^m / m!
     coeffs = [1.0] + [0.0] * n_max
@@ -270,7 +235,13 @@ def charfun_truncated(
         coeffs = _truncated_convolve(coeffs, point, n_max)
 
     terms = tuple(_I_POW[n % 4] * coeffs[n] for n in range(1, n_max + 1))
+    finite_sums = np.isfinite(sums).all(axis=0).tolist()
+    for n, term in enumerate(terms, start=1):
+        if not (finite_sums[n - 1] and finite_sums[n_max + n - 1] and cmath.isfinite(term)):
+            raise NonFiniteError(f"the order-{n} term overflows the double range")
     value = sum(terms, 1.0 + 0.0j)
+    if not cmath.isfinite(value):
+        raise NonFiniteError("the sum of the order terms overflows the double range")
     return CharFunResult(
         grid=tuple(grid),
         step=float(step),

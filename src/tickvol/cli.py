@@ -7,12 +7,13 @@ outputs of the same run carry identical values and diff cleanly.
 
 Exit codes: 0 success/pass, 1 identity-check fail, 2 config error
 (including an unwritable --output path, a window grid of more than
-moments.MAX_WINDOWS = 10**9 windows, and a value that overflows the
-double range, such as C^8 of costs near 1e40: the error names the
-column and the window center, and nothing is written), 3 input error
+moments.MAX_WINDOWS = 10**9 windows, simulator parameters whose trades
+overflow, and a value that overflows the double range, such as C^8 of
+costs near 1e40: the NonFiniteError names the column and the window
+center, or the charfun order, and nothing is written), 3 input error
 (including a missing, unreadable or non-UTF-8 input file), 4
 unsupported configuration. Every error prints one "error:" line on
-stderr.
+stderr, with plain numbers.
 
 Every command that sums over windows, charfun included, runs in four
 array steps: the bounds of all windows from one searchsorted per edge
@@ -22,13 +23,14 @@ one row per window (for charfun, one polynomial per grid point). The
 kernel converts each summand column to Python floats once and sums
 every window's slice of it with math.fsum, so tables carry exactly the
 csum (math.fsum) values of the per-window library API, which stays the
-test oracle.
+test oracle. The stream summed is a PairSeries: the trades, or for
+returns the lag-m ReturnsSet, whose a and b columns feed one helper
+(_forms) for both.
 """
 
 from __future__ import annotations
 
 import argparse
-import cmath
 import contextlib
 import csv
 import io
@@ -37,10 +39,11 @@ import sys
 
 import numpy as np
 
-from .charfun import PairSeries, charfun_truncated, moment_provider
+from .charfun import charfun_truncated, moment_provider
 from .errors import (
     ConfigError,
     LagTooLargeError,
+    NonFiniteError,
     ParseError,
     TickvolError,
     UnsupportedWindowOverlapError,
@@ -51,7 +54,7 @@ from .moments import DEFAULT_DEGREE_CAP, moment_sums, window_centers
 from .returns import build_returns, returns_summands, rform_from_sums
 from .sums import windowed_sums
 from .synth import SimConfig, simulate_trades
-from .trades import TradeSeries
+from .trades import PairSeries, TradeSeries
 from .volatility import dispersion_summands, volatility_forms
 
 # Per-window entry points the commands no longer call. They stay
@@ -202,14 +205,14 @@ def _window_stride(args) -> tuple[float, float]:
 
 
 def _check_finite(centers, counts, columns: dict) -> None:
-    """Raise ConfigError naming the first value, in row then column order,
+    """Raise NonFiniteError naming the first value, in row then column order,
     that overflowed to inf or nan. Column arrays hold values for the
     non-empty windows only."""
     bad = ~np.isfinite(np.column_stack([*columns.values()]))
     if bad.any():
         row, col = divmod(int(np.argmax(bad)), bad.shape[1])
-        raise ConfigError(f"{[*columns][col]} overflows the double range in the window "
-                          f"at t={centers[counts > 0][row]}; rescale the input units")
+        raise NonFiniteError(f"{[*columns][col]} overflows the double range in the window "
+                             f"at t={centers[counts > 0][row]}; rescale the input units")
 
 
 def _emit_windows(centers, counts, count_key: str, columns: dict, args) -> None:
@@ -230,23 +233,14 @@ def _emit_windows(centers, counts, count_key: str, columns: dict, args) -> None:
     _emit(rows, ["t", count_key, *columns], args)
 
 
-def _price_forms(series: TradeSeries, centers, width: float) -> tuple:
-    """Trade counts, then (direct, closed, dispersion terms) of non-empty windows."""
-    counts, sums = windowed_sums(series.timestamps, centers, width,
-                                 dispersion_summands(series.costs, series.volumes))
-    return counts, volatility_forms(counts[counts > 0], *sums.T)
-
-
-def _returns_forms(records, centers, width: float) -> tuple:
-    """Record counts, the seven returns sums, and the volatility forms
-    (direct, closed, terms) and rform terms (r11, r21, r22, rform) of
-    non-empty windows."""
-    summands = returns_summands(records.cost_ratio, records.volume_ratio,
-                                records.simple_return)
-    counts, sums = windowed_sums(records.timestamps, centers, width, summands)
+def _forms(stream: PairSeries, centers, width: float, summands: list) -> tuple:
+    """Item counts of every window, then the sums of the summands (one row
+    per summand) and the volatility forms (direct, closed, terms) of the
+    non-empty windows. The summands start with the dispersion_summands
+    of stream.a and stream.b."""
+    counts, sums = windowed_sums(stream.timestamps, centers, width, summands)
     sums = sums.T
-    forms = volatility_forms(counts[counts > 0], *sums[:4])
-    return counts, sums, forms, rform_from_sums(*sums[2:])
+    return counts, sums, volatility_forms(counts[counts > 0], *sums[:4])
 
 
 def cmd_moments(args) -> int:
@@ -267,7 +261,8 @@ def cmd_price_vol(args) -> int:
     series = _load_input(args)
     width, stride = _window_stride(args)
     centers = window_centers(series, width, stride)
-    counts, (direct, closed, terms) = _price_forms(series, centers, width)
+    counts, _, (direct, closed, terms) = _forms(
+        series, centers, width, dispersion_summands(series.a, series.b))
     _, _, _, _, sigma_c2, sigma_v2, phi_c2, phi_v2 = terms
     _emit_windows(centers, counts, "n_trades", {
         "sigma2_direct": direct, "sigma2_closed": closed,
@@ -287,8 +282,8 @@ def cmd_returns_vol(args) -> int:
     except LagTooLargeError as exc:
         raise ConfigError(str(exc))
     centers = window_centers(series, width, stride)
-    counts, sums, (direct, closed, _), (r11, r21, r22, rform) = (
-        _returns_forms(records, centers, width))
+    counts, sums, (direct, closed, _) = _forms(records, centers, width, returns_summands(records))
+    r11, r21, r22, rform = rform_from_sums(*sums[2:])
     _emit_windows(centers, counts, "n_records", {
         "mean_return": sums[0] / sums[2] - 1.0,
         "sigma2_direct": direct, "sigma2_rform": rform, "sigma2_closed": closed,
@@ -333,14 +328,13 @@ def cmd_charfun(args) -> int:
     start, step, count = _parse_grid(args.grid)
     xs = _load_testfn(args.testfn, count)
     grid = [start + k * step for k in range(count)]
-    provider = moment_provider(PairSeries.from_trades(series), args.window)
-    result = charfun_truncated(provider, grid, xs, step, args.nmax)
+    try:
+        result = charfun_truncated(moment_provider(series, args.window), grid, xs, step, args.nmax)
+    except NonFiniteError as exc:
+        raise NonFiniteError(f"{exc}; lower --nmax or rescale the input units")
     partial = 1.0 + 0.0j
     orders = []
     for n, term in enumerate(result.order_terms, start=1):
-        if not cmath.isfinite(term):
-            raise ConfigError(f"the order-{n} term overflows the double range; "
-                              "lower --nmax or rescale the input units")
         partial += term
         orders.append({
             "order": n,
@@ -384,7 +378,10 @@ def cmd_simulate(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(str(exc))
-    series = simulate_trades(config)
+    try:
+        series = simulate_trades(config)
+    except ValidationError as exc:  # parameters whose trades overflow
+        raise ConfigError(f"simulated {exc}")
     schema = _schema(args)
     if args.output:
         with _output_errors(args.output):
@@ -406,7 +403,8 @@ def _max_rel_dev(direct, *others) -> float:
 
 def _identity_rows(series: TradeSeries, width: float, stride: float, lags: list[int]):
     centers = window_centers(series, width, stride)
-    counts, (direct, closed, _) = _price_forms(series, centers, width)
+    counts, _, (direct, closed, _) = _forms(
+        series, centers, width, dispersion_summands(series.a, series.b))
     _check_finite(centers, counts, {"sigma2_direct": direct, "sigma2_closed": closed})
     rows = [("price_vol_direct_vs_closed", None, int(np.count_nonzero(counts)),
              _max_rel_dev(direct, closed))]
@@ -414,8 +412,9 @@ def _identity_rows(series: TradeSeries, width: float, stride: float, lags: list[
         if m >= len(series):
             rows.append(("returns_vol_three_way", m, 0, 0.0))
             continue
-        counts, _, (direct, closed, _), (*_, rform) = _returns_forms(
-            build_returns(series, m), centers, width)
+        records = build_returns(series, m)
+        counts, sums, (direct, closed, _) = _forms(records, centers, width, returns_summands(records))
+        rform = rform_from_sums(*sums[2:])[3]
         _check_finite(centers, counts, {f"lag-{m} sigma2_direct": direct,
                                         f"lag-{m} sigma2_rform": rform,
                                         f"lag-{m} sigma2_closed": closed})

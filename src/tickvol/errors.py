@@ -48,6 +48,10 @@ class TruncationOrderOutOfRangeError(TickvolError):
     """Characteristic-functional truncation order exceeds the degree cap."""
 
 
+class NonFiniteError(TickvolError):
+    """A sum, moment or term overflows the double range (inf or nan)."""
+
+
 class ParseError(TickvolError):
     """A trade file failed to parse.
 

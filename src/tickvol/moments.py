@@ -9,8 +9,11 @@ and the degree-n price moment is their ratio
 
     p(n) = cost_sum(n) / volume_sum(n),
 
-the n-th-power generalization of VWAP (p(1) is VWAP itself). All sums are
-exact compensated sums in ascending index order, so results are
+the n-th-power generalization of VWAP (p(1) is VWAP itself). The
+functions read the a (cost) and b (volume) columns of any stream or
+window, so over returns records they give the returns moments
+q(n) = sum(cost_ratio^n) / sum(volume_ratio^n) (see returns). All sums
+are exact compensated sums in ascending index order, so results are
 deterministic and independent of any parallel window schedule.
 """
 
@@ -22,14 +25,13 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, DegreeOutOfRangeError, EmptyWindowError
+from .errors import ConfigError, DegreeOutOfRangeError
 from .sums import csum, windowed_sums
-from .trades import TradeSeries, WindowSpec, WindowView
+from .trades import PairSeries, WindowSpec, WindowView, item_count
 
-# C^n overflows double range for large prices at high n; the default cap
-# keeps desk-scale data safe and the hard limit is a sanity stop.
+# Highest moment degree (and charfun truncation order): C^n overflows the
+# double range for large prices at high n.
 DEFAULT_DEGREE_CAP = 8
-MAX_DEGREE = 16
 
 # Largest window grid window_centers builds, so that a stride far below
 # the trade spacing (1e-12 s over a day gives ~1e17 windows) is refused
@@ -40,17 +42,12 @@ MAX_DEGREE = 16
 MAX_WINDOWS = 1_000_000_000
 
 
-def check_degree(n: int, degree_cap: int | None = None) -> None:
-    """Raise DegreeOutOfRangeError unless 1 <= n <= cap (cap <= 16)."""
-    cap = DEFAULT_DEGREE_CAP if degree_cap is None else degree_cap
-    if not 1 <= cap <= MAX_DEGREE:
-        raise DegreeOutOfRangeError(
-            f"degree cap must be in [1, {MAX_DEGREE}], got {cap}"
-        )
+def check_degree(n: int) -> None:
+    """Raise DegreeOutOfRangeError unless 1 <= n <= DEFAULT_DEGREE_CAP."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise DegreeOutOfRangeError(f"degree must be an integer, got {n!r}")
-    if not 1 <= n <= cap:
-        raise DegreeOutOfRangeError(f"degree {n} outside [1, {cap}]")
+    if not 1 <= n <= DEFAULT_DEGREE_CAP:
+        raise DegreeOutOfRangeError(f"degree {n} outside [1, {DEFAULT_DEGREE_CAP}]")
 
 
 @dataclass(frozen=True)
@@ -74,29 +71,30 @@ class PriceMoments:
         return self.entries[n][2]
 
 
-def power_summands(costs, volumes, degrees) -> list:
-    """C^n for each degree, then V^n for each degree: the moment summands."""
-    return ([costs if n == 1 else costs ** n for n in degrees]
-            + [volumes if n == 1 else volumes ** n for n in degrees])
+def power_summands(a, b, degrees) -> list:
+    """a^n for each degree, then b^n for each degree: the moment summands."""
+    return ([a if n == 1 else a ** n for n in degrees]
+            + [b if n == 1 else b ** n for n in degrees])
 
 
-def aggregate_degree(view: WindowView, n: int, *, degree_cap: int | None = None) -> tuple[float, float]:
-    """(sum of C^n, sum of V^n) over a window.
+def aggregate_degree(view: WindowView, n: int) -> tuple[float, float]:
+    """(sum of a^n, sum of b^n) over a window or stream: C^n and V^n for
+    trades (returns.returns_aggregate is this function).
 
     Raises EmptyWindowError on an empty view and DegreeOutOfRangeError when
     n exceeds the cap.
     """
-    if len(view) == 0:
-        raise EmptyWindowError(f"window at t={view.center} is empty")
-    check_degree(n, degree_cap)
-    cost_n, volume_n = power_summands(view.costs, view.volumes, [n])
-    return csum(cost_n), csum(volume_n)
+    item_count(view)
+    check_degree(n)
+    a_n, b_n = power_summands(view.a, view.b, [n])
+    return csum(a_n), csum(b_n)
 
 
-def price_moment(view: WindowView, n: int, *, degree_cap: int | None = None) -> float:
-    """Degree-n price moment p(n) = sum(C^n) / sum(V^n)."""
-    cost_n, volume_n = aggregate_degree(view, n, degree_cap=degree_cap)
-    return cost_n / volume_n
+def price_moment(view: WindowView, n: int) -> float:
+    """Degree-n moment sum(a^n) / sum(b^n): the price moment p(n) of
+    trades (returns.returns_moment is this function)."""
+    a_n, b_n = aggregate_degree(view, n)
+    return a_n / b_n
 
 
 def vwap(view: WindowView) -> float:
@@ -114,29 +112,22 @@ def simple_average_price(view: WindowView) -> float:
     Weights every trade equally, unlike VWAP; the two coincide only when
     all volumes are equal.
     """
-    if len(view) == 0:
-        raise EmptyWindowError(f"window at t={view.center} is empty")
-    return csum(view.prices) / len(view)
+    return csum(view.prices) / item_count(view)
 
 
-def collect_price_moments(
-    view: WindowView,
-    degrees: Iterable[int],
-    *,
-    degree_cap: int | None = None,
-) -> PriceMoments:
+def collect_price_moments(view: WindowView, degrees: Iterable[int]) -> PriceMoments:
     """PriceMoments record for one window; empty windows get no entries."""
     degs = sorted(set(int(n) for n in degrees))
     if len(view) == 0:
         return PriceMoments(view.spec, 0, {})
     entries: dict[int, tuple[float, float, float]] = {}
     for n in degs:
-        cost_n, volume_n = aggregate_degree(view, n, degree_cap=degree_cap)
+        cost_n, volume_n = aggregate_degree(view, n)
         entries[n] = (cost_n, volume_n, cost_n / volume_n)
     return PriceMoments(view.spec, len(view), entries)
 
 
-def window_centers(series: TradeSeries, width: float, stride: float) -> np.ndarray:
+def window_centers(series: PairSeries, width: float, stride: float) -> np.ndarray:
     """Rolling window centers over the series time span.
 
     Centers start at the first trade's timestamp plus width/2 and advance
@@ -166,21 +157,15 @@ def window_centers(series: TradeSeries, width: float, stride: float) -> np.ndarr
     return t0 + width / 2 + stride * np.arange(k + 1, dtype=np.float64)
 
 
-def moment_sums(series: TradeSeries, centers, width: float, degrees) -> tuple:
+def moment_sums(series: PairSeries, centers, width: float, degrees) -> tuple:
     """Trade counts of every window, and the power_summands sums of the
     non-empty ones (columns C^n per degree, then V^n per degree)."""
-    summands = power_summands(series.costs, series.volumes, degrees)
+    summands = power_summands(series.a, series.b, degrees)
     return windowed_sums(series.timestamps, centers, width, summands)
 
 
-def rolling_moments(
-    series: TradeSeries,
-    width: float,
-    stride: float,
-    degrees: Iterable[int],
-    *,
-    degree_cap: int | None = None,
-) -> list[PriceMoments]:
+def rolling_moments(series: PairSeries, width: float, stride: float,
+                    degrees: Iterable[int]) -> list[PriceMoments]:
     """Evaluate collect_price_moments on the rolling window grid.
 
     Empty windows yield records flagged empty (n_trades == 0, no
@@ -188,7 +173,7 @@ def rolling_moments(
     """
     degs = sorted(set(int(n) for n in degrees))
     for n in degs:
-        check_degree(n, degree_cap)
+        check_degree(n)
     centers = window_centers(series, width, stride)
     counts, sums = moment_sums(series, centers, width, degs)
     rows = iter(sums.tolist())

@@ -19,6 +19,11 @@ means r11/r21/r22, and through a dispersion decomposition built from
 per-record means. Like the price volatility it is signed; negative values
 are flagged, not hidden.
 
+ReturnsSet is a PairSeries with a = cost_ratio and b = volume_ratio, so
+returns_aggregate, returns_moment, returns_volatility_direct,
+returns_dispersion_stats and returns_volatility_closed are the price
+functions of moments and volatility under a second name.
+
 Window membership of a record is decided by the later trade's timestamp;
 the earlier partner may sit outside the window.
 """
@@ -29,51 +34,47 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyWindowError, LagTooLargeError
-from .moments import check_degree, power_summands
-from .sums import csum
-from .trades import TradeSeries, WindowSpec, window_bounds
+from .errors import LagTooLargeError
+from .moments import aggregate_degree, price_moment
+from .sums import csum  # noqa: F401  (bench/tracer.py wraps returns.csum)
+from .trades import PairSeries, TradeSeries, WindowSpec, window_bounds
 from .volatility import (
     DispersionStats,
-    direct_volatility,
+    dispersion_stats,
     dispersion_summands,
-    dispersion_terms,
+    item_sums,
     price_volatility_closed,
+    price_volatility_direct,
     volatility_forms,
 )
 
+# the columns of a ReturnsSet, in constructor order
+_COLUMNS = ("indices", "timestamps", "price_ratio", "a", "b", "simple_return", "log_return")
 
-class ReturnsSet:
-    """Immutable lag-m returns records as aligned read-only columns, one
-    entry per later trade i (its series index in indices), with
-    simple_return = price_ratio - 1 and log_return = ln(price_ratio)."""
 
-    __slots__ = ("lag", "indices", "timestamps", "price_ratio", "cost_ratio",
-                 "volume_ratio", "simple_return", "log_return")
+class ReturnsSet(PairSeries):
+    """Immutable lag-m returns records: the stream a = cost_ratio,
+    b = volume_ratio, plus aligned read-only columns with one entry per
+    later trade i (its series index in indices): price_ratio,
+    simple_return = price_ratio - 1 and log_return = ln(price_ratio).
+
+    Built from an already validated trade series, so the columns are not
+    checked again: a ratio that overflows stays inf for the caller to
+    report.
+    """
+
+    __slots__ = ("lag", "indices", "price_ratio", "simple_return", "log_return")
+    cost_ratio, volume_ratio = PairSeries.a, PairSeries.b  # the a and b columns by name
 
     def __init__(self, lag, indices, timestamps, price_ratio, cost_ratio,
                  volume_ratio, simple_return, log_return):
         self.lag = int(lag)
-        self.indices = indices
-        self.timestamps = timestamps
-        self.price_ratio = price_ratio
-        self.cost_ratio = cost_ratio
-        self.volume_ratio = volume_ratio
-        self.simple_return = simple_return
-        self.log_return = log_return
-        for arr in (indices, timestamps, price_ratio, cost_ratio,
-                    volume_ratio, simple_return, log_return):
-            arr.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.indices)
+        self._store(indices=indices, timestamps=timestamps, price_ratio=price_ratio,
+                    a=cost_ratio, b=volume_ratio, simple_return=simple_return,
+                    log_return=log_return)
 
     def __repr__(self) -> str:
         return f"ReturnsSet(lag={self.lag}, n={len(self)})"
-
-    def _slice(self, start: int, stop: int) -> "ReturnsSet":
-        columns = (getattr(self, name)[start:stop] for name in self.__slots__[1:])
-        return ReturnsSet(self.lag, *columns)
 
 
 def build_returns(series: TradeSeries, m: int) -> ReturnsSet:
@@ -107,22 +108,20 @@ def build_returns(series: TradeSeries, m: int) -> ReturnsSet:
 def records_in_window(records: ReturnsSet, spec: WindowSpec) -> ReturnsSet:
     """Records whose (later-trade) timestamp falls in the window, ends inclusive."""
     lo, count = window_bounds(records.timestamps, spec.center, spec.width)
-    return records._slice(int(lo), int(lo + count))
+    return ReturnsSet(records.lag, *(getattr(records, name)[lo:lo + count] for name in _COLUMNS))
 
 
-def returns_aggregate(records: ReturnsSet, n: int, *, degree_cap: int | None = None) -> tuple[float, float]:
-    """(sum of cost_ratio^n, sum of volume_ratio^n) over the records."""
-    if len(records) == 0:
-        raise EmptyWindowError("no returns records in window")
-    check_degree(n, degree_cap)
-    q_c, q_v = power_summands(records.cost_ratio, records.volume_ratio, [n])
-    return csum(q_c), csum(q_v)
-
-
-def returns_moment(records: ReturnsSet, n: int, *, degree_cap: int | None = None) -> float:
-    """Degree-n returns moment q(n) = sum(qc^n) / sum(qv^n)."""
-    q_c, q_v = returns_aggregate(records, n, degree_cap=degree_cap)
-    return q_c / q_v
+# The returns stream is a PairSeries, so these are the price functions.
+# Dispersion stats are built from per-record means like the per-trade
+# ones: raw sums would make the closed form dimensionally inconsistent
+# with the direct one. Sigma_q^2 from the ratio dispersions,
+# 2 (Phi_v^2 Omega_c^2 - Phi_c^2 Omega_v^2) / (Phi_v^4 - Omega_v^4),
+# is the price decomposition over ratio means.
+returns_aggregate = aggregate_degree
+returns_moment = price_moment
+returns_volatility_direct = price_volatility_direct
+returns_dispersion_stats = dispersion_stats
+returns_volatility_closed = price_volatility_closed
 
 
 def mean_return(records: ReturnsSet) -> float:
@@ -130,15 +129,15 @@ def mean_return(records: ReturnsSet) -> float:
     return returns_moment(records, 1) - 1.0
 
 
-def returns_summands(cost_ratio, volume_ratio, simple_return) -> list:
+def returns_summands(records: ReturnsSet) -> list:
     """Values whose window sums feed every returns volatility form:
 
     qc, qc^2, qv, qv^2 (the dispersion summands) and r qv, r qv^2,
     (r qv)^2 (the weighted return means).
     """
-    r_qv = simple_return * volume_ratio
-    return [*dispersion_summands(cost_ratio, volume_ratio),
-            r_qv, simple_return * volume_ratio ** 2, r_qv ** 2]
+    r, qv = records.simple_return, records.volume_ratio
+    r_qv = r * qv
+    return [*dispersion_summands(records.cost_ratio, qv), r_qv, r * qv ** 2, r_qv ** 2]
 
 
 def rform_from_sums(sum_qv, sum_qv2, sum_rqv, sum_rqv2, sum_rqv_sq) -> tuple:
@@ -152,25 +151,6 @@ def rform_from_sums(sum_qv, sum_qv2, sum_rqv, sum_rqv2, sum_rqv_sq) -> tuple:
     return r11, r21, r22, r22 - r11 * r11 + 2.0 * (r21 - r11)
 
 
-def _record_sums(records: ReturnsSet, picks: slice = slice(None)) -> tuple:
-    """(n, csums of the picked returns_summands) of a non-empty record set."""
-    n = len(records)
-    if n == 0:
-        raise EmptyWindowError("no returns records in window")
-    summands = returns_summands(records.cost_ratio, records.volume_ratio,
-                                records.simple_return)
-    return (n, *(csum(x) for x in summands[picks]))
-
-
-def returns_volatility_direct(records: ReturnsSet) -> float:
-    """Returns volatility q(2) - q(1)^2. May be negative.
-
-    A single record is an exact degeneracy (q(2) and q(1)^2 are the same
-    real number), so it returns 0.0 rather than evaluation noise.
-    """
-    return float(direct_volatility(*_record_sums(records, slice(4))))
-
-
 def returns_volatility_rform(records: ReturnsSet) -> float:
     """Returns volatility through the weighted return means:
 
@@ -179,8 +159,8 @@ def returns_volatility_rform(records: ReturnsSet) -> float:
     With a single record the expression collapses to zero identically, so
     that case returns 0.0 exactly.
     """
-    n, *sums = _record_sums(records, slice(2, None))
-    return 0.0 if n == 1 else rform_from_sums(*sums)[3]
+    n, *sums = item_sums(records, returns_summands(records))
+    return 0.0 if n == 1 else rform_from_sums(*sums[2:])[3]
 
 
 @dataclass(frozen=True)
@@ -197,24 +177,9 @@ class ReturnsVolatilityReport:
     negative_flag: bool
 
 
-def returns_dispersion_stats(records: ReturnsSet) -> DispersionStats:
-    """Means/dispersions of the cost ratio (a) and volume ratio (b) over
-    the records. Built from means, like the per-trade stats; raw sums
-    would make the closed form dimensionally inconsistent with the
-    direct one."""
-    n, *sums = _record_sums(records, slice(4))
-    return DispersionStats(n, *map(float, dispersion_terms(n, *sums)))
-
-
-# Sigma_q^2 from the ratio dispersions,
-# 2 (Phi_v^2 Omega_c^2 - Phi_c^2 Omega_v^2) / (Phi_v^4 - Omega_v^4),
-# is the price decomposition over ratio means: the same function.
-returns_volatility_closed = price_volatility_closed
-
-
 def returns_volatility_report(records: ReturnsSet) -> ReturnsVolatilityReport:
     """All three volatility forms plus the weighted means for one record set."""
-    n, *sums = _record_sums(records)
+    n, *sums = item_sums(records, returns_summands(records))
     direct, closed, terms = volatility_forms(n, *sums[:4])
     r11, r21, r22, rform = rform_from_sums(*sums[2:])
     return ReturnsVolatilityReport(

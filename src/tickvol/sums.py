@@ -5,9 +5,10 @@ algorithm) and returns the correctly rounded sum, so results are
 deterministic and independent of evaluation order.
 
 window_sums() computes the csum of many windows of one array at once.
-Each column is converted to Python floats once, and every window is
-math.fsum over a slice of that list, so the results are csum's by
-construction and the cost grows with the total window length. What it
+The span of each column that the windows cover is converted to Python
+floats once, and every window is math.fsum over a slice of that list,
+so the results are csum's by construction and the cost grows with the
+total window length. What it
 saves over a csum call per window is the per-window overhead: selecting
 the window, raising the view to a power and converting it to a list.
 """
@@ -38,10 +39,12 @@ def window_sums(values, starts, lengths) -> np.ndarray:
     starts = np.asarray(starts, dtype=np.intp)
     lengths = np.asarray(lengths, dtype=np.intp)
     cols = values.reshape(len(values), -1)
-    bounds = list(zip(starts.tolist(), (starts + lengths).tolist()))
+    ends = starts + lengths
+    first, last = starts.min(initial=len(cols)), ends.max(initial=0)
+    bounds = list(zip((starts - first).tolist(), (ends - first).tolist()))
     out = np.empty((len(bounds), cols.shape[1]))
     for c in range(cols.shape[1]):
-        col = cols[:, c].tolist()
+        col = cols[first:last, c].tolist()
         out[:, c] = [math.fsum(col[lo:hi]) for lo, hi in bounds]
     return out.reshape(lengths.shape + values.shape[1:])
 

@@ -1,13 +1,16 @@
-"""Trade domain model: validated trade series and averaging windows.
+"""Stream domain model: the validated (timestamp, a, b) stream and its windows.
 
-A trade is the atomic input of every statistic in this package: a
-(timestamp, cost, volume) triple with cost and volume strictly positive,
-so the per-trade price cost/volume is always defined and positive.
+Every statistic in this package is a ratio of sums over a time-stamped
+stream of numerator/denominator pairs (a, b), both finite and strictly
+positive. Trades carry a = cost and b = volume, so the per-trade price
+a/b is always defined and positive; lag-m returns records carry
+a = cost ratio and b = volume ratio (returns.ReturnsSet).
 
-A TradeSeries keeps the trades time-sorted as three aligned numpy
-columns; a WindowView is a zero-copy slice of a series covering one
-averaging window [center - width/2, center + width/2], inclusive at both
-ends (a trade sitting exactly on a window edge is a member).
+A PairSeries keeps a stream time-sorted as three aligned read-only numpy
+columns, validated once by _validate_columns; TradeSeries and ReturnsSet
+are PairSeries. A WindowView is a zero-copy slice of any stream covering
+one averaging window [center - width/2, center + width/2], inclusive at
+both ends (an item sitting exactly on a window edge is a member).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import EmptyWindowError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -32,63 +35,81 @@ class WindowSpec:
             raise ValueError(f"window width must be positive, got {self.width}")
 
 
-def _validate_columns(ts: np.ndarray, costs: np.ndarray, volumes: np.ndarray) -> None:
-    """Raise ValidationError naming the first offending input row."""
+def _validate_columns(ts: np.ndarray, a: np.ndarray, b: np.ndarray,
+                      labels: tuple[str, str, str]) -> None:
+    """Raise ValidationError naming the first offending input row; labels
+    name the row, a and b in it, e.g. ("trade", "cost", "volume")."""
     bad_t = ~np.isfinite(ts)
-    bad_v = ~(np.isfinite(volumes) & (volumes > 0))
-    bad_c = ~(np.isfinite(costs) & (costs > 0))
-    bad_any = bad_t | bad_v | bad_c
+    bad_b = ~(np.isfinite(b) & (b > 0))
+    bad_a = ~(np.isfinite(a) & (a > 0))
+    bad_any = bad_t | bad_b | bad_a
     if not bad_any.any():
         return
     i = int(np.flatnonzero(bad_any)[0])
+    row, a_name, b_name = labels
     if bad_t[i]:
-        raise ValidationError(f"trade {i}: timestamp must be finite (got {ts[i]!r})")
-    if bad_v[i]:
-        raise ValidationError(f"trade {i}: volume must be positive (got {volumes[i]!r})")
-    raise ValidationError(f"trade {i}: cost must be positive (got {costs[i]!r})")
+        raise ValidationError(f"{row} {i}: timestamp must be finite (got {float(ts[i])})")
+    if bad_b[i]:
+        raise ValidationError(f"{row} {i}: {b_name} must be positive (got {float(b[i])})")
+    raise ValidationError(f"{row} {i}: {a_name} must be positive (got {float(a[i])})")
 
 
-class TradeSeries:
-    """Immutable, time-sorted trades as three aligned float64 columns
-    (timestamps, costs, volumes). The arrays are read-only, so a series
-    is safe for unrestricted concurrent reads.
+class PairSeries:
+    """Immutable, time-sorted (timestamp, a, b) stream as three aligned
+    read-only float64 columns, safe for unrestricted concurrent reads.
+
+    Rows are validated in input order (errors name the offending row),
+    then stably sorted: equal timestamps keep input order, which pins the
+    floating-point result of every downstream sum.
     """
 
-    __slots__ = ("timestamps", "costs", "volumes")
+    __slots__ = ("timestamps", "a", "b")
+    _labels = ("row", "a", "b")
 
-    def __init__(self, timestamps, costs, volumes, _presorted: bool = False):
-        ts = np.array(timestamps, dtype=np.float64, copy=True)
-        cs = np.array(costs, dtype=np.float64, copy=True)
-        vs = np.array(volumes, dtype=np.float64, copy=True)
-        if not (ts.ndim == cs.ndim == vs.ndim == 1 and len(ts) == len(cs) == len(vs)):
-            raise ValueError("timestamps, costs, volumes must be 1-d arrays of equal length")
-        _validate_columns(ts, cs, vs)
+    def __init__(self, timestamps, a, b, _presorted: bool = False):
+        ts, av, bv = (np.array(x, dtype=np.float64, copy=True) for x in (timestamps, a, b))
+        if not (ts.ndim == av.ndim == bv.ndim == 1 and len(ts) == len(av) == len(bv)):
+            raise ValueError("timestamps, a, b must be 1-d arrays of equal length")
+        _validate_columns(ts, av, bv, self._labels)
         if not _presorted:
-            # stable: equal timestamps keep input order, which pins the
-            # floating-point result of every downstream sum
             order = np.argsort(ts, kind="stable")
-            ts, cs, vs = ts[order], cs[order], vs[order]
-        for arr in (ts, cs, vs):
-            arr.setflags(write=False)
-        self.timestamps = ts
-        self.costs = cs
-        self.volumes = vs
+            ts, av, bv = ts[order], av[order], bv[order]
+        self._store(timestamps=ts, a=av, b=bv)
 
-    @property
-    def prices(self) -> np.ndarray:
-        return self.costs / self.volumes
+    def _store(self, **columns) -> None:
+        """Set the named columns read-only, without validating them."""
+        for name, arr in columns.items():
+            arr.setflags(write=False)
+            setattr(self, name, arr)
 
     def __len__(self) -> int:
         return len(self.timestamps)
 
     def __repr__(self) -> str:
-        return f"TradeSeries(n={len(self)})"
+        return f"{type(self).__name__}(n={len(self)})"
 
     def span(self) -> tuple[float, float]:
         """(first, last) timestamp; raises on an empty series."""
         if len(self) == 0:
             raise ValueError("empty series has no time span")
         return float(self.timestamps[0]), float(self.timestamps[-1])
+
+    @staticmethod
+    def from_trades(series: "TradeSeries") -> "PairSeries":
+        """A trade series is already the cost/volume pair stream."""
+        return series
+
+
+class TradeSeries(PairSeries):
+    """The trade stream: a = cost, b = volume; errors name the trade."""
+
+    __slots__ = ()
+    _labels = ("trade", "cost", "volume")
+    costs, volumes = PairSeries.a, PairSeries.b  # the a and b columns by name
+
+    @property
+    def prices(self) -> np.ndarray:
+        return self.a / self.b
 
 
 def validate_series(raw_trades: Iterable[tuple[float, float, float]]) -> TradeSeries:
@@ -108,39 +129,42 @@ def validate_series(raw_trades: Iterable[tuple[float, float, float]]) -> TradeSe
 
 @dataclass(frozen=True)
 class WindowView:
-    """Members of one averaging window, as a contiguous index range.
+    """Members of one averaging window of a stream, as a contiguous index range.
 
-    The series is time-sorted, so the trades inside the window are exactly
+    The stream is time-sorted, so the items inside the window are exactly
     rows start:stop of its columns; the view holds no copies.
     """
 
-    series: TradeSeries
+    series: PairSeries
     start: int
     stop: int
     spec: WindowSpec
-
-    @property
-    def center(self) -> float:
-        return self.spec.center
 
     @property
     def timestamps(self) -> np.ndarray:
         return self.series.timestamps[self.start:self.stop]
 
     @property
-    def costs(self) -> np.ndarray:
-        return self.series.costs[self.start:self.stop]
+    def a(self) -> np.ndarray:
+        return self.series.a[self.start:self.stop]
 
     @property
-    def volumes(self) -> np.ndarray:
-        return self.series.volumes[self.start:self.stop]
+    def b(self) -> np.ndarray:
+        return self.series.b[self.start:self.stop]
 
     @property
     def prices(self) -> np.ndarray:
-        return self.costs / self.volumes
+        return self.a / self.b
 
     def __len__(self) -> int:
         return self.stop - self.start
+
+
+def item_count(window) -> int:
+    """len(window) of a window view or stream; EmptyWindowError when 0."""
+    if len(window) == 0:
+        raise EmptyWindowError(f"{window!r} is empty")
+    return len(window)
 
 
 def window_bounds(timestamps: np.ndarray, centers, width: float) -> tuple:
@@ -155,12 +179,11 @@ def window_bounds(timestamps: np.ndarray, centers, width: float) -> tuple:
     return lo, np.maximum(hi - lo, 0)
 
 
-def select_window(series: TradeSeries, spec: WindowSpec) -> WindowView:
-    """All trades with center - width/2 <= t_i <= center + width/2.
+def select_window(series: PairSeries, spec: WindowSpec) -> WindowView:
+    """All items with center - width/2 <= t_i <= center + width/2.
 
     Both ends inclusive. An empty view is legal; consumers decide whether
     that is an error.
     """
     lo, count = window_bounds(series.timestamps, spec.center, spec.width)
     return WindowView(series, int(lo), int(lo + count), spec)
-

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError, EmptyWindowError
+from .errors import DegenerateDenominatorError
 from .sums import csum
-from .trades import WindowSpec, WindowView
+from .trades import WindowSpec, WindowView, item_count
 
 # absolute floor for clamping negative rounding residue in dispersions;
 # mathematically sigma^2 >= 0, so only tiny negatives are touched
@@ -146,27 +146,34 @@ class PriceVolatilityReport:
     negative_flag: bool
 
 
-def _view_sums(view: WindowView) -> tuple:
-    """(n, sum C, sum C^2, sum V, sum V^2) of a non-empty window."""
-    n = len(view)
-    if n == 0:
-        raise EmptyWindowError(f"window at t={view.center} is empty")
-    return (n, *(csum(x) for x in dispersion_summands(view.costs, view.volumes)))
+def item_sums(window, summands=None) -> tuple:
+    """(n, csum of each summand) of a non-empty window or stream.
+
+    The summands default to dispersion_summands of its a and b columns,
+    giving (n, sum a, sum a^2, sum b, sum b^2).
+    """
+    n = item_count(window)
+    if summands is None:
+        summands = dispersion_summands(window.a, window.b)
+    return (n, *(csum(x) for x in summands))
 
 
 def dispersion_stats(view: WindowView) -> DispersionStats:
-    """Cost/volume means and dispersions of the trades in a window."""
-    n, *sums = _view_sums(view)
+    """Means and dispersions of a and b over a window or stream: cost and
+    volume for trades (returns.returns_dispersion_stats is this function)."""
+    n, *sums = item_sums(view)
     return DispersionStats(n, *map(float, dispersion_terms(n, *sums)))
 
 
 def price_volatility_direct(view: WindowView) -> float:
-    """sigma_p^2 from the moments: p(2) - p(1)^2. May be negative.
+    """sum(a^2)/sum(b^2) - (sum(a)/sum(b))^2: sigma_p^2 = p(2) - p(1)^2 of
+    trades (returns.returns_volatility_direct is this function). May be
+    negative.
 
-    A one-trade window is an exact degeneracy (p(2) and p(1)^2 are the
+    A one-item window is an exact degeneracy (p(2) and p(1)^2 are the
     same real number), so it returns 0.0 rather than evaluation noise.
     """
-    return float(direct_volatility(*_view_sums(view)))
+    return float(direct_volatility(*item_sums(view)))
 
 
 def price_volatility_closed(stats: DispersionStats) -> float:
@@ -183,7 +190,7 @@ def price_volatility_closed(stats: DispersionStats) -> float:
 
 def price_volatility_report(view: WindowView) -> PriceVolatilityReport:
     """Both volatility forms plus the dispersion stats for one window."""
-    sums = _view_sums(view)
+    sums = item_sums(view)
     direct, closed, terms = volatility_forms(*sums)
     return PriceVolatilityReport(
         window=view.spec,

@@ -1,12 +1,15 @@
 """Multi-time moments and truncated characteristic functionals."""
 
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 import naive_ref
 from tickvol import (
     EmptyWindowError,
+    NonFiniteError,
     PairSeries,
     TruncationOrderOutOfRangeError,
     UnsupportedWindowOverlapError,
@@ -58,6 +61,20 @@ class TestMultiTimeMoment:
         for n in range(1, 5):
             mm = multi_time_moment(ps, (12.0,) * n, 30.0)
             assert mm.moment == pytest.approx(returns_moment(recs, n), rel=1e-12)
+
+    def test_returns_set_is_used_directly(self):
+        """A ReturnsSet is a PairSeries: no copy into a second stream type,
+        and the same bits as the copy."""
+        rng = random.Random(17)
+        trades = (naive_ref.lognormal_trades(rng, 9, t0=0.0)
+                  + naive_ref.lognormal_trades(rng, 9, t0=50.0))
+        recs = build_returns(validate_series(trades), 2)
+        copy = PairSeries(recs.timestamps, recs.cost_ratio, recs.volume_ratio)
+        for times in [(4.0,), (4.0, 4.0, 4.0), (4.0, 54.0), (4.0, 54.0, 54.0)]:
+            assert multi_time_moment(recs, times, 10.0) == multi_time_moment(copy, times, 10.0)
+        grid, x = [4.0, 54.0], [0.7, -0.3]
+        assert (charfun_truncated(moment_provider(recs, 10.0), grid, x, 0.5, 4)
+                == charfun_truncated(moment_provider(copy, 10.0), grid, x, 0.5, 4))
 
     def test_disjoint_product_factorization(self):
         ps = _pairs(DISJOINT)
@@ -190,6 +207,51 @@ class TestCharFunTruncated:
         provider = moment_provider(ps, 11.0)
         with pytest.raises(UnsupportedWindowOverlapError):
             charfun_truncated(provider, [0.0, 10.25], [0.1, 0.1], 0.5, 2)
+
+
+class TestOverflow:
+    """Values past the double range raise NonFiniteError, never inf or nan,
+    and leak no numpy warning."""
+
+    @pytest.mark.parametrize("rows, times", [
+        ([(0.0, 1e200, 1.0)], (0.0, 0.0)),                  # C^2 is inf
+        ([(0.0, 1e308, 1.0), (0.5, 1e308, 1.0)], (0.0,)),   # csum's partials overflow
+        ([(0.0, 1.0, 1e200)], (0.0, 0.0)),                  # V^2 is inf: not a moment of 0
+        ([(0.0, 1e200, 1.0), (10.0, 1e200, 1.0)], (0.0, 10.0)),  # the product overflows
+    ])
+    def test_multi_time_moment(self, rows, times):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="overflows the double range"):
+                multi_time_moment(_pairs(rows), times, 1.0)
+
+    @pytest.mark.parametrize("cost, volume, x, n_max, order", [
+        (1e200, 1.0, 1e300, 2, 1),   # the order-1 term p(1) x h is inf
+        (1e200, 1.0, 1e-300, 2, 2),  # the degree-2 diagonal sum C^2 is inf
+        (1.0, 1e200, 1.0, 3, 2),     # V^2 is inf, so p(2) would read 0
+    ])
+    def test_charfun_truncated(self, cost, volume, x, n_max, order):
+        provider = moment_provider(_pairs([(0.0, cost, volume)]), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=f"^the order-{order} term overflows"):
+                charfun_truncated(provider, [0.0], [x], 1.0, n_max)
+
+    def test_finite_near_the_limit(self):
+        provider = moment_provider(_pairs([(0.0, 1e200, 1.0)]), 1.0)
+        result = charfun_truncated(provider, [0.0], [1e-200], 1.0, 1)
+        assert np.isfinite(result.value.imag) and result.value.imag == pytest.approx(1.0)
+        assert multi_time_moment(_pairs([(0.0, 1e200, 1.0)]), (0.0,), 1.0).moment == 1e200
+
+
+class TestMomentProvider:
+    def test_plain_series_width_record(self):
+        ps = _pairs(TWO_TRADES)
+        provider = moment_provider(ps, 2.0)
+        assert (provider.series, provider.width) == (ps, 2.0)
+        assert not callable(provider)
+        with pytest.raises(ValueError):
+            moment_provider(ps, 0.0)
 
 
 class TestDerivativeCheck:

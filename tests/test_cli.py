@@ -336,6 +336,14 @@ class TestSimulate:
         assert out.startswith("ts,cost,volume\n")
         assert "seed: 9" in err
 
+    def test_overflowing_parameters_exit_2(self, capsys):
+        # start price 1e308 times volumes near e^5 gives an infinite cost
+        code, out, err = run_cli(
+            ["simulate", "--seed", "1", "--n-trades", "3", "--start-price", "1e308",
+             "--vol-mu", "5"], capsys)
+        assert code == 2 and out == ""
+        assert err == "error: simulated trade 0: cost must be positive (got inf)\n"
+
 
 class TestIdentityCheck:
     def test_simulated_input_passes(self, capsys):
@@ -448,6 +456,13 @@ class TestMoreSurface:
 
 
 class TestFileErrors:
+    def test_invalid_trade_prints_a_plain_number(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("ts,cost,volume\n0.0,1.0,1.0\n1.0,inf,1.0\n")
+        code, out, err = run_cli(["moments", "--input", str(path), "--window", "5"], capsys)
+        assert code == 3 and out == ""
+        assert err == "error: trade 1: cost must be positive (got inf)\n"
+
     """I/O failures map to documented exit codes with one error line."""
 
     @staticmethod

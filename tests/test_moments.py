@@ -57,10 +57,7 @@ class TestAggregateDegree:
         with pytest.raises(DegreeOutOfRangeError):
             aggregate_degree(two_trade_view, 0)
         with pytest.raises(DegreeOutOfRangeError):
-            aggregate_degree(two_trade_view, 9)  # default cap is 8
-        aggregate_degree(two_trade_view, 9, degree_cap=12)  # raised cap is fine
-        with pytest.raises(DegreeOutOfRangeError):
-            aggregate_degree(two_trade_view, 17, degree_cap=17)  # above hard limit
+            aggregate_degree(two_trade_view, 9)  # the cap is 8
 
     def test_non_integer_degree_rejected(self, two_trade_view):
         with pytest.raises(DegreeOutOfRangeError):

@@ -11,11 +11,17 @@ import naive_ref
 from tickvol import (
     EmptyWindowError,
     LagTooLargeError,
+    PairSeries,
     SimConfig,
+    TradeSeries,
     WindowSpec,
+    aggregate_degree,
     build_returns,
+    dispersion_stats,
     mean_return,
+    price_moment,
     price_volatility_closed,
+    price_volatility_direct,
     records_in_window,
     returns_aggregate,
     returns_dispersion_stats,
@@ -283,8 +289,21 @@ def test_returns_moments_store_division(three_trade_series):
     assert abs(r11 - (returns_moment(recs, 1) - 1.0)) <= 1e-12
 
 
+def test_trades_and_returns_are_one_stream_type(three_trade_series):
+    recs = build_returns(three_trade_series, 1)
+    assert isinstance(three_trade_series, TradeSeries)
+    assert isinstance(three_trade_series, PairSeries) and isinstance(recs, PairSeries)
+    assert recs.a is recs.cost_ratio and recs.b is recs.volume_ratio
+    assert three_trade_series.a is three_trade_series.costs
+
+
 def test_closed_form_is_shared_with_prices():
+    """A ReturnsSet is a PairSeries, so the per-window functions are one copy."""
     assert returns_volatility_closed is price_volatility_closed
+    assert returns_aggregate is aggregate_degree
+    assert returns_moment is price_moment
+    assert returns_volatility_direct is price_volatility_direct
+    assert returns_dispersion_stats is dispersion_stats
 
 
 def test_all_windows_path_matches_per_window_reports():
@@ -292,8 +311,7 @@ def test_all_windows_path_matches_per_window_reports():
     records = build_returns(simulate_trades(SimConfig(n_trades=600, seed=13)), 3)
     width = 25.0
     centers = records.timestamps[0] + np.arange(0.0, 600.0, 8.0)
-    summands = returns_summands(records.cost_ratio, records.volume_ratio,
-                                records.simple_return)
+    summands = returns_summands(records)
     counts, sums = windowed_sums(records.timestamps, centers, width, summands)
     direct, closed, _ = volatility_forms(counts[counts > 0], *sums.T[:4])
     r11, _, _, rform = rform_from_sums(*sums.T[2:])

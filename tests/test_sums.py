@@ -120,6 +120,13 @@ class TestWindowSums:
         with pytest.raises(OverflowError):
             window_sums(values, np.array([2]), np.array([2]))
 
+    def test_windows_in_the_middle_of_the_array(self):
+        # the covered span [3, 9) is a strict middle part of the 14 rows
+        cols = np.random.default_rng(7).uniform(-1e8, 1e8, (14, 2))
+        _assert_matches_csum(cols, np.array([5, 3, 9, 4]), np.array([4, 2, 0, 1]))
+        got = window_sums(cols[:, 0], np.array([6]), np.array([1]))
+        assert _bits(got) == _bits([cols[6, 0]])
+
     def test_no_windows(self):
         assert window_sums(np.ones((5, 3)), np.array([], dtype=int),
                            np.array([], dtype=int)).shape == (0, 3)

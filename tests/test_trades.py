@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tickvol import (
+    PairSeries,
     TradeSeries,
     ValidationError,
     WindowSpec,
@@ -60,6 +61,39 @@ class TestValidateSeries:
             s.timestamps[0] = 5.0
 
 
+class TestPairSeries:
+    """The one (timestamp, a, b) stream class and its validator."""
+
+    def test_bad_a_or_b_names_the_row(self):
+        with pytest.raises(ValidationError, match=r"^row 1: a must be positive \(got -1.0\)$"):
+            PairSeries([0.0, 1.0], [1.0, -1.0], [1.0, 1.0])
+        with pytest.raises(ValidationError, match=r"^row 0: b must be positive \(got inf\)$"):
+            PairSeries([0.0], [1.0], [np.inf])
+        with pytest.raises(ValidationError, match=r"^row 2: timestamp must be finite \(got nan\)$"):
+            PairSeries([0.0, 1.0, np.nan], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+
+    def test_trade_errors_print_plain_numbers(self):
+        with pytest.raises(ValidationError, match=r"^trade 0: cost must be positive \(got inf\)$"):
+            TradeSeries(np.array([0.0]), np.array([np.inf]), np.array([1.0]))
+
+    def test_unsorted_input_is_stably_sorted(self):
+        s = PairSeries([2.0, 1.0, 2.0, 1.0], [1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0])
+        assert list(s.timestamps) == [1.0, 1.0, 2.0, 2.0]
+        assert list(s.a) == [2.0, 4.0, 1.0, 3.0]
+        assert list(s.b) == [6.0, 8.0, 5.0, 7.0]
+        assert not s.a.flags.writeable and not s.b.flags.writeable
+
+    def test_from_trades_is_the_series_itself(self):
+        s = validate_series([(0.0, 10.0, 2.0), (1.0, 6.0, 3.0)])
+        assert PairSeries.from_trades(s) is s
+        view = select_window(s, WindowSpec(0.5, 2.0))
+        assert list(view.a) == [10.0, 6.0] and list(view.b) == [2.0, 3.0]
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            PairSeries([0.0, 1.0], [1.0], [1.0, 1.0])
+
+
 class TestPriceOf:
     """The per-trade price column is cost / volume."""
 
@@ -109,7 +143,7 @@ class TestSelectWindow:
     def test_view_slices_match_members(self, series):
         view = select_window(series, WindowSpec(1.5, 1.0))
         assert (view.start, view.stop) == (1, 3)
-        np.testing.assert_array_equal(view.costs, [2.0, 3.0])
+        np.testing.assert_array_equal(view.a, [2.0, 3.0])
         np.testing.assert_array_equal(view.timestamps, [1.0, 2.0])
 
 
@@ -134,11 +168,11 @@ class TestWindowProperties:
         series = validate_series(rows)
         spec = WindowSpec(center, width)
         view = select_window(series, spec)
-        sub = validate_series(zip(view.timestamps, view.costs, view.volumes))
+        sub = validate_series(zip(view.timestamps, view.a, view.b))
         again = select_window(sub, spec)
         assert len(again) == len(view)
         np.testing.assert_array_equal(again.timestamps, view.timestamps)
-        np.testing.assert_array_equal(again.costs, view.costs)
+        np.testing.assert_array_equal(again.a, view.a)
 
     @given(_lattice_series,
            st.integers(min_value=0, max_value=40).map(lambda k: k / 4),
