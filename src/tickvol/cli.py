@@ -5,13 +5,21 @@ diagnostics go to stderr only. Numbers in tables serialize with 17
 significant digits, which round-trips doubles exactly, so CSV and JSON
 outputs of the same run carry identical values and diff cleanly.
 
+Every table goes through one writer (_emit over _table_blocks): the
+table is a set of columns, and each block of ingest.BLOCK_ROWS rows is
+formatted one column at a time ("{:.17g}" for floats, 0/1 or
+false/true for flags, an empty cell or null where an empty window has
+no value) and written before the next block is formatted, so the text
+of a whole table is never held in memory.
+
 Exit codes: 0 success/pass, 1 identity-check fail, 2 config error
 (including an unwritable --output path, a window grid of more than
 moments.MAX_WINDOWS = 10**9 windows, simulator parameters whose trades
 overflow, and a value that overflows the double range, such as C^8 of
 costs near 1e40: the NonFiniteError names the column and the window
 center, or the charfun order, and nothing is written), 3 input error
-(including a missing, unreadable or non-UTF-8 input file), 4
+(including a missing, unreadable or non-UTF-8 input file, and an
+integer field past the double range), 4
 unsupported configuration. Every error prints one "error:" line on
 stderr, with plain numbers.
 
@@ -19,21 +27,19 @@ Every command that sums over windows, charfun included, runs in four
 array steps: the bounds of all windows from one searchsorted per edge
 (window_bounds), the power sums of all windows from one kernel call
 (window_sums), the moment and volatility algebra on the sum arrays, and
-one row per window (for charfun, one polynomial per grid point). The
-kernel converts each summand column to Python floats once and sums
-every window's slice of it with math.fsum, so tables carry exactly the
-csum (math.fsum) values of the per-window library API, which stays the
-test oracle. The stream summed is a PairSeries: the trades, or for
-returns the lag-m ReturnsSet, whose a and b columns feed one helper
-(_forms) for both.
+the table of all windows (for charfun, one polynomial per grid point).
+The kernel converts the rows of each summand column that some window
+covers to Python floats once and sums every window's slice of them with
+math.fsum, so tables carry exactly the csum (math.fsum) values of the
+per-window library API, which stays the test oracle. The stream summed
+is a PairSeries: the trades, or for returns the lag-m ReturnsSet, whose
+a and b columns feed one helper (_forms) for both.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import itertools
 import sys
 
@@ -49,7 +55,7 @@ from .errors import (
     UnsupportedWindowOverlapError,
     ValidationError,
 )
-from .ingest import IngestSchema, load_trades, render_trades, write_trades
+from .ingest import BLOCK_ROWS, IngestSchema, load_trades, render_trades, write_trades
 from .moments import DEFAULT_DEGREE_CAP, moment_sums, window_centers
 from .returns import build_returns, returns_summands, rform_from_sums
 from .sums import windowed_sums
@@ -73,76 +79,84 @@ EXIT_UNSUPPORTED = 4
 IDENTITY_TOLERANCE = 1e-10
 
 
-def _fmt(value) -> str:
-    """Table cell text; floats get 17 significant digits."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
+def _cells(values: np.ndarray, is_json: bool) -> list[str]:
+    """Cell texts of one column: floats with 17 significant digits, flags
+    as 0/1 (JSON: false/true), strings quoted in JSON."""
+    kind = values.dtype.kind
+    values = values.tolist()
+    if kind == "f":
+        return list(map("{:.17g}".format, values))
+    if kind == "b":
+        return list(map((("0", "1"), ("false", "true"))[is_json].__getitem__, values))
+    if kind in "iu":
+        return list(map(str, values))
+    if is_json:
+        return ['"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"' for s in values]
+    return values
 
 
-def _json_dump(obj, out: io.TextIOBase, indent: int = 0) -> None:
-    """Minimal JSON writer so floats carry the same 17-digit text as CSV."""
-    pad = " " * indent
-    if obj is None:
-        out.write("null")
-    elif isinstance(obj, bool):
-        out.write("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.write(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.write(f"{float(obj):.17g}")
-    elif isinstance(obj, str):
-        out.write('"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"')
-    elif isinstance(obj, dict):
-        out.write("{")
-        for i, (k, v) in enumerate(obj.items()):
-            if i:
-                out.write(",")
-            out.write(f'\n{pad}  "{k}": ')
-            _json_dump(v, out, indent + 2)
-        out.write(f"\n{pad}}}" if obj else "}")
-    elif isinstance(obj, (list, tuple)):
-        out.write("[")
-        for i, v in enumerate(obj):
-            if i:
-                out.write(",")
-            out.write(f"\n{pad}  ")
-            _json_dump(v, out, indent + 2)
-        out.write(f"\n{pad}]" if len(obj) else "]")
+def _json_object(keys, pad: str) -> str:
+    """str.format template of a JSON object whose members start at pad + 2 spaces."""
+    return "{{" + ",".join(f'\n{pad}  "{key}": {{}}' for key in keys) + "\n" + pad + "}}"
+
+
+def _table_blocks(present: np.ndarray, columns: dict, is_json: bool, pad: str = ""):
+    """Text of a table, BLOCK_ROWS rows at a time: a CSV header and lines,
+    or a JSON list of row objects (its items indented pad + 2 spaces).
+
+    A column holds a value for every row, or, when it is shorter, for the
+    rows where present is true only; the other rows get an empty cell
+    (JSON null) in that column.
+    """
+    n = len(present)
+    rank = np.concatenate([[0], np.cumsum(present)])
+    if is_json:
+        row = f"\n{pad}  " + _json_object(columns, pad + "  ")
+        yield "["
     else:
-        raise TypeError(f"cannot serialize {type(obj)!r}")
+        row = ",".join(["{}"] * len(columns)) + "\n"
+        yield ",".join(columns) + "\n"
+    for lo in range(0, n, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, n)
+        cells = []
+        for values in columns.values():
+            if len(values) == n:
+                cells.append(_cells(values[lo:hi], is_json))
+            else:
+                column = np.full(hi - lo, "null" if is_json else "", dtype=object)
+                column[present[lo:hi]] = _cells(values[rank[lo]:rank[hi]], is_json)
+                cells.append(column.tolist())
+        text = map(row.format, *cells)
+        yield ("," if lo else "") + ",".join(text) if is_json else "".join(text)
+    if is_json:
+        yield f"\n{pad}]" if n else "]"
 
 
-def _emit(rows: list[dict], columns: list[str], args) -> None:
-    """Write a table as CSV or JSON to --output (default stdout)."""
-    if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in columns])
-        text = buf.getvalue()
-    else:
-        buf = io.StringIO()
-        _json_dump([{col: row.get(col) for col in columns} for row in rows], buf)
-        buf.write("\n")
-        text = buf.getvalue()
-    _write_output(text, args)
+def _emit(present: np.ndarray, columns: dict, args) -> None:
+    """Write a table (see _table_blocks) as CSV or JSON to --output
+    (default stdout), block by block."""
+    is_json = args.format == "json"
+    with _output(args) as out:
+        for text in _table_blocks(present, columns, is_json):
+            _write_output(text, out)
+        if is_json:
+            _write_output("\n", out)
 
 
-def _write_output(text: str, args) -> None:
-    if args.output:
-        with _output_errors(args.output):
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write_output(text: str, out) -> None:
+    """Write one block of output text (bench/tracer.py counts the bytes
+    written through here)."""
+    out.write(text)
+
+
+@contextlib.contextmanager
+def _output(args):
+    """The --output file (default stdout) as a text stream."""
+    if not args.output:
+        yield sys.stdout
+        return
+    with _output_errors(args.output), open(args.output, "w", encoding="utf-8") as fh:
+        yield fh
 
 
 @contextlib.contextmanager
@@ -222,15 +236,7 @@ def _emit_windows(centers, counts, count_key: str, columns: dict, args) -> None:
     windows get empty cells.
     """
     _check_finite(centers, counts, columns)
-    values = {name: iter(col.tolist()) for name, col in columns.items()}
-    rows = []
-    for t, n in zip(centers.tolist(), counts.tolist()):
-        row = {"t": t, count_key: n}
-        if n:
-            for name, it in values.items():
-                row[name] = next(it)
-        rows.append(row)
-    _emit(rows, ["t", count_key, *columns], args)
+    _emit(counts > 0, {"t": centers, count_key: counts, **columns}, args)
 
 
 def _forms(stream: PairSeries, centers, width: float, summands: list) -> tuple:
@@ -332,35 +338,26 @@ def cmd_charfun(args) -> int:
         result = charfun_truncated(moment_provider(series, args.window), grid, xs, step, args.nmax)
     except NonFiniteError as exc:
         raise NonFiniteError(f"{exc}; lower --nmax or rescale the input units")
-    partial = 1.0 + 0.0j
-    orders = []
-    for n, term in enumerate(result.order_terms, start=1):
-        partial += term
-        orders.append({
-            "order": n,
-            "term_re": term.real,
-            "term_im": term.imag,
-            "partial_re": partial.real,
-            "partial_im": partial.imag,
-        })
+    terms = result.order_terms
+    partials = list(itertools.accumulate(terms, initial=1.0 + 0.0j))[1:]
+    orders = {
+        "order": np.arange(1, len(terms) + 1),
+        "term_re": np.real(terms), "term_im": np.imag(terms),
+        "partial_re": np.real(partials), "partial_im": np.imag(partials),
+    }
+    present = np.ones(len(terms), dtype=bool)
     if args.format == "json":
         record = {
-            "grid_start": start,
-            "grid_step": step,
-            "grid_points": count,
-            "window": args.window,
-            "n_max": args.nmax,
-            "value_re": result.value.real,
-            "value_im": result.value.imag,
-            "orders": orders,
+            "grid_start": start, "grid_step": step, "grid_points": count,
+            "window": args.window, "n_max": args.nmax,
+            "value_re": result.value.real, "value_im": result.value.imag,
         }
-        buf = io.StringIO()
-        _json_dump(record, buf)
-        buf.write("\n")
-        _write_output(buf.getvalue(), args)
+        cells = [_cells(np.array([value]), True)[0] for value in record.values()]
+        cells.append("".join(_table_blocks(present, orders, True, "  ")))
+        with _output(args) as out:
+            _write_output(_json_object([*record, "orders"], "").format(*cells) + "\n", out)
     else:
-        columns = ["order", "term_re", "term_im", "partial_re", "partial_im"]
-        _emit(orders, columns, args)
+        _emit(present, orders, args)
     return EXIT_OK
 
 
@@ -443,21 +440,17 @@ def cmd_identity_check(args) -> int:
     if not lags or lags[0] < 1:
         raise ConfigError(f"--lags must be integers >= 1, got {args.lags!r}")
 
-    rows = []
-    all_pass = True
-    for name, lag, n_windows, dev in _identity_rows(series, width, stride, lags):
-        status = "PASS" if dev <= IDENTITY_TOLERANCE else "FAIL"
-        all_pass &= status == "PASS"
-        rows.append({
-            "identity": name,
-            "lag": lag,
-            "windows": n_windows,
-            "max_rel_dev": dev,
-            "threshold": IDENTITY_TOLERANCE,
-            "status": status,
-        })
-    columns = ["identity", "lag", "windows", "max_rel_dev", "threshold", "status"]
-    _emit(rows, columns, args)
+    names, lag, windows, devs = zip(*_identity_rows(series, width, stride, lags))
+    status = ["PASS" if dev <= IDENTITY_TOLERANCE else "FAIL" for dev in devs]
+    _emit(np.array([m is not None for m in lag]), {
+        "identity": np.array(names),
+        "lag": np.array([m for m in lag if m is not None]),
+        "windows": np.array(windows),
+        "max_rel_dev": np.array(devs),
+        "threshold": np.full(len(devs), IDENTITY_TOLERANCE),
+        "status": np.array(status),
+    }, args)
+    all_pass = "FAIL" not in status
     return EXIT_OK if all_pass else EXIT_IDENTITY_FAIL
 
 

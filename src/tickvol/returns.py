@@ -68,10 +68,9 @@ class ReturnsSet(PairSeries):
 
     def __init__(self, lag, indices, timestamps, price_ratio, cost_ratio,
                  volume_ratio, simple_return, log_return):
-        self.lag = int(lag)
-        self._store(indices=indices, timestamps=timestamps, price_ratio=price_ratio,
-                    a=cost_ratio, b=volume_ratio, simple_return=simple_return,
-                    log_return=log_return)
+        self._store(lag=int(lag), indices=indices, timestamps=timestamps,
+                    price_ratio=price_ratio, a=cost_ratio, b=volume_ratio,
+                    simple_return=simple_return, log_return=log_return)
 
     def __repr__(self) -> str:
         return f"ReturnsSet(lag={self.lag}, n={len(self)})"

@@ -5,12 +5,13 @@ algorithm) and returns the correctly rounded sum, so results are
 deterministic and independent of evaluation order.
 
 window_sums() computes the csum of many windows of one array at once.
-The span of each column that the windows cover is converted to Python
+The rows of each column that some window covers are converted to Python
 floats once, and every window is math.fsum over a slice of that list,
 so the results are csum's by construction and the cost grows with the
-total window length. What it
-saves over a csum call per window is the per-window overhead: selecting
-the window, raising the view to a power and converting it to a list.
+number of covered rows plus the total window length, whatever the gaps
+between windows. What it saves over a csum call per window is the
+per-window overhead: selecting the window, raising the view to a power
+and converting it to a list.
 """
 
 import math
@@ -40,11 +41,16 @@ def window_sums(values, starts, lengths) -> np.ndarray:
     lengths = np.asarray(lengths, dtype=np.intp)
     cols = values.reshape(len(values), -1)
     ends = starts + lengths
-    first, last = starts.min(initial=len(cols)), ends.max(initial=0)
-    bounds = list(zip((starts - first).tolist(), (ends - first).tolist()))
+    # rows some window covers, from a difference array of window starts
+    # and ends; rank maps a row index to its index among covered rows
+    size = len(cols) + 1
+    edges = np.bincount(starts, minlength=size) - np.bincount(ends, minlength=size)
+    covered = np.cumsum(edges[:-1]) > 0
+    rank = np.concatenate([[0], np.cumsum(covered)])
+    bounds = list(zip(rank[starts].tolist(), rank[ends].tolist()))
     out = np.empty((len(bounds), cols.shape[1]))
     for c in range(cols.shape[1]):
-        col = cols[first:last, c].tolist()
+        col = cols[covered, c].tolist()
         out[:, c] = [math.fsum(col[lo:hi]) for lo, hi in bounds]
     return out.reshape(lengths.shape + values.shape[1:])
 

@@ -76,11 +76,21 @@ class PairSeries:
             ts, av, bv = ts[order], av[order], bv[order]
         self._store(timestamps=ts, a=av, b=bv)
 
-    def _store(self, **columns) -> None:
-        """Set the named columns read-only, without validating them."""
-        for name, arr in columns.items():
-            arr.setflags(write=False)
-            setattr(self, name, arr)
+    def _store(self, **fields) -> None:
+        """Set the named fields, arrays read-only, without validating them.
+
+        The only setter: assigning to a field afterwards raises.
+        """
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable; cannot delete {name!r}")
 
     def __len__(self) -> int:
         return len(self.timestamps)

@@ -1,5 +1,6 @@
 """CLI surface: commands, formats, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from tickvol.cli import main
@@ -390,6 +392,60 @@ class TestIdentityCheck:
         assert any(row["status"] == "FAIL" for row in parse_csv(out))
 
 
+def _reference_cell(value, empty="") -> str:
+    """Per-cell CSV text, as tables were written cell by cell."""
+    if value is None:
+        return empty
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    if isinstance(value, int):
+        return str(value)
+    return f"{value:.17g}"
+
+
+def _reference_json(rows: list[dict]) -> str:
+    """Per-cell JSON text of a list of row objects."""
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return _reference_cell(value, "null")
+
+    items = ["\n  {" + ",".join(f'\n    "{k}": {cell(v)}' for k, v in row.items()) + "\n  }"
+             for row in rows]
+    return "[" + ",".join(items) + ("\n]" if rows else "]") + "\n"
+
+
+class TestEmission:
+    """The block writer against a per-cell reference, with empty windows
+    on both sides of a block edge."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_empty_windows_on_a_block_edge(self, fmt, capsys):
+        from tickvol.cli import BLOCK_ROWS, _emit
+
+        n = BLOCK_ROWS + 3
+        rng = np.random.default_rng(5)
+        centers = rng.uniform(-1e6, 1e6, n)
+        counts = rng.integers(1, 9, n)
+        counts[[0, BLOCK_ROWS - 1, BLOCK_ROWS, n - 1]] = 0
+        full = counts > 0
+        sigma = rng.normal(0.0, 1e-3, full.sum())
+        _emit(full, {"t": centers, "n_trades": counts, "sigma2": sigma, "negative_flag": sigma < 0},
+              argparse.Namespace(format=fmt, output=None))
+        values = iter(sigma.tolist())
+        rows = []
+        for t, count in zip(centers.tolist(), counts.tolist()):
+            sigma2 = next(values) if count else None
+            rows.append({"t": t, "n_trades": count, "sigma2": sigma2,
+                         "negative_flag": None if sigma2 is None else sigma2 < 0})
+        if fmt == "csv":
+            want = "t,n_trades,sigma2,negative_flag\n" + "".join(
+                ",".join(map(_reference_cell, row.values())) + "\n" for row in rows)
+        else:
+            want = _reference_json(rows)
+        assert capsys.readouterr().out == want
+
+
 class TestMoreSurface:
     def test_returns_vol_empty_windows_emit_empty_cells(self, tmp_path, capsys):
         path = tmp_path / "gap.csv"
@@ -500,6 +556,30 @@ class TestFileErrors:
             ["charfun", "--input", two_trade_file, "--window", "1", "--grid", "0:1:1",
              "--testfn", str(tmp_path)], capsys)
         assert code == 3
+        self._one_error_line(err)
+
+    @pytest.mark.parametrize("text, args, message", [
+        ('{"ts": 1, "cost": 1.0, "volume": 1.0}\n{"ts": 2, "cost": BIG, "volume": 1.0}\n', [],
+         "line 2: cost overflows the double range, got BIG"),
+        ('{"ts": BIG, "cost": 1.0, "volume": 1.0}\n', ["--ts-unit", "nanoseconds"],
+         "line 1: timestamp overflows the double range, got BIG"),
+        ("ts,cost,volume\n1,1.0,1.0\nBIG,1.0,1.0\n", ["--ts-unit", "nanoseconds"],
+         "line 3: timestamp overflows the double range, got BIG"),
+    ], ids=["ndjson_cost", "ndjson_ns_timestamp", "csv_ns_timestamp"])
+    def test_integer_past_the_double_range_exits_3(self, text, args, message, tmp_path, capsys):
+        big = "9" * 400
+        path = tmp_path / "big.txt"
+        path.write_text(text.replace("BIG", big))
+        code, out, err = run_cli(["moments", "--input", str(path), "--window", "5", *args], capsys)
+        assert code == 3 and out == ""
+        assert err == f"error: {message.replace('BIG', big)}\n"
+
+    def test_integer_too_long_to_convert_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "long.ndjson"
+        path.write_text('{"ts": 1, "cost": ' + "9" * 5000 + ', "volume": 1.0}\n')
+        code, out, err = run_cli(["moments", "--input", str(path), "--window", "5"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: line 1: invalid JSON (Exceeds the limit")
         self._one_error_line(err)
 
     def test_oversized_window_grid_exits_2(self, two_trade_file, capsys):

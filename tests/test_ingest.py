@@ -1,8 +1,14 @@
-"""File I/O round-trips, schema errors, and the synthetic generator."""
+"""File I/O round-trips, schema errors, the bulk parser against the line
+parser, and the synthetic generator."""
+
+import contextlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tickvol import ingest
 from tickvol import (
     IngestSchema,
     ParseError,
@@ -212,3 +218,180 @@ class TestSimulate:
             SimConfig(n_trades=10, seed=1, sigma_step=-0.1)
         with pytest.raises(ValueError):
             SimConfig(n_trades=10, seed=1, start_price=0.0)
+
+
+SCHEMAS = [IngestSchema(variant, unit) for variant in ("ts_cost_volume", "ts_price_volume")
+           for unit in ("seconds", "nanoseconds")]
+BIG = [str(2 ** 63 + 1), "9" * 400]  # past int64; past the double range
+
+# field texts the bulk path must judge exactly as the line parser does
+_CSV_ODD = st.sampled_from([" 1.5", "2.5 ", " 7 ", "1_000", "nan", "inf", "-inf", "", "  ",
+                            "1e400", "-2", "0", "true", "0x10", "1.5.2", "+3", "\t4",
+                            "\x1c5\u2003", "\u0661\u0662", *BIG])
+_JSON_ODD = st.sampled_from(["true", "false", '"1.5"', "null", "[1]", "{}", "1e400", "NaN",
+                             "-Infinity", "-2", "0", "1.0", *BIG, "9" * 5000])
+
+
+def _load(path, schema, lines_only=False):
+    """load_trades' series or error; lines_only runs the line parser on
+    every block, as the reference for the bulk path."""
+    with contextlib.ExitStack() as stack:
+        if lines_only:
+            for name in ("_csv_block", "_ndjson_block"):
+                stack.enter_context(mock.patch.object(ingest, name, lambda lines, schema: None))
+        try:
+            series = load_trades(path, schema)
+        except (ParseError, ValidationError) as exc:
+            return type(exc), str(exc)
+    return [col.view(np.int64).tolist() for col in (series.timestamps, series.a, series.b)]
+
+
+def _good(ns):
+    return st.integers(0, 2 ** 62).map(str) if ns else st.floats(1e-3, 1e6).map(repr)
+
+
+@st.composite
+def _csv_file(draw, ns):
+    """Data lines of a valid file with up to three mutations."""
+    rows = [[draw(_good(ns)) for _ in range(3)] for _ in range(draw(st.integers(1, 7)))]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["field", "field", "drop", "add", "shift", "blank"]))
+        if kind == "field" and rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(_CSV_ODD)
+        elif kind == "drop":
+            rows[i].pop()
+        elif kind == "add":
+            rows[i].append(draw(_good(ns)))
+        elif kind == "shift" and i + 1 < len(rows):  # a line break one field early
+            rows[i + 1].insert(0, rows[i].pop())
+        elif kind == "blank":
+            rows.insert(i, [draw(st.sampled_from(["", "  "]))])
+    return [",".join(row) for row in rows]
+
+
+@st.composite
+def _ndjson_file(draw, fields, ns):
+    """Lines of a valid file with up to three mutations."""
+    rows = [{name: draw(_good(ns)) for name in fields} for _ in range(draw(st.integers(1, 7)))]
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        kind = draw(st.sampled_from(["value", "value", "drop", "add"]))
+        if kind == "value":
+            row[draw(st.sampled_from(fields))] = draw(_JSON_ODD)
+        elif kind == "drop":
+            row.pop(draw(st.sampled_from(fields)), None)
+        else:
+            row["extra"] = "1"
+    lines = ["{" + ", ".join(f'"{k}": {v}' for k, v in row.items()) + "}" for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["{0}, {0}", "{0}],[{0}", "{0}]", "[{0}", "[1, 2, 3]", "{{",
+                                     "{0}}}", "", " \t", *["split"] * 5]))
+        if kind != "split":
+            lines[i] = kind.format(lines[i])
+        elif i + 1 < len(lines):  # a line break inside a row
+            head, _, tail = lines[i].partition(", ")
+            lines[i:i + 2] = [head, tail + ", " + lines[i + 1]]
+    return lines
+
+
+class TestBulkPath:
+    """The bulk block parser against the line parser it falls back to."""
+
+    @pytest.mark.parametrize("ndjson", [False, True], ids=["csv", "ndjson"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bulk_accepts_exactly_what_the_line_parser_accepts(self, tmp_path_factory, ndjson,
+                                                               data):
+        schema = data.draw(st.sampled_from(SCHEMAS))
+        if ndjson:
+            lines = data.draw(_ndjson_file(schema.fields, schema.nanoseconds))
+        else:
+            lines = [",".join(schema.fields), *data.draw(_csv_file(schema.nanoseconds))]
+        if data.draw(st.booleans()):
+            lines.insert(0, "")  # a leading blank line
+        text = data.draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+        text += data.draw(st.sampled_from(["\n", ""]))
+        path = tmp_path_factory.mktemp("bulk") / "trades.txt"
+        path.write_bytes(text.encode())
+        block_rows = data.draw(st.sampled_from([1, 2, 3, ingest.BLOCK_ROWS]))
+        with mock.patch.object(ingest, "BLOCK_ROWS", block_rows):
+            want = _load(path, schema, lines_only=True)
+            fallbacks = []
+            for name in ("_csv_lines", "_ndjson_lines"):
+                def spy(*args, _parse=getattr(ingest, name)):
+                    fallbacks.append(args[2])
+                    return _parse(*args)
+                with mock.patch.object(ingest, name, spy):
+                    got = _load(path, schema)
+                assert got == want
+        if isinstance(want, list) or want[0] is ValidationError:
+            assert fallbacks == [], "the bulk path refused a block the line parser accepts"
+
+    @pytest.mark.parametrize("text, message", [
+        # a line break one field early keeps 3 fields a line on average
+        ("ts,cost,volume\n1.0,2.0\n3.0,4.0,5.0,6.0\n", "line 2: expected 3 fields, got 2"),
+        # a line break inside a row whose rest shares a line with the next row
+        ('{"ts": 1.0\n"cost": 2.0, "volume": 3.0}, {"ts": 2.0, "cost": 2.0, "volume": 3.0}\n',
+         "line 1: invalid JSON (Expecting ',' delimiter)"),
+        # two rows on one line, joined the way the bulk parse joins lines
+        ('{"ts": 1.0, "cost": 2.0, "volume": 3.0}],[{"ts": 2.0, "cost": 2.0, "volume": 3.0}\n',
+         "line 1: invalid JSON (Extra data)"),
+    ], ids=["csv_shifted_break", "ndjson_split_row", "ndjson_joined_rows"])
+    def test_rows_split_or_joined_across_lines(self, tmp_path, text, message):
+        path = tmp_path / "t.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError) as exc:
+            load_trades(path, COST_SCHEMA)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("schema", SCHEMAS[:2])
+    def test_fields_padded_with_any_whitespace(self, schema):
+        # the bulk path leaves the padding of a field to float and int
+        for space in filter(str.isspace, map(chr, range(0x110000))):
+            line = f"{space}7{space},{space}1.5{space},2{space}\n"
+            want = [np.asarray(col).tolist() for col in ingest._csv_lines([line], schema, 2)]
+            got = [np.asarray(col).tolist() for col in ingest._csv_block([line], schema)]
+            assert got == want, hex(ord(space))
+
+    @pytest.mark.parametrize("suffix", [".csv", ".ndjson"])
+    def test_error_in_a_later_block_names_its_line(self, tmp_path, suffix):
+        n = ingest.BLOCK_ROWS + 10
+        series = validate_series([(float(i), 1.0 + i, 2.0) for i in range(n)])
+        path = tmp_path / f"t{suffix}"
+        write_trades(series, path, COST_SCHEMA)
+        lines = path.read_text().split("\n")
+        bad = ingest.BLOCK_ROWS + 5  # a line of the second block
+        lines[bad - 1] = lines[bad - 1].replace("2.0", "x") if suffix == ".csv" else "{broken"
+        path.write_text("\n".join(lines))
+        with pytest.raises(ParseError, match=f"^line {bad}: ") as exc:
+            load_trades(path, COST_SCHEMA)
+        assert exc.value.line == bad
+
+    @pytest.mark.parametrize("suffix", [".csv", ".ndjson"])
+    def test_parse_error_wins_over_an_earlier_invalid_row(self, tmp_path, suffix):
+        n = 2 * ingest.BLOCK_ROWS + 3
+        series = validate_series([(float(i), 1.0, 1.0 + i) for i in range(n)])
+        path = tmp_path / f"t{suffix}"
+        write_trades(series, path, COST_SCHEMA)
+        text = path.read_text()
+        with_zero = text.replace("1.0,3.0\n", "1.0,0.0\n").replace(
+            '"volume": 3.0}', '"volume": 0.0}')
+        path.write_text(with_zero)
+        with pytest.raises(ValidationError, match="^trade 2: volume must be positive"):
+            load_trades(path, COST_SCHEMA)
+        path.write_text(with_zero.rstrip("\n") + ("\n1.0,2.0\n" if suffix == ".csv" else "\n[]\n"))
+        last = n + 1 if suffix == ".csv" else n
+        with pytest.raises(ParseError, match=f"^line {last + 1}: "):
+            load_trades(path, COST_SCHEMA)
+
+    @pytest.mark.parametrize("suffix", [".csv", ".ndjson"])
+    def test_round_trip_over_several_blocks(self, tmp_path, suffix):
+        series = simulate_trades(SimConfig(n_trades=2 * ingest.BLOCK_ROWS + 7, seed=8))
+        path = tmp_path / f"t{suffix}"
+        write_trades(series, path, PRICE_SCHEMA)
+        back = load_trades(path, PRICE_SCHEMA)
+        for got, want in ((back.timestamps, series.timestamps), (back.a, series.a),
+                          (back.b, series.b)):
+            np.testing.assert_array_equal(got, want)

@@ -50,10 +50,11 @@ def _series(draw, signed=True):
 
 @st.composite
 def _grid(draw):
-    """Integer window width and a stride at most the width, so windows
-    overlap and their edges land on trade timestamps."""
+    """Integer window width and a stride from an eighth of the width, so
+    windows overlap, up to five widths, so rows between windows go
+    uncovered; window edges land on trade timestamps."""
     width = float(draw(st.integers(1, 12)))
-    stride = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0])) * width / 4
+    stride = draw(st.sampled_from([0.5, 1.0, 2.0, 3.0, 8.0, 20.0])) * width / 4
     first = draw(st.integers(-4, 4)) + width / 2
     centers = first + stride * np.arange(draw(st.integers(1, 40)))
     return centers, width

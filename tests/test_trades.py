@@ -9,6 +9,7 @@ from tickvol import (
     TradeSeries,
     ValidationError,
     WindowSpec,
+    build_returns,
     select_window,
     validate_series,
 )
@@ -92,6 +93,23 @@ class TestPairSeries:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             PairSeries([0.0, 1.0], [1.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("name", ["timestamps", "a", "b", "costs", "volumes"])
+    def test_trade_columns_cannot_be_rebound(self, name):
+        s = validate_series([(0.0, 10.0, 2.0), (1.0, 6.0, 3.0)])
+        with pytest.raises(AttributeError):
+            setattr(s, name, np.array([1.0, 1.0]))
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+        assert list(s.costs) == [10.0, 6.0] and list(s.volumes) == [2.0, 3.0]
+
+    @pytest.mark.parametrize("name", ["timestamps", "a", "b", "cost_ratio", "volume_ratio",
+                                      "price_ratio", "indices", "lag"])
+    def test_returns_columns_cannot_be_rebound(self, name):
+        records = build_returns(validate_series([(0.0, 10.0, 2.0), (1.0, 6.0, 3.0)]), 1)
+        with pytest.raises(AttributeError):
+            setattr(records, name, 1)
+        assert records.lag == 1 and list(records.cost_ratio) == [0.6]
 
 
 class TestPriceOf:
