@@ -34,11 +34,9 @@ from .trades import (
 )
 from .moments import (
     DEFAULT_DEGREE_CAP,
-    PriceMoments,
     aggregate_degree,
     collect_price_moments,
     price_moment,
-    rolling_moments,
     simple_average_price,
     vwap,
     window_centers,
@@ -57,7 +55,6 @@ from .returns import (
     build_returns,
     mean_return,
     records_in_window,
-    returns_aggregate,
     returns_dispersion_stats,
     returns_moment,
     returns_volatility_closed,
@@ -92,7 +89,6 @@ __all__ = [
     "NonFiniteError",
     "PairSeries",
     "ParseError",
-    "PriceMoments",
     "PriceVolatilityReport",
     "ReturnsSet",
     "ReturnsVolatilityReport",
@@ -120,14 +116,12 @@ __all__ = [
     "price_volatility_report",
     "records_in_window",
     "render_trades",
-    "returns_aggregate",
     "returns_dispersion_stats",
     "returns_moment",
     "returns_volatility_closed",
     "returns_volatility_direct",
     "returns_volatility_report",
     "returns_volatility_rform",
-    "rolling_moments",
     "select_window",
     "simple_average_price",
     "simulate_trades",

@@ -216,7 +216,7 @@ def charfun_truncated(
     # diagonal profiles [p(1;t_g), ..., p(n_max;t_g)] of every grid point
     series, width = provider.series, provider.width
     with np.errstate(all="ignore"):  # inf and nan are reported below
-        summands = power_summands(series.a, series.b, range(1, n_max + 1))
+        summands = power_summands(series, range(1, n_max + 1))
         counts, sums = windowed_sums(series.timestamps, np.array(grid), width, summands)
         if not counts.all():
             t = grid[int(np.argmin(counts))]

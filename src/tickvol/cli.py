@@ -55,7 +55,7 @@ from .errors import (
     UnsupportedWindowOverlapError,
     ValidationError,
 )
-from .ingest import BLOCK_ROWS, IngestSchema, load_trades, render_trades, write_trades
+from .ingest import BLOCK_ROWS, IngestSchema, load_trades, trade_blocks, write_trades
 from .moments import DEFAULT_DEGREE_CAP, moment_sums, window_centers
 from .returns import build_returns, returns_summands, rform_from_sums
 from .sums import windowed_sums
@@ -63,8 +63,9 @@ from .synth import SimConfig, simulate_trades
 from .trades import PairSeries, TradeSeries
 from .volatility import dispersion_summands, volatility_forms
 
-# Per-window entry points the commands no longer call. They stay
-# importable from this module, where bench/tracer.py wraps them by name.
+# Entry points the commands no longer call. They stay importable from
+# this module, where bench/tracer.py wraps them by name.
+from .ingest import render_trades  # noqa: F401
 from .moments import collect_price_moments  # noqa: F401
 from .returns import mean_return, records_in_window, returns_volatility_report  # noqa: F401
 from .trades import select_window  # noqa: F401
@@ -243,7 +244,7 @@ def _forms(stream: PairSeries, centers, width: float, summands: list) -> tuple:
     """Item counts of every window, then the sums of the summands (one row
     per summand) and the volatility forms (direct, closed, terms) of the
     non-empty windows. The summands start with the dispersion_summands
-    of stream.a and stream.b."""
+    of the stream."""
     counts, sums = windowed_sums(stream.timestamps, centers, width, summands)
     sums = sums.T
     return counts, sums, volatility_forms(counts[counts > 0], *sums[:4])
@@ -268,7 +269,7 @@ def cmd_price_vol(args) -> int:
     width, stride = _window_stride(args)
     centers = window_centers(series, width, stride)
     counts, _, (direct, closed, terms) = _forms(
-        series, centers, width, dispersion_summands(series.a, series.b))
+        series, centers, width, dispersion_summands(series))
     _, _, _, _, sigma_c2, sigma_v2, phi_c2, phi_v2 = terms
     _emit_windows(centers, counts, "n_trades", {
         "sigma2_direct": direct, "sigma2_closed": closed,
@@ -384,7 +385,7 @@ def cmd_simulate(args) -> int:
         with _output_errors(args.output):
             write_trades(series, args.output, schema)
     else:
-        sys.stdout.write(render_trades(series, schema, "csv"))
+        sys.stdout.writelines(trade_blocks(series, schema, "csv"))
     print(f"seed: {config.seed}", file=sys.stderr)
     return EXIT_OK
 
@@ -401,7 +402,7 @@ def _max_rel_dev(direct, *others) -> float:
 def _identity_rows(series: TradeSeries, width: float, stride: float, lags: list[int]):
     centers = window_centers(series, width, stride)
     counts, _, (direct, closed, _) = _forms(
-        series, centers, width, dispersion_summands(series.a, series.b))
+        series, centers, width, dispersion_summands(series))
     _check_finite(centers, counts, {"sigma2_direct": direct, "sigma2_closed": closed})
     rows = [("price_vol_direct_vs_closed", None, int(np.count_nonzero(counts)),
              _max_rel_dev(direct, closed))]

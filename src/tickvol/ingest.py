@@ -287,7 +287,7 @@ def _price_for_exact_cost(cost: np.ndarray, volume: np.ndarray) -> np.ndarray:
     return price
 
 
-def _trade_blocks(series: TradeSeries, schema: IngestSchema, fmt: str):
+def trade_blocks(series: TradeSeries, schema: IngestSchema, fmt: str):
     """Text of a trade file, BLOCK_ROWS rows at a time."""
     if fmt not in ("csv", "ndjson"):
         raise ValueError(f"unknown trade file format {fmt!r}")
@@ -310,7 +310,7 @@ def render_trades(series: TradeSeries, schema: IngestSchema, fmt: str) -> str:
     Floats use shortest round-trip formatting. Nanosecond output rounds to
     the nearest integer and loses sub-microsecond precision.
     """
-    return "".join(_trade_blocks(series, schema, fmt))
+    return "".join(trade_blocks(series, schema, fmt))
 
 
 def write_trades(series: TradeSeries, path: str | os.PathLike, schema: IngestSchema,
@@ -321,4 +321,4 @@ def write_trades(series: TradeSeries, path: str | os.PathLike, schema: IngestSch
         suffix = os.path.splitext(os.fspath(path))[1].lower()
         fmt = "ndjson" if suffix in (".ndjson", ".jsonl") else "csv"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_trade_blocks(series, schema, fmt))
+        fh.writelines(trade_blocks(series, schema, fmt))

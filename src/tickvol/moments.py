@@ -15,19 +15,22 @@ window, so over returns records they give the returns moments
 q(n) = sum(cost_ratio^n) / sum(volume_ratio^n) (see returns). All sums
 are exact compensated sums in ascending index order, so results are
 deterministic and independent of any parallel window schedule.
+
+Every per-window sum of the library, here and in volatility and returns,
+goes through item_sums, which alone raises EmptyWindowError for an empty
+window and NonFiniteError for a sum past the double range.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
-from .errors import ConfigError, DegreeOutOfRangeError
+from .errors import ConfigError, DegreeOutOfRangeError, EmptyWindowError, NonFiniteError
 from .sums import csum, windowed_sums
-from .trades import PairSeries, WindowSpec, WindowView, item_count
+from .trades import PairSeries, WindowView
 
 # Highest moment degree (and charfun truncation order): C^n overflows the
 # double range for large prices at high n.
@@ -50,44 +53,37 @@ def check_degree(n: int) -> None:
         raise DegreeOutOfRangeError(f"degree {n} outside [1, {DEFAULT_DEGREE_CAP}]")
 
 
-@dataclass(frozen=True)
-class PriceMoments:
-    """Per-window price moments for a set of degrees.
-
-    entries maps degree n to (cost_sum, volume_sum, moment); the moment is
-    stored exactly as the division cost_sum/volume_sum. An empty window
-    yields n_trades == 0 and no entries.
-    """
-
-    window: WindowSpec
-    n_trades: int
-    entries: dict[int, tuple[float, float, float]]
-
-    @property
-    def empty(self) -> bool:
-        return self.n_trades == 0
-
-    def moment(self, n: int) -> float:
-        return self.entries[n][2]
+def power_summands(stream, degrees) -> list:
+    """a^n, then b^n, for each degree: the moment summands of a stream or window."""
+    a, b = stream.a, stream.b
+    return [a if n == 1 else a ** n for n in degrees] + [b if n == 1 else b ** n for n in degrees]
 
 
-def power_summands(a, b, degrees) -> list:
-    """a^n for each degree, then b^n for each degree: the moment summands."""
-    return ([a if n == 1 else a ** n for n in degrees]
-            + [b if n == 1 else b ** n for n in degrees])
+def item_sums(window, summands, *args) -> tuple:
+    """(n, csum of each array of summands(window, *args)) of a window or stream.
+
+    EmptyWindowError for an empty window; summands run with numpy's
+    warnings off, so a power or sum past the double range first shows as
+    NonFiniteError."""
+    n = len(window)
+    if n == 0:
+        raise EmptyWindowError(f"{window!r} is empty")
+    with np.errstate(all="ignore"):
+        columns = summands(window, *args)
+    try:
+        sums = [csum(x) for x in columns]
+    except (OverflowError, ValueError):  # fsum's partials overflow, or inf meets -inf
+        sums = [math.inf]
+    if not all(map(math.isfinite, sums)):
+        raise NonFiniteError(f"a sum over {window!r} overflows the double range")
+    return (n, *sums)
 
 
 def aggregate_degree(view: WindowView, n: int) -> tuple[float, float]:
     """(sum of a^n, sum of b^n) over a window or stream: C^n and V^n for
-    trades (returns.returns_aggregate is this function).
-
-    Raises EmptyWindowError on an empty view and DegreeOutOfRangeError when
-    n exceeds the cap.
-    """
-    item_count(view)
+    trades. Raises DegreeOutOfRangeError when n exceeds the cap."""
     check_degree(n)
-    a_n, b_n = power_summands(view.a, view.b, [n])
-    return csum(a_n), csum(b_n)
+    return item_sums(view, power_summands, [n])[1:]
 
 
 def price_moment(view: WindowView, n: int) -> float:
@@ -98,11 +94,8 @@ def price_moment(view: WindowView, n: int) -> float:
 
 
 def vwap(view: WindowView) -> float:
-    """Volume weighted average price, sum(C)/sum(V).
-
-    Identical code path to price_moment(view, 1), so the two agree
-    bit-for-bit.
-    """
+    """Volume weighted average price sum(C)/sum(V): price_moment(view, 1),
+    bit for bit."""
     return price_moment(view, 1)
 
 
@@ -112,19 +105,21 @@ def simple_average_price(view: WindowView) -> float:
     Weights every trade equally, unlike VWAP; the two coincide only when
     all volumes are equal.
     """
-    return csum(view.prices) / item_count(view)
+    n, total = item_sums(view, lambda w: [w.prices])
+    return total / n
 
 
-def collect_price_moments(view: WindowView, degrees: Iterable[int]) -> PriceMoments:
-    """PriceMoments record for one window; empty windows get no entries."""
+def collect_price_moments(view: WindowView, degrees: Iterable[int]) -> dict:
+    """{n: (cost_sum, volume_sum, moment)} of one window, each moment
+    stored exactly as the division cost_sum/volume_sum; empty for an
+    empty window."""
     degs = sorted(set(int(n) for n in degrees))
-    if len(view) == 0:
-        return PriceMoments(view.spec, 0, {})
-    entries: dict[int, tuple[float, float, float]] = {}
     for n in degs:
-        cost_n, volume_n = aggregate_degree(view, n)
-        entries[n] = (cost_n, volume_n, cost_n / volume_n)
-    return PriceMoments(view.spec, len(view), entries)
+        check_degree(n)
+    if len(view) == 0:
+        return {}
+    _, *sums = item_sums(view, power_summands, degs)
+    return {n: (c, v, c / v) for n, c, v in zip(degs, sums, sums[len(degs):])}
 
 
 def window_centers(series: PairSeries, width: float, stride: float) -> np.ndarray:
@@ -160,29 +155,5 @@ def window_centers(series: PairSeries, width: float, stride: float) -> np.ndarra
 def moment_sums(series: PairSeries, centers, width: float, degrees) -> tuple:
     """Trade counts of every window, and the power_summands sums of the
     non-empty ones (columns C^n per degree, then V^n per degree)."""
-    summands = power_summands(series.a, series.b, degrees)
-    return windowed_sums(series.timestamps, centers, width, summands)
+    return windowed_sums(series.timestamps, centers, width, power_summands(series, degrees))
 
-
-def rolling_moments(series: PairSeries, width: float, stride: float,
-                    degrees: Iterable[int]) -> list[PriceMoments]:
-    """Evaluate collect_price_moments on the rolling window grid.
-
-    Empty windows yield records flagged empty (n_trades == 0, no
-    entries) rather than being dropped, so the output grid is regular.
-    """
-    degs = sorted(set(int(n) for n in degrees))
-    for n in degs:
-        check_degree(n)
-    centers = window_centers(series, width, stride)
-    counts, sums = moment_sums(series, centers, width, degs)
-    rows = iter(sums.tolist())
-    out = []
-    for center, count in zip(centers.tolist(), counts.tolist()):
-        entries = {}
-        if count:
-            row = next(rows)
-            for n, c, v in zip(degs, row, row[len(degs):]):
-                entries[n] = (c, v, c / v)
-        out.append(PriceMoments(WindowSpec(center, width), count, entries))
-    return out

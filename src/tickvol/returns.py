@@ -20,9 +20,11 @@ per-record means. Like the price volatility it is signed; negative values
 are flagged, not hidden.
 
 ReturnsSet is a PairSeries with a = cost_ratio and b = volume_ratio, so
-returns_aggregate, returns_moment, returns_volatility_direct,
-returns_dispersion_stats and returns_volatility_closed are the price
-functions of moments and volatility under a second name.
+returns_moment, returns_volatility_direct, returns_dispersion_stats and
+returns_volatility_closed are the price functions of moments and
+volatility under a second name (moments.aggregate_degree gives the ratio
+sums). Their sums go through moments.item_sums: an empty record set
+raises EmptyWindowError, an infinite cost ratio NonFiniteError.
 
 Window membership of a record is decided by the later trade's timestamp;
 the earlier partner may sit outside the window.
@@ -35,14 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LagTooLargeError
-from .moments import aggregate_degree, price_moment
+from .moments import item_sums, price_moment
 from .sums import csum  # noqa: F401  (bench/tracer.py wraps returns.csum)
 from .trades import PairSeries, TradeSeries, WindowSpec, window_bounds
 from .volatility import (
     DispersionStats,
     dispersion_stats,
     dispersion_summands,
-    item_sums,
     price_volatility_closed,
     price_volatility_direct,
     volatility_forms,
@@ -116,7 +117,6 @@ def records_in_window(records: ReturnsSet, spec: WindowSpec) -> ReturnsSet:
 # with the direct one. Sigma_q^2 from the ratio dispersions,
 # 2 (Phi_v^2 Omega_c^2 - Phi_c^2 Omega_v^2) / (Phi_v^4 - Omega_v^4),
 # is the price decomposition over ratio means.
-returns_aggregate = aggregate_degree
 returns_moment = price_moment
 returns_volatility_direct = price_volatility_direct
 returns_dispersion_stats = dispersion_stats
@@ -136,7 +136,7 @@ def returns_summands(records: ReturnsSet) -> list:
     """
     r, qv = records.simple_return, records.volume_ratio
     r_qv = r * qv
-    return [*dispersion_summands(records.cost_ratio, qv), r_qv, r * qv ** 2, r_qv ** 2]
+    return [*dispersion_summands(records), r_qv, r * qv ** 2, r_qv ** 2]
 
 
 def rform_from_sums(sum_qv, sum_qv2, sum_rqv, sum_rqv2, sum_rqv_sq) -> tuple:
@@ -158,7 +158,7 @@ def returns_volatility_rform(records: ReturnsSet) -> float:
     With a single record the expression collapses to zero identically, so
     that case returns 0.0 exactly.
     """
-    n, *sums = item_sums(records, returns_summands(records))
+    n, *sums = item_sums(records, returns_summands)
     return 0.0 if n == 1 else rform_from_sums(*sums[2:])[3]
 
 
@@ -178,7 +178,7 @@ class ReturnsVolatilityReport:
 
 def returns_volatility_report(records: ReturnsSet) -> ReturnsVolatilityReport:
     """All three volatility forms plus the weighted means for one record set."""
-    n, *sums = item_sums(records, returns_summands(records))
+    n, *sums = item_sums(records, returns_summands)
     direct, closed, terms = volatility_forms(n, *sums[:4])
     r11, r21, r22, rform = rform_from_sums(*sums[2:])
     return ReturnsVolatilityReport(

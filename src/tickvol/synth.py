@@ -65,4 +65,4 @@ def simulate_trades(config: SimConfig) -> TradeSeries:
     steps = rng.normal(loc=0.0, scale=config.sigma_step, size=n)
     prices = config.start_price * np.exp(np.cumsum(steps))
     volumes = rng.lognormal(mean=config.volume_mu, sigma=config.volume_sigma, size=n)
-    return TradeSeries(ts, prices * volumes, volumes, _presorted=True)
+    return TradeSeries(ts, prices * volumes, volumes)

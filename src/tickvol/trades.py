@@ -10,7 +10,8 @@ A PairSeries keeps a stream time-sorted as three aligned read-only numpy
 columns, validated once by _validate_columns; TradeSeries and ReturnsSet
 are PairSeries. A WindowView is a zero-copy slice of any stream covering
 one averaging window [center - width/2, center + width/2], inclusive at
-both ends (an item sitting exactly on a window edge is a member).
+both ends (an item sitting exactly on a window edge is a member). The
+per-window functions sum a view or a whole stream (see moments.item_sums).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptyWindowError, ValidationError
+from .errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -66,12 +67,12 @@ class PairSeries:
     __slots__ = ("timestamps", "a", "b")
     _labels = ("row", "a", "b")
 
-    def __init__(self, timestamps, a, b, _presorted: bool = False):
+    def __init__(self, timestamps, a, b):
         ts, av, bv = (np.array(x, dtype=np.float64, copy=True) for x in (timestamps, a, b))
         if not (ts.ndim == av.ndim == bv.ndim == 1 and len(ts) == len(av) == len(bv)):
             raise ValueError("timestamps, a, b must be 1-d arrays of equal length")
         _validate_columns(ts, av, bv, self._labels)
-        if not _presorted:
+        if np.any(ts[1:] < ts[:-1]):  # a stable sort of sorted rows is the identity
             order = np.argsort(ts, kind="stable")
             ts, av, bv = ts[order], av[order], bv[order]
         self._store(timestamps=ts, a=av, b=bv)
@@ -129,9 +130,7 @@ def validate_series(raw_trades: Iterable[tuple[float, float, float]]) -> TradeSe
     then stably sorted by timestamp.
     """
     rows = list(raw_trades)
-    if not rows:
-        return TradeSeries(np.empty(0), np.empty(0), np.empty(0), _presorted=True)
-    arr = np.asarray(rows, dtype=np.float64)
+    arr = np.asarray(rows, dtype=np.float64) if rows else np.empty((0, 3))
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValidationError("each raw trade must be a (timestamp, cost, volume) triple")
     return TradeSeries(arr[:, 0], arr[:, 1], arr[:, 2])
@@ -168,13 +167,6 @@ class WindowView:
 
     def __len__(self) -> int:
         return self.stop - self.start
-
-
-def item_count(window) -> int:
-    """len(window) of a window view or stream; EmptyWindowError when 0."""
-    if len(window) == 0:
-        raise EmptyWindowError(f"{window!r} is empty")
-    return len(window)
 
 
 def window_bounds(timestamps: np.ndarray, centers, width: float) -> tuple:

@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDenominatorError
-from .sums import csum
-from .trades import WindowSpec, WindowView, item_count
+from .moments import item_sums
+from .sums import csum  # noqa: F401  (bench/tracer.py wraps volatility.csum)
+from .trades import WindowSpec, WindowView
 
 # absolute floor for clamping negative rounding residue in dispersions;
 # mathematically sigma^2 >= 0, so only tiny negatives are touched
@@ -45,13 +46,14 @@ def clamp_dispersion(value, mean_sq):
 # The algebra below is written once, over the window sums of a numerator
 # a and a denominator b, and serves prices (a = C, b = V) and returns
 # (a = cost ratio, b = volume ratio). Every argument may be a scalar or an
-# array with one entry per window; the per-window API passes csum values,
-# the CLI passes window_sums columns, so both evaluate the same operations.
+# array with one entry per window; the per-window API passes the sums of
+# moments.item_sums, the CLI passes window_sums columns, so both evaluate
+# the same operations.
 
 
-def dispersion_summands(a, b) -> list:
-    """Values whose window sums feed the volatility forms: a, a^2, b, b^2."""
-    return [a, a ** 2, b, b ** 2]
+def dispersion_summands(stream) -> list:
+    """a, a^2, b, b^2 of a stream or window: the volatility forms' summands."""
+    return [stream.a, stream.a ** 2, stream.b, stream.b ** 2]
 
 
 def dispersion_terms(count, sum_a, sum_a2, sum_b, sum_b2) -> tuple:
@@ -146,22 +148,10 @@ class PriceVolatilityReport:
     negative_flag: bool
 
 
-def item_sums(window, summands=None) -> tuple:
-    """(n, csum of each summand) of a non-empty window or stream.
-
-    The summands default to dispersion_summands of its a and b columns,
-    giving (n, sum a, sum a^2, sum b, sum b^2).
-    """
-    n = item_count(window)
-    if summands is None:
-        summands = dispersion_summands(window.a, window.b)
-    return (n, *(csum(x) for x in summands))
-
-
 def dispersion_stats(view: WindowView) -> DispersionStats:
     """Means and dispersions of a and b over a window or stream: cost and
     volume for trades (returns.returns_dispersion_stats is this function)."""
-    n, *sums = item_sums(view)
+    n, *sums = item_sums(view, dispersion_summands)
     return DispersionStats(n, *map(float, dispersion_terms(n, *sums)))
 
 
@@ -173,7 +163,7 @@ def price_volatility_direct(view: WindowView) -> float:
     A one-item window is an exact degeneracy (p(2) and p(1)^2 are the
     same real number), so it returns 0.0 rather than evaluation noise.
     """
-    return float(direct_volatility(*item_sums(view)))
+    return float(direct_volatility(*item_sums(view, dispersion_summands)))
 
 
 def price_volatility_closed(stats: DispersionStats) -> float:
@@ -190,7 +180,7 @@ def price_volatility_closed(stats: DispersionStats) -> float:
 
 def price_volatility_report(view: WindowView) -> PriceVolatilityReport:
     """Both volatility forms plus the dispersion stats for one window."""
-    sums = item_sums(view)
+    sums = item_sums(view, dispersion_summands)
     direct, closed, terms = volatility_forms(*sums)
     return PriceVolatilityReport(
         window=view.spec,

@@ -13,6 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
+from tickvol import ingest
 from tickvol.cli import main
 
 TWO_TRADE_CSV = "ts,cost,volume\n0.0,10.0,2.0\n1.0,6.0,3.0\n"
@@ -337,6 +338,17 @@ class TestSimulate:
         assert code == 0
         assert out.startswith("ts,cost,volume\n")
         assert "seed: 9" in err
+
+    @pytest.mark.parametrize("schema", ["ts_cost_volume", "ts_price_volume"])
+    def test_stdout_bytes_equal_the_output_file(self, schema, tmp_path, capsys, monkeypatch):
+        # stdout is written one block at a time; small blocks give several
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", 4)
+        args = ["simulate", "--seed", "5", "--n-trades", "10", "--schema", schema]
+        path = tmp_path / "trades.csv"
+        assert run_cli([*args, "--output", str(path)], capsys)[0] == 0
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0 and out.count("\n") == 11
+        assert out.encode() == path.read_bytes()
 
     def test_overflowing_parameters_exit_2(self, capsys):
         # start price 1e308 times volumes near e^5 gives an infinite cost

@@ -3,6 +3,7 @@
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,12 +15,21 @@ from tickvol import (
     ConfigError,
     DegreeOutOfRangeError,
     EmptyWindowError,
+    NonFiniteError,
+    ReturnsSet,
     SimConfig,
     WindowSpec,
     aggregate_degree,
     collect_price_moments,
+    dispersion_stats,
     price_moment,
-    rolling_moments,
+    price_volatility_direct,
+    price_volatility_report,
+    returns_dispersion_stats,
+    returns_moment,
+    returns_volatility_direct,
+    returns_volatility_report,
+    returns_volatility_rform,
     select_window,
     simple_average_price,
     simulate_trades,
@@ -27,6 +37,7 @@ from tickvol import (
     vwap,
     window_centers,
 )
+from tickvol.moments import moment_sums
 
 
 def _view(rows, center=None, width=None):
@@ -36,6 +47,12 @@ def _view(rows, center=None, width=None):
         center = (t0 + t1) / 2
         width = (t1 - t0) + 1.0
     return select_window(series, WindowSpec(center, width))
+
+
+def _rolling(series, width, stride, degrees):
+    """Centers, trade counts and moment_sums rows of the rolling window grid."""
+    centers = window_centers(series, width, stride)
+    return (centers, *moment_sums(series, centers, width, degrees))
 
 
 class TestAggregateDegree:
@@ -108,44 +125,47 @@ class TestSimpleAverage:
 
 
 class TestRollingMoments:
+    """The rolling window grid: window_centers, then moment_sums."""
+
     def test_three_trades_width2_stride1(self):
         series = validate_series([(0.0, 1.0, 1.0), (1.0, 2.0, 1.0), (2.0, 3.0, 1.0)])
-        out = rolling_moments(series, width=2.0, stride=1.0, degrees={1})
-        assert [pm.window.center for pm in out] == [1.0, 2.0, 3.0]
-        assert [pm.n_trades for pm in out] == [3, 2, 1]
+        centers, counts, sums = _rolling(series, 2.0, 1.0, [1])
+        assert centers.tolist() == [1.0, 2.0, 3.0]
+        assert counts.tolist() == [3, 2, 1]
         # first window covers everything: p1 = 6/3
-        assert out[0].moment(1) == pytest.approx(2.0)
+        assert sums[0, 0] / sums[0, 1] == pytest.approx(2.0)
 
     def test_stride_larger_than_span_single_record(self):
         series = validate_series([(0.0, 1.0, 1.0), (3.0, 2.0, 1.0)])
-        out = rolling_moments(series, width=10.0, stride=100.0, degrees=[1])
-        assert len(out) == 1
-        assert out[0].n_trades == 2
+        centers, counts, _ = _rolling(series, 10.0, 100.0, [1])
+        assert len(centers) == 1
+        assert counts.tolist() == [2]
 
     def test_single_trade_series(self):
         series = validate_series([(5.0, 8.0, 2.0)])
-        out = rolling_moments(series, width=2.0, stride=1.0, degrees=[1, 2, 3])
-        assert len(out) == 1
-        pm = out[0]
-        assert pm.n_trades == 1
-        for n in (1, 2, 3):
-            assert pm.moment(n) == 4.0 ** n
+        _, counts, sums = _rolling(series, 2.0, 1.0, [1, 2, 3])
+        assert counts.tolist() == [1]
+        for i, n in enumerate((1, 2, 3)):
+            assert sums[0, i] / sums[0, 3 + i] == 4.0 ** n
 
     def test_empty_windows_flagged(self):
         # gap between trades leaves interior windows empty
         series = validate_series([(0.0, 1.0, 1.0), (10.0, 2.0, 1.0)])
-        out = rolling_moments(series, width=1.0, stride=1.0, degrees=[1])
-        assert any(pm.empty for pm in out)
-        for pm in out:
-            if pm.empty:
-                assert pm.n_trades == 0 and pm.entries == {}
+        _, counts, sums = _rolling(series, 1.0, 1.0, [1])
+        assert (counts == 0).any()
+        # the sums have a row for each non-empty window only
+        assert sums.shape == (np.count_nonzero(counts), 2)
 
     def test_matches_the_per_window_path(self):
         series = simulate_trades(SimConfig(n_trades=400, seed=3))
         degrees = [1, 2, 3, 8]
-        out = rolling_moments(series, width=30.0, stride=7.0, degrees=degrees)
-        for pm in out:
-            assert pm == collect_price_moments(select_window(series, pm.window), degrees)
+        centers, counts, sums = _rolling(series, 30.0, 7.0, degrees)
+        rows = iter(sums.tolist())
+        for center, count in zip(centers.tolist(), counts.tolist()):
+            entries = collect_price_moments(select_window(series, WindowSpec(center, 30.0)), degrees)
+            row = next(rows) if count else []
+            assert entries == {n: (c, v, c / v) for n, c, v in zip(degrees, row, row[4:])}
+        assert next(rows, None) is None
 
     def test_centers_anchor_to_first_trade(self):
         series = validate_series([(7.0, 1.0, 1.0), (9.0, 2.0, 1.0)])
@@ -247,22 +267,84 @@ class TestOracleEquivalence:
         rng = random.Random(99)
         trades = naive_ref.lognormal_trades(rng, 200, dt=0.35)
         series = validate_series(trades)
-        out = rolling_moments(series, width=5.0, stride=2.0, degrees=[1, 2])
-        assert len(out) > 10
-        for pm in out:
-            members = naive_ref.window_members(trades, pm.window.center, pm.window.width)
-            assert pm.n_trades == len(members)
+        centers, counts, sums = _rolling(series, 5.0, 2.0, [1, 2])
+        assert len(centers) > 10
+        rows = iter(sums.tolist())
+        for center, count in zip(centers.tolist(), counts.tolist()):
+            members = naive_ref.window_members(trades, center, 5.0)
+            assert count == len(members)
             if members:
-                for n in (1, 2):
-                    assert pm.moment(n) == pytest.approx(
-                        naive_ref.price_moment(members, n), rel=1e-12)
+                c1, c2, v1, v2 = next(rows)
+                assert c1 / v1 == pytest.approx(naive_ref.price_moment(members, 1), rel=1e-12)
+                assert c2 / v2 == pytest.approx(naive_ref.price_moment(members, 2), rel=1e-12)
 
 
 def test_stored_moment_is_division_of_stored_sums(two_trade_view):
-    from tickvol import collect_price_moments
-
-    pm = collect_price_moments(two_trade_view, [1, 2, 3])
-    for n, (c, v, p) in pm.entries.items():
+    entries = collect_price_moments(two_trade_view, [1, 2, 3])
+    assert sorted(entries) == [1, 2, 3]
+    for n, (c, v, p) in entries.items():
         assert p == c / v  # bitwise: stored as the division result
         assert abs(c - p * v) <= 4 * math.ulp(max(abs(c), 1.0))
         assert p > 0
+
+
+def test_empty_window_has_no_moments(two_trade_series):
+    empty = select_window(two_trade_series, WindowSpec(100.0, 1.0))
+    assert collect_price_moments(empty, [1, 2]) == {}
+
+
+def _returns_with_infinite_cost_ratio():
+    """Three lag-1 records, the second with cost and price ratios of inf."""
+    ratio = np.array([1.0, np.inf, 1.0])
+    return ReturnsSet(1, np.arange(1, 4), np.arange(3.0), ratio, ratio, np.ones(3),
+                      ratio - 1.0, np.log(ratio))
+
+
+# csum's partials overflow: cost sums of 2e308
+_FSUM = [(0.0, 1e308, 1.0), (0.5, 1e308, 1.0)]
+# C^2 is inf: volatility sums of costs near 1e200
+_POWER = [(0.0, 1e200, 1.0), (0.5, 1e200, 1.0)]
+
+
+class TestOverflow:
+    """A per-window sum past the double range raises NonFiniteError, never
+    inf, nan or a raw OverflowError, and leaks no numpy warning."""
+
+    @pytest.mark.parametrize("rows, fn", [
+        pytest.param(_FSUM, lambda v: price_moment(v, 1), id="fsum-price_moment"),
+        pytest.param(_FSUM, vwap, id="fsum-vwap"),
+        pytest.param(_FSUM, simple_average_price, id="fsum-simple_average_price"),
+        pytest.param(_FSUM, lambda v: collect_price_moments(v, [1]),
+                     id="fsum-collect_price_moments"),
+        pytest.param(_FSUM, dispersion_stats, id="fsum-dispersion_stats"),
+        pytest.param(_FSUM, price_volatility_report, id="fsum-price_volatility_report"),
+        pytest.param(_POWER, lambda v: price_moment(v, 2), id="power-price_moment"),
+        pytest.param(_POWER, lambda v: collect_price_moments(v, [1, 2]),
+                     id="power-collect_price_moments"),
+        pytest.param(_POWER, dispersion_stats, id="power-dispersion_stats"),
+        pytest.param(_POWER, price_volatility_direct, id="power-price_volatility_direct"),
+        pytest.param(_POWER, price_volatility_report, id="power-price_volatility_report"),
+    ])
+    def test_trades(self, rows, fn):
+        view = _view(rows)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="overflows the double range"):
+                fn(view)
+
+    @pytest.mark.parametrize("fn", [
+        lambda r: returns_moment(r, 1), returns_dispersion_stats, returns_volatility_direct,
+        returns_volatility_rform, returns_volatility_report,
+    ], ids=["returns_moment", "returns_dispersion_stats", "returns_volatility_direct",
+            "returns_volatility_rform", "returns_volatility_report"])
+    def test_infinite_cost_ratio(self, fn):
+        records = _returns_with_infinite_cost_ratio()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="overflows the double range"):
+                fn(records)
+
+    def test_finite_near_the_limit(self):
+        view = _view(_FSUM[:1])
+        assert price_moment(view, 1) == simple_average_price(view) == 1e308
+        assert price_moment(_view([(0.0, 1e150, 1.0), (0.5, 1e150, 1.0)]), 2) == pytest.approx(1e300)

@@ -23,7 +23,6 @@ from tickvol import (
     price_volatility_closed,
     price_volatility_direct,
     records_in_window,
-    returns_aggregate,
     returns_dispersion_stats,
     returns_moment,
     returns_volatility_closed,
@@ -117,13 +116,13 @@ class TestPerRecordRelations:
 class TestAggregatesAndMoments:
     def test_fixture_sums(self, three_trade_series):
         recs = build_returns(three_trade_series, 1)
-        assert returns_aggregate(recs, 1) == (3.0, 2.5)
-        assert returns_aggregate(recs, 2) == (4.5, 3.25)
+        assert aggregate_degree(recs, 1) == (3.0, 2.5)
+        assert aggregate_degree(recs, 2) == (4.5, 3.25)
 
     def test_single_record(self):
         series = validate_series([(0.0, 4.0, 2.0), (1.0, 6.0, 4.0)])
         recs = build_returns(series, 1)
-        qc, qv = returns_aggregate(recs, 3)
+        qc, qv = aggregate_degree(recs, 3)
         assert qc == 1.5 ** 3
         assert qv == 2.0 ** 3
 
@@ -143,7 +142,7 @@ class TestAggregatesAndMoments:
         recs = build_returns(three_trade_series, 1)
         empty = records_in_window(recs, WindowSpec(100.0, 1.0))
         with pytest.raises(EmptyWindowError):
-            returns_aggregate(empty, 1)
+            aggregate_degree(empty, 1)
 
     def test_mean_return_matches_r11(self, three_trade_series):
         recs = build_returns(three_trade_series, 1)
@@ -281,9 +280,9 @@ class TestOracleEquivalence:
 
 def test_returns_moments_store_division(three_trade_series):
     recs = build_returns(three_trade_series, 1)
-    assert returns_aggregate(recs, 1) == (3.0, 2.5)
+    assert aggregate_degree(recs, 1) == (3.0, 2.5)
     for n in (1, 2):
-        q_c, q_v = returns_aggregate(recs, n)
+        q_c, q_v = aggregate_degree(recs, n)
         assert returns_moment(recs, n) == q_c / q_v  # stored as the division result
     r11 = returns_volatility_report(recs).r11
     assert abs(r11 - (returns_moment(recs, 1) - 1.0)) <= 1e-12
@@ -300,7 +299,6 @@ def test_trades_and_returns_are_one_stream_type(three_trade_series):
 def test_closed_form_is_shared_with_prices():
     """A ReturnsSet is a PairSeries, so the per-window functions are one copy."""
     assert returns_volatility_closed is price_volatility_closed
-    assert returns_aggregate is aggregate_degree
     assert returns_moment is price_moment
     assert returns_volatility_direct is price_volatility_direct
     assert returns_dispersion_stats is dispersion_stats

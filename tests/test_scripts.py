@@ -12,7 +12,8 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.name for p in DEMOS])
 def test_demo_runs(demo):
-    proc = run_python([str(demo)])
+    """Each demo runs clean with warnings as errors, like the test suite."""
+    proc = run_python(["-W", "error", str(demo)])
     assert proc.returncode == 0, proc.stderr
 
 

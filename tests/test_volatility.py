@@ -195,7 +195,7 @@ def test_all_windows_path_matches_per_window_reports():
     series = simulate_trades(SimConfig(n_trades=600, seed=12))
     width = 20.0
     centers = window_centers(series, width, 6.0)
-    summands = dispersion_summands(series.costs, series.volumes)
+    summands = dispersion_summands(series)
     counts, sums = windowed_sums(series.timestamps, centers, width, summands)
     direct, closed, terms = volatility_forms(counts[counts > 0], *sums.T)
     reports = [price_volatility_report(select_window(series, WindowSpec(c, width)))
