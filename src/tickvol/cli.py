@@ -28,10 +28,11 @@ array steps: the bounds of all windows from one searchsorted per edge
 (window_bounds), the power sums of all windows from one kernel call
 (window_sums), the moment and volatility algebra on the sum arrays, and
 the table of all windows (for charfun, one polynomial per grid point).
-The kernel converts the rows of each summand column that some window
-covers to Python floats once and sums every window's slice of them with
-math.fsum, so tables carry exactly the csum (math.fsum) values of the
-per-window library API, which stays the test oracle. The stream summed
+The kernel sums the rows of each summand column that some window covers,
+by math.fsum over each window's slice of them or, when windows overlap
+heavily, from exact integer prefix sums of the column; both paths round
+the exact sum the same way, so tables carry exactly the csum (math.fsum)
+values of the per-window library API, which stays the test oracle. The stream summed
 is a PairSeries: the trades, or for returns the lag-m ReturnsSet, whose
 a and b columns feed one helper (_forms) for both.
 """

@@ -49,7 +49,8 @@ class TruncationOrderOutOfRangeError(TickvolError):
 
 
 class NonFiniteError(TickvolError):
-    """A sum, moment or term overflows the double range (inf or nan)."""
+    """A sum, moment or term is not finite in doubles: it overflows the
+    double range (inf or nan), or a sum it divides by underflows to 0."""
 
 
 class ParseError(TickvolError):

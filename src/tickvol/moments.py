@@ -79,6 +79,14 @@ def item_sums(window, summands, *args) -> tuple:
     return (n, *sums)
 
 
+def nonzero_divisor(window, name: str, total: float) -> float:
+    """total, a sum that the result called name divides by; NonFiniteError
+    where it underflows to 0, as sum(b^n) does for volumes near 1e-200."""
+    if total == 0:
+        raise NonFiniteError(f"{name} over {window!r} divides by a sum that underflows to 0")
+    return total
+
+
 def aggregate_degree(view: WindowView, n: int) -> tuple[float, float]:
     """(sum of a^n, sum of b^n) over a window or stream: C^n and V^n for
     trades. Raises DegreeOutOfRangeError when n exceeds the cap."""
@@ -90,7 +98,7 @@ def price_moment(view: WindowView, n: int) -> float:
     """Degree-n moment sum(a^n) / sum(b^n): the price moment p(n) of
     trades (returns.returns_moment is this function)."""
     a_n, b_n = aggregate_degree(view, n)
-    return a_n / b_n
+    return a_n / nonzero_divisor(view, f"p({n})", b_n)
 
 
 def vwap(view: WindowView) -> float:
@@ -119,7 +127,8 @@ def collect_price_moments(view: WindowView, degrees: Iterable[int]) -> dict:
     if len(view) == 0:
         return {}
     _, *sums = item_sums(view, power_summands, degs)
-    return {n: (c, v, c / v) for n, c, v in zip(degs, sums, sums[len(degs):])}
+    return {n: (c, v, c / nonzero_divisor(view, f"p({n})", v))
+            for n, c, v in zip(degs, sums, sums[len(degs):])}
 
 
 def window_centers(series: PairSeries, width: float, stride: float) -> np.ndarray:

@@ -37,13 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LagTooLargeError
-from .moments import item_sums, price_moment
+from .moments import item_sums, nonzero_divisor, price_moment
 from .sums import csum  # noqa: F401  (bench/tracer.py wraps returns.csum)
 from .trades import PairSeries, TradeSeries, WindowSpec, window_bounds
 from .volatility import (
     DispersionStats,
     dispersion_stats,
     dispersion_summands,
+    finite_stats,
     price_volatility_closed,
     price_volatility_direct,
     volatility_forms,
@@ -159,7 +160,10 @@ def returns_volatility_rform(records: ReturnsSet) -> float:
     that case returns 0.0 exactly.
     """
     n, *sums = item_sums(records, returns_summands)
-    return 0.0 if n == 1 else rform_from_sums(*sums[2:])[3]
+    if n == 1:
+        return 0.0
+    nonzero_divisor(records, "r21", sums[3])
+    return rform_from_sums(*sums[2:])[3]
 
 
 @dataclass(frozen=True)
@@ -179,6 +183,7 @@ class ReturnsVolatilityReport:
 def returns_volatility_report(records: ReturnsSet) -> ReturnsVolatilityReport:
     """All three volatility forms plus the weighted means for one record set."""
     n, *sums = item_sums(records, returns_summands)
+    nonzero_divisor(records, "q(2)", sums[3])
     direct, closed, terms = volatility_forms(n, *sums[:4])
     r11, r21, r22, rform = rform_from_sums(*sums[2:])
     return ReturnsVolatilityReport(
@@ -190,6 +195,6 @@ def returns_volatility_report(records: ReturnsSet) -> ReturnsVolatilityReport:
         r11=r11,
         r21=r21,
         r22=r22,
-        stats=DispersionStats(n, *map(float, terms)),
+        stats=finite_stats(records, n, terms),
         negative_flag=bool(direct < 0),
     )

@@ -18,12 +18,13 @@ flagged, never clamped, so the identity test cannot be silently gamed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError
-from .moments import item_sums
+from .errors import DegenerateDenominatorError, NonFiniteError
+from .moments import item_sums, nonzero_divisor
 from .sums import csum  # noqa: F401  (bench/tracer.py wraps volatility.csum)
 from .trades import WindowSpec, WindowView
 
@@ -138,6 +139,17 @@ class DispersionStats:
     phi_b2: float       # b2 + b1^2
 
 
+def finite_stats(window, n: int, terms) -> DispersionStats:
+    """DispersionStats of n items from their dispersion_terms; NonFiniteError,
+    naming the term, where one overflows the double range (phi_a2 does for
+    one cost of 1.3e154, although every sum is finite)."""
+    stats = DispersionStats(n, *map(float, terms))
+    for field in fields(stats)[1:]:
+        if not math.isfinite(getattr(stats, field.name)):
+            raise NonFiniteError(f"{field.name} over {window!r} overflows the double range")
+    return stats
+
+
 @dataclass(frozen=True)
 class PriceVolatilityReport:
     window: WindowSpec
@@ -152,7 +164,7 @@ def dispersion_stats(view: WindowView) -> DispersionStats:
     """Means and dispersions of a and b over a window or stream: cost and
     volume for trades (returns.returns_dispersion_stats is this function)."""
     n, *sums = item_sums(view, dispersion_summands)
-    return DispersionStats(n, *map(float, dispersion_terms(n, *sums)))
+    return finite_stats(view, n, dispersion_terms(n, *sums))
 
 
 def price_volatility_direct(view: WindowView) -> float:
@@ -163,7 +175,9 @@ def price_volatility_direct(view: WindowView) -> float:
     A one-item window is an exact degeneracy (p(2) and p(1)^2 are the
     same real number), so it returns 0.0 rather than evaluation noise.
     """
-    return float(direct_volatility(*item_sums(view, dispersion_summands)))
+    sums = item_sums(view, dispersion_summands)
+    nonzero_divisor(view, "p(2)", sums[4])
+    return float(direct_volatility(*sums))
 
 
 def price_volatility_closed(stats: DispersionStats) -> float:
@@ -181,12 +195,13 @@ def price_volatility_closed(stats: DispersionStats) -> float:
 def price_volatility_report(view: WindowView) -> PriceVolatilityReport:
     """Both volatility forms plus the dispersion stats for one window."""
     sums = item_sums(view, dispersion_summands)
+    nonzero_divisor(view, "p(2)", sums[4])
     direct, closed, terms = volatility_forms(*sums)
     return PriceVolatilityReport(
         window=view.spec,
         n_trades=sums[0],
         sigma_p2_direct=float(direct),
         sigma_p2_closed=float(closed),
-        stats=DispersionStats(sums[0], *map(float, terms)),
+        stats=finite_stats(view, sums[0], terms),
         negative_flag=bool(direct < 0),
     )

@@ -344,6 +344,50 @@ class TestOverflow:
             with pytest.raises(NonFiniteError, match="overflows the double range"):
                 fn(records)
 
+    @pytest.mark.parametrize("fn", [
+        lambda v: price_moment(v, 2), lambda v: collect_price_moments(v, [1, 2]),
+        price_volatility_direct, price_volatility_report,
+    ], ids=["price_moment", "collect_price_moments", "price_volatility_direct",
+            "price_volatility_report"])
+    def test_volume_power_sum_underflows(self, fn):
+        # sum(V^2) of two volumes of 1e-200 underflows to 0
+        view = _view([(0.0, 1.0, 1e-200), (1.0, 1.0, 1e-200)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=r"p\(2\) over .* underflows to 0"):
+                fn(view)
+
+    def test_series_from_the_report_reproduction(self):
+        series = validate_series([(0.0, 1.0, 1e-200), (1.0, 1.0, 1e-200)])
+        with pytest.raises(NonFiniteError, match="underflows to 0"):
+            price_moment(series, 2)
+        assert vwap(series) == 1e200
+
+    @pytest.mark.parametrize("fn", [
+        lambda r: returns_moment(r, 2), returns_volatility_rform, returns_volatility_report,
+    ], ids=["returns_moment", "returns_volatility_rform", "returns_volatility_report"])
+    def test_volume_ratio_power_sum_underflows(self, fn):
+        ratio = np.full(3, 1e-200)
+        records = ReturnsSet(1, np.arange(1, 4), np.arange(3.0), np.ones(3), ratio, ratio,
+                             np.zeros(3), np.zeros(3))
+        with pytest.raises(NonFiniteError, match="underflows to 0"):
+            fn(records)
+
+    @pytest.mark.parametrize("fn", [dispersion_stats, price_volatility_report],
+                             ids=["dispersion_stats", "price_volatility_report"])
+    def test_dispersion_term_overflows(self, fn):
+        # every sum is finite, but phi_a2 = a2 + a1^2 = 2 * 1.69e308 is not
+        view = _view([(0.0, 1.3e154, 1.0)])
+        with pytest.raises(NonFiniteError, match="phi_a2 over .* overflows the double range"):
+            fn(view)
+
+    def test_returns_dispersion_term_overflows(self):
+        records = ReturnsSet(1, np.array([1]), np.array([1.0]), np.ones(1),
+                             np.array([1.3e154]), np.ones(1), np.zeros(1), np.zeros(1))
+        for fn in (returns_dispersion_stats, returns_volatility_report):
+            with pytest.raises(NonFiniteError, match="phi_a2 over"):
+                fn(records)
+
     def test_finite_near_the_limit(self):
         view = _view(_FSUM[:1])
         assert price_moment(view, 1) == simple_average_price(view) == 1e308
