@@ -22,8 +22,8 @@ from tickvol import (
     WindowSpec,
     build_returns,
     mean_return,
-    records_in_window,
     returns_volatility_report,
+    select_window,
     simulate_trades,
 )
 
@@ -35,14 +35,14 @@ window = WindowSpec(center=(t0 + t1) / 2, width=(t1 - t0) / 2)
 print(f"{'lag':>4} {'records':>8} {'mean ret':>10} {'direct':>13}"
       f" {'r-form':>13} {'closed':>13} {'neg':>4}")
 for m in (1, 2, 5, 10, 50):
-    records = records_in_window(build_returns(series, m), window)
+    records = select_window(build_returns(series, m), window)
     rep = returns_volatility_report(records)
     print(f"{m:>4} {rep.n_records:>8} {mean_return(records):>10.6f}"
           f" {rep.sigma_q2_direct:>13.4e} {rep.sigma_q2_rform:>13.4e}"
           f" {rep.sigma_q2_closed:>13.4e} {str(rep.negative_flag):>4}")
 
 print("\nweighted return means for lag 1:")
-records = records_in_window(build_returns(series, 1), window)
+records = select_window(build_returns(series, 1), window)
 rep = returns_volatility_report(records)
 print(f"  r11 = {rep.r11:+.6e}   (volume-ratio weighted mean return)")
 print(f"  r21 = {rep.r21:+.6e}   (squared-weights mean return)")

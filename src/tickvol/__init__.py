@@ -2,13 +2,13 @@
 
 Core objects: one validated, time-sorted (timestamp, a, b) stream,
 PairSeries, of which TradeSeries (a = cost, b = volume) and ReturnsSet
-(a = cost ratio, b = volume ratio) are the two kinds; WindowView slices
-of any stream; degree-n moments sum(a^n)/sum(b^n), the price moments
-p(n) of trades and the returns moments q(n) of returns records; price and
-returns volatilities in algebraically equivalent direct and
-dispersion-decomposed forms, one set of functions over a and b serving
-both streams; and truncated characteristic functionals built from
-multi-time moments of any stream.
+(a = cost ratio, b = volume ratio) are the two kinds, and whose windows
+(select_window) are zero-copy row slices of the same class; degree-n
+moments sum(a^n)/sum(b^n), the price moments p(n) of trades and the
+returns moments q(n) of returns records; price and returns volatilities
+in algebraically equivalent direct and dispersion-decomposed forms, one
+set of functions over a and b serving both streams; and truncated
+characteristic functionals built from multi-time moments of any stream.
 """
 
 from .errors import (
@@ -28,7 +28,6 @@ from .trades import (
     PairSeries,
     TradeSeries,
     WindowSpec,
-    WindowView,
     select_window,
     validate_series,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "UnsupportedWindowOverlapError",
     "ValidationError",
     "WindowSpec",
-    "WindowView",
     "aggregate_degree",
     "build_returns",
     "charfun_derivative_check",

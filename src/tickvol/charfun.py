@@ -53,9 +53,10 @@ from .errors import (
     TruncationOrderOutOfRangeError,
     UnsupportedWindowOverlapError,
 )
-from .moments import DEFAULT_DEGREE_CAP, check_degree, power_summands
-from .sums import csum, windowed_sums
-from .trades import PairSeries, window_bounds
+from .moments import DEFAULT_DEGREE_CAP, check_degree, item_sums, power_summands
+from .sums import csum  # noqa: F401  (bench/tracer.py wraps charfun.csum)
+from .sums import windowed_sums
+from .trades import PairSeries, WindowSpec, select_window
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i^n for n % 4 = 0,1,2,3
 
@@ -113,17 +114,12 @@ def multi_time_moment(series: PairSeries, times: Sequence[float], width: float) 
     b_sum = 1.0
     combos = 1
     for t, mult in groups:
-        lo, count = (int(x) for x in window_bounds(series.timestamps, t, width))
-        if count == 0:
+        window = select_window(series, WindowSpec(t, width))
+        if len(window) == 0:  # named by its center: an empty slice has no times
             raise EmptyWindowError(f"window at t={t} (width {width}) is empty")
-        a_w = series.a[lo:lo + count]
-        b_w = series.b[lo:lo + count]
-        try:
-            with np.errstate(over="ignore"):  # an inf power is reported below
-                a_sum *= csum(a_w ** mult) if mult > 1 else csum(a_w)
-                b_sum *= csum(b_w ** mult) if mult > 1 else csum(b_w)
-        except OverflowError:  # csum's partials overflow
-            a_sum = math.inf
+        count, a_w, b_w = item_sums(window, power_summands, [mult])
+        a_sum *= a_w
+        b_sum *= b_w
         combos *= count
     if not (math.isfinite(a_sum) and 0.0 < b_sum < math.inf and math.isfinite(a_sum / b_sum)):
         raise NonFiniteError(f"the degree-{n} moment at times {times} overflows the double range")

@@ -15,13 +15,13 @@ of a whole table is never held in memory.
 Exit codes: 0 success/pass, 1 identity-check fail, 2 config error
 (including an unwritable --output path, a window grid of more than
 moments.MAX_WINDOWS = 10**9 windows, simulator parameters whose trades
-overflow, and a value that overflows the double range, such as C^8 of
-costs near 1e40: the NonFiniteError names the column and the window
-center, or the charfun order, and nothing is written), 3 input error
-(including a missing, unreadable or non-UTF-8 input file, and an
-integer field past the double range), 4
-unsupported configuration. Every error prints one "error:" line on
-stderr, with plain numbers.
+overflow, a value that overflows the double range, such as C^8 of costs
+near 1e40, and a volatility divisor sum(b^2) that underflows to 0: the
+NonFiniteError names the column and the window center, or the charfun
+order, and nothing is written), 3 input error (including a missing,
+unreadable or non-UTF-8 input file, and an integer field past the double
+range), 4 unsupported configuration. Every error prints one "error:"
+line on stderr, with plain numbers.
 
 Every command that sums over windows, charfun included, runs in four
 array steps: the bounds of all windows from one searchsorted per edge
@@ -245,9 +245,15 @@ def _forms(stream: PairSeries, centers, width: float, summands: list) -> tuple:
     """Item counts of every window, then the sums of the summands (one row
     per summand) and the volatility forms (direct, closed, terms) of the
     non-empty windows. The summands start with the dispersion_summands
-    of the stream."""
+    of the stream. NonFiniteError names the first window whose sum of b^2
+    underflows to 0, as it does for volumes near 1e-200: both forms divide
+    by it."""
     counts, sums = windowed_sums(stream.timestamps, centers, width, summands)
     sums = sums.T
+    zero = sums[3] == 0
+    if zero.any():
+        raise NonFiniteError(f"the sum of {stream._labels[2]}^2 underflows to 0 in the window "
+                             f"at t={centers[counts > 0][np.argmax(zero)]}; rescale the input units")
     return counts, sums, volatility_forms(counts[counts > 0], *sums[:4])
 
 

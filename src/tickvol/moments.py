@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, DegreeOutOfRangeError, EmptyWindowError, NonFiniteError
 from .sums import csum, windowed_sums
-from .trades import PairSeries, WindowView
+from .trades import PairSeries
 
 # Highest moment degree (and charfun truncation order): C^n overflows the
 # double range for large prices at high n.
@@ -87,37 +87,37 @@ def nonzero_divisor(window, name: str, total: float) -> float:
     return total
 
 
-def aggregate_degree(view: WindowView, n: int) -> tuple[float, float]:
+def aggregate_degree(view: PairSeries, n: int) -> tuple[float, float]:
     """(sum of a^n, sum of b^n) over a window or stream: C^n and V^n for
     trades. Raises DegreeOutOfRangeError when n exceeds the cap."""
     check_degree(n)
     return item_sums(view, power_summands, [n])[1:]
 
 
-def price_moment(view: WindowView, n: int) -> float:
+def price_moment(view: PairSeries, n: int) -> float:
     """Degree-n moment sum(a^n) / sum(b^n): the price moment p(n) of
     trades (returns.returns_moment is this function)."""
     a_n, b_n = aggregate_degree(view, n)
     return a_n / nonzero_divisor(view, f"p({n})", b_n)
 
 
-def vwap(view: WindowView) -> float:
+def vwap(view: PairSeries) -> float:
     """Volume weighted average price sum(C)/sum(V): price_moment(view, 1),
     bit for bit."""
     return price_moment(view, 1)
 
 
-def simple_average_price(view: WindowView) -> float:
+def simple_average_price(view: PairSeries) -> float:
     """Plain arithmetic mean of per-trade prices (the classical baseline).
 
     Weights every trade equally, unlike VWAP; the two coincide only when
     all volumes are equal.
     """
-    n, total = item_sums(view, lambda w: [w.prices])
+    n, total = item_sums(view, lambda w: [w.a / w.b])
     return total / n
 
 
-def collect_price_moments(view: WindowView, degrees: Iterable[int]) -> dict:
+def collect_price_moments(view: PairSeries, degrees: Iterable[int]) -> dict:
     """{n: (cost_sum, volume_sum, moment)} of one window, each moment
     stored exactly as the division cost_sum/volume_sum; empty for an
     empty window."""

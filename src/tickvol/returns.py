@@ -26,8 +26,10 @@ volatility under a second name (moments.aggregate_degree gives the ratio
 sums). Their sums go through moments.item_sums: an empty record set
 raises EmptyWindowError, an infinite cost ratio NonFiniteError.
 
-Window membership of a record is decided by the later trade's timestamp;
-the earlier partner may sit outside the window.
+A window of records is a ReturnsSet too: select_window (also bound as
+records_in_window) slices every column, indices included, and keeps the
+lag. Window membership of a record is decided by the later trade's
+timestamp; the earlier partner may sit outside the window.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 from .errors import LagTooLargeError
 from .moments import item_sums, nonzero_divisor, price_moment
 from .sums import csum  # noqa: F401  (bench/tracer.py wraps returns.csum)
-from .trades import PairSeries, TradeSeries, WindowSpec, window_bounds
+from .trades import PairSeries, TradeSeries, select_window
 from .volatility import (
     DispersionStats,
     dispersion_stats,
@@ -49,10 +51,6 @@ from .volatility import (
     price_volatility_direct,
     volatility_forms,
 )
-
-# the columns of a ReturnsSet, in constructor order
-_COLUMNS = ("indices", "timestamps", "price_ratio", "a", "b", "simple_return", "log_return")
-
 
 class ReturnsSet(PairSeries):
     """Immutable lag-m returns records: the stream a = cost_ratio,
@@ -66,6 +64,7 @@ class ReturnsSet(PairSeries):
     """
 
     __slots__ = ("lag", "indices", "price_ratio", "simple_return", "log_return")
+    _labels = ("record", "cost ratio", "volume ratio")
     cost_ratio, volume_ratio = PairSeries.a, PairSeries.b  # the a and b columns by name
 
     def __init__(self, lag, indices, timestamps, price_ratio, cost_ratio,
@@ -75,7 +74,7 @@ class ReturnsSet(PairSeries):
                     simple_return=simple_return, log_return=log_return)
 
     def __repr__(self) -> str:
-        return f"ReturnsSet(lag={self.lag}, n={len(self)})"
+        return f"lag-{self.lag} {super().__repr__()}"
 
 
 def build_returns(series: TradeSeries, m: int) -> ReturnsSet:
@@ -106,18 +105,13 @@ def build_returns(series: TradeSeries, m: int) -> ReturnsSet:
     )
 
 
-def records_in_window(records: ReturnsSet, spec: WindowSpec) -> ReturnsSet:
-    """Records whose (later-trade) timestamp falls in the window, ends inclusive."""
-    lo, count = window_bounds(records.timestamps, spec.center, spec.width)
-    return ReturnsSet(records.lag, *(getattr(records, name)[lo:lo + count] for name in _COLUMNS))
-
-
-# The returns stream is a PairSeries, so these are the price functions.
+# The returns stream is a PairSeries, so these are the trade functions.
 # Dispersion stats are built from per-record means like the per-trade
 # ones: raw sums would make the closed form dimensionally inconsistent
 # with the direct one. Sigma_q^2 from the ratio dispersions,
 # 2 (Phi_v^2 Omega_c^2 - Phi_c^2 Omega_v^2) / (Phi_v^4 - Omega_v^4),
 # is the price decomposition over ratio means.
+records_in_window = select_window
 returns_moment = price_moment
 returns_volatility_direct = price_volatility_direct
 returns_dispersion_stats = dispersion_stats

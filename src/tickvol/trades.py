@@ -8,10 +8,12 @@ a = cost ratio and b = volume ratio (returns.ReturnsSet).
 
 A PairSeries keeps a stream time-sorted as three aligned read-only numpy
 columns, validated once by _validate_columns; TradeSeries and ReturnsSet
-are PairSeries. A WindowView is a zero-copy slice of any stream covering
+are PairSeries. A window is a stream too: select_window cuts the rows of
 one averaging window [center - width/2, center + width/2], inclusive at
-both ends (an item sitting exactly on a window edge is a member). The
-per-window functions sum a view or a whole stream (see moments.item_sums).
+both ends (an item sitting exactly on a window edge is a member), as a
+stream of the same class whose columns are zero-copy views. So every
+per-window function takes a window or a whole stream alike (see
+moments.item_sums).
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class PairSeries:
     floating-point result of every downstream sum.
     """
 
-    __slots__ = ("timestamps", "a", "b")
+    __slots__ = ("timestamps", "a", "b", "_whole")
     _labels = ("row", "a", "b")
 
     def __init__(self, timestamps, a, b):
@@ -97,7 +99,25 @@ class PairSeries:
         return len(self.timestamps)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(n={len(self)})"
+        span = ", t={!r}..{!r}".format(*self.span()) if len(self) else ""
+        return f"{type(self).__name__}(n={len(self)}{span})"
+
+    @property
+    def series(self) -> "PairSeries":
+        """The whole stream this one was cut from; itself when whole."""
+        return getattr(self, "_whole", self)
+
+    def _rows(self, lo: int, hi: int) -> "PairSeries":
+        """Rows lo:hi as a stream of the same class, not validated again:
+        every column a zero-copy read-only view, every scalar field (such
+        as ReturnsSet.lag) copied."""
+        fields = {name: getattr(self, name) for cls in type(self).__mro__
+                  for name in getattr(cls, "__slots__", ()) if name != "_whole"}
+        part = object.__new__(type(self))
+        part._store(_whole=self.series, **{
+            name: value[lo:hi] if isinstance(value, np.ndarray) else value
+            for name, value in fields.items()})
+        return part
 
     def span(self) -> tuple[float, float]:
         """(first, last) timestamp; raises on an empty series."""
@@ -136,39 +156,6 @@ def validate_series(raw_trades: Iterable[tuple[float, float, float]]) -> TradeSe
     return TradeSeries(arr[:, 0], arr[:, 1], arr[:, 2])
 
 
-@dataclass(frozen=True)
-class WindowView:
-    """Members of one averaging window of a stream, as a contiguous index range.
-
-    The stream is time-sorted, so the items inside the window are exactly
-    rows start:stop of its columns; the view holds no copies.
-    """
-
-    series: PairSeries
-    start: int
-    stop: int
-    spec: WindowSpec
-
-    @property
-    def timestamps(self) -> np.ndarray:
-        return self.series.timestamps[self.start:self.stop]
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.series.a[self.start:self.stop]
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.series.b[self.start:self.stop]
-
-    @property
-    def prices(self) -> np.ndarray:
-        return self.a / self.b
-
-    def __len__(self) -> int:
-        return self.stop - self.start
-
-
 def window_bounds(timestamps: np.ndarray, centers, width: float) -> tuple:
     """(first index, member count) of every window [c - width/2, c + width/2].
 
@@ -181,11 +168,12 @@ def window_bounds(timestamps: np.ndarray, centers, width: float) -> tuple:
     return lo, np.maximum(hi - lo, 0)
 
 
-def select_window(series: PairSeries, spec: WindowSpec) -> WindowView:
-    """All items with center - width/2 <= t_i <= center + width/2.
+def select_window(series: PairSeries, spec: WindowSpec) -> PairSeries:
+    """All items with center - width/2 <= t_i <= center + width/2, as a
+    zero-copy row slice of the same class as series (see PairSeries._rows).
 
-    Both ends inclusive. An empty view is legal; consumers decide whether
-    that is an error.
+    Both ends inclusive. An empty window is legal; consumers decide
+    whether that is an error.
     """
     lo, count = window_bounds(series.timestamps, spec.center, spec.width)
-    return WindowView(series, int(lo), int(lo + count), spec)
+    return series._rows(int(lo), int(lo + count))

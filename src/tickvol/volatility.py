@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DegenerateDenominatorError, NonFiniteError
 from .moments import item_sums, nonzero_divisor
 from .sums import csum  # noqa: F401  (bench/tracer.py wraps volatility.csum)
-from .trades import WindowSpec, WindowView
+from .trades import PairSeries
 
 # absolute floor for clamping negative rounding residue in dispersions;
 # mathematically sigma^2 >= 0, so only tiny negatives are touched
@@ -152,7 +152,6 @@ def finite_stats(window, n: int, terms) -> DispersionStats:
 
 @dataclass(frozen=True)
 class PriceVolatilityReport:
-    window: WindowSpec
     n_trades: int
     sigma_p2_direct: float
     sigma_p2_closed: float
@@ -160,14 +159,14 @@ class PriceVolatilityReport:
     negative_flag: bool
 
 
-def dispersion_stats(view: WindowView) -> DispersionStats:
+def dispersion_stats(view: PairSeries) -> DispersionStats:
     """Means and dispersions of a and b over a window or stream: cost and
     volume for trades (returns.returns_dispersion_stats is this function)."""
     n, *sums = item_sums(view, dispersion_summands)
     return finite_stats(view, n, dispersion_terms(n, *sums))
 
 
-def price_volatility_direct(view: WindowView) -> float:
+def price_volatility_direct(view: PairSeries) -> float:
     """sum(a^2)/sum(b^2) - (sum(a)/sum(b))^2: sigma_p^2 = p(2) - p(1)^2 of
     trades (returns.returns_volatility_direct is this function). May be
     negative.
@@ -192,13 +191,13 @@ def price_volatility_closed(stats: DispersionStats) -> float:
                                    stats.sigma_a2, stats.sigma_b2, stats.phi_b2))
 
 
-def price_volatility_report(view: WindowView) -> PriceVolatilityReport:
-    """Both volatility forms plus the dispersion stats for one window."""
+def price_volatility_report(view: PairSeries) -> PriceVolatilityReport:
+    """Both volatility forms plus the dispersion stats for one window or
+    a whole stream."""
     sums = item_sums(view, dispersion_summands)
     nonzero_divisor(view, "p(2)", sums[4])
     direct, closed, terms = volatility_forms(*sums)
     return PriceVolatilityReport(
-        window=view.spec,
         n_trades=sums[0],
         sigma_p2_direct=float(direct),
         sigma_p2_closed=float(closed),

@@ -121,6 +121,12 @@ class TestMultiTimeMoment:
         with pytest.raises(UnsupportedWindowOverlapError):
             multi_time_moment(ps, (0.0, 2.0), 2.0)
 
+    def test_window_ends_are_inclusive(self):
+        ps = _pairs([(0.0, 1.0, 1.0), (1.0, 2.0, 1.0), (2.0, 4.0, 1.0)])
+        assert multi_time_moment(ps, (1.0,), 2.0).combo_count == 3
+        mm = multi_time_moment(ps, (1.0, 1.0), 1.99)
+        assert (mm.combo_count, mm.a_sum, mm.b_sum) == (1, 4.0, 1.0)
+
     def test_empty_window_rejected(self):
         ps = _pairs(DISJOINT)
         with pytest.raises(EmptyWindowError):

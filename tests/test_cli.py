@@ -631,6 +631,20 @@ class TestOverflow:
         assert code == 2 and stdout == "" and not out.exists()
         assert err == f"error: {message}; rescale the input units\n"
 
+    @pytest.mark.parametrize("command", ["price-vol", "identity-check"])
+    def test_volume_square_sum_underflow_exits_2(self, command, tmp_path, capsys):
+        # sum(V^2) of two volumes of 1e-200 underflows to 0, which both
+        # volatility forms divide by: legal input, not corrupted stats
+        path = tmp_path / "tiny.csv"
+        path.write_text("ts,cost,volume\n0.0,1.0,1e-200\n1.0,1.0,1e-200\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run_cli([command, "--input", str(path), "--window", "5",
+                                         "--stride", "5"], capsys)
+        assert code == 2 and stdout == ""
+        assert err == ("error: the sum of volume^2 underflows to 0 in the window at t=2.5; "
+                       "rescale the input units\n")
+
     def test_charfun_overflow_exits_2(self, tmp_path, capsys):
         path = tmp_path / "big.csv"
         path.write_text("ts,cost,volume\n0.0,1e200,1.0\n")

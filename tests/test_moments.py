@@ -357,6 +357,13 @@ class TestOverflow:
             with pytest.raises(NonFiniteError, match=r"p\(2\) over .* underflows to 0"):
                 fn(view)
 
+    def test_message_names_the_window_by_its_times(self):
+        view = _view([(0.0, 1.0, 1.0), (1.0, 1.0, 1e-200), (2.0, 1.0, 1e-200)], 1.5, 1.0)
+        with pytest.raises(NonFiniteError) as info:
+            price_moment(view, 2)
+        assert str(info.value) == ("p(2) over TradeSeries(n=2, t=1.0..2.0) divides by a sum "
+                                   "that underflows to 0")
+
     def test_series_from_the_report_reproduction(self):
         series = validate_series([(0.0, 1.0, 1e-200), (1.0, 1.0, 1e-200)])
         with pytest.raises(NonFiniteError, match="underflows to 0"):

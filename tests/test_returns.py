@@ -12,6 +12,7 @@ from tickvol import (
     EmptyWindowError,
     LagTooLargeError,
     PairSeries,
+    ReturnsSet,
     SimConfig,
     TradeSeries,
     WindowSpec,
@@ -29,6 +30,7 @@ from tickvol import (
     returns_volatility_direct,
     returns_volatility_report,
     returns_volatility_rform,
+    select_window,
     simulate_trades,
     validate_series,
 )
@@ -236,6 +238,16 @@ class TestWindowing:
         recs = build_returns(three_trade_series, 1)
         inside = records_in_window(recs, WindowSpec(1.5, 1.0))
         assert inside.indices.tolist() == [1, 2]
+
+    def test_select_window_cuts_records(self):
+        records = build_returns(simulate_trades(SimConfig(n_trades=300, seed=15)), 2)
+        spec = WindowSpec(150.0, 80.0)
+        window = select_window(records, spec)
+        assert type(window) is ReturnsSet and window.lag == 2
+        expected = records_in_window(records, spec)
+        assert returns_volatility_report(window) == returns_volatility_report(expected)
+        assert returns_volatility_rform(window) == returns_volatility_rform(expected)
+        assert mean_return(window) == mean_return(expected)
 
     def test_time_shift_invariance(self):
         rng = random.Random(5)

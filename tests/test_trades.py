@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import naive_ref
 from tickvol import (
     PairSeries,
+    ReturnsSet,
     TradeSeries,
     ValidationError,
     WindowSpec,
@@ -137,11 +139,11 @@ class TestSelectWindow:
 
     def test_inclusive_boundaries(self, series):
         view = select_window(series, WindowSpec(center=1.0, width=2.0))
-        assert (view.start, view.stop) == (0, 3)
+        assert view.timestamps.tolist() == [0.0, 1.0, 2.0]
 
     def test_boundary_exclusion(self, series):
         view = select_window(series, WindowSpec(center=1.0, width=1.9))
-        assert (view.start, view.stop) == (1, 2)
+        assert view.timestamps.tolist() == [1.0]
 
     def test_disjoint_window_is_empty(self, series):
         view = select_window(series, WindowSpec(center=10.0, width=1.0))
@@ -160,7 +162,6 @@ class TestSelectWindow:
 
     def test_view_slices_match_members(self, series):
         view = select_window(series, WindowSpec(1.5, 1.0))
-        assert (view.start, view.stop) == (1, 3)
         np.testing.assert_array_equal(view.a, [2.0, 3.0])
         np.testing.assert_array_equal(view.timestamps, [1.0, 2.0])
 
@@ -200,7 +201,37 @@ class TestWindowProperties:
         series = validate_series(rows)
         narrow = select_window(series, WindowSpec(center, width))
         wide = select_window(series, WindowSpec(center, width + extra))
-        assert wide.start <= narrow.start and narrow.stop <= wide.stop
+        inside = (center - width / 2 <= wide.timestamps) & (wide.timestamps <= center + width / 2)
+        np.testing.assert_array_equal(wide.timestamps[inside], narrow.timestamps)
+        np.testing.assert_array_equal(wide.a[inside], narrow.a)
+
+    @given(_lattice_series,
+           st.integers(min_value=0, max_value=40).map(lambda k: k / 4),
+           st.integers(min_value=1, max_value=48).map(lambda k: k / 4),
+           st.integers(min_value=1, max_value=4))
+    def test_window_is_a_zero_copy_slice_of_the_same_class(self, rows, center, width, lag):
+        series = validate_series(rows)
+        streams = [series]
+        if lag < len(series):
+            streams.append(build_returns(series, lag))
+        for stream in streams:
+            columns = ["timestamps", "a", "b"]
+            if isinstance(stream, ReturnsSet):
+                columns += ["indices", "price_ratio", "simple_return", "log_return"]
+            view = select_window(stream, WindowSpec(center, width))
+            assert type(view) is type(stream)
+            assert view.series is stream and stream.series is stream
+            whole_rows = list(zip(*(getattr(stream, name).tolist() for name in columns)))
+            members = naive_ref.window_members(whole_rows, center, width)
+            assert list(zip(*(getattr(view, name).tolist() for name in columns))) == members
+            for name in columns:
+                column = getattr(view, name)
+                assert not column.flags.writeable
+                assert not len(view) or np.shares_memory(column, getattr(stream, name))
+            if isinstance(stream, ReturnsSet):
+                assert view.lag == stream.lag == lag
+            # a window of a window is cut from the same whole stream
+            assert select_window(view, WindowSpec(center, width / 2)).series is stream
 
     @given(st.integers(min_value=0, max_value=40).map(lambda k: k / 4),
            st.integers(min_value=1, max_value=48).map(lambda k: k / 4))
@@ -214,7 +245,10 @@ class TestWindowProperties:
 
 def test_series_repr_and_span():
     s = validate_series([(0.0, 1.0, 1.0), (3.0, 1.0, 1.0)])
-    assert "2" in repr(s)
+    assert repr(s) == "TradeSeries(n=2, t=0.0..3.0)"
+    assert repr(select_window(s, WindowSpec(3.0, 1.0))) == "TradeSeries(n=1, t=3.0..3.0)"
+    assert repr(select_window(s, WindowSpec(9.0, 1.0))) == "TradeSeries(n=0)"
+    assert repr(build_returns(s, 1)) == "lag-1 ReturnsSet(n=1, t=3.0..3.0)"
     assert s.span() == (0.0, 3.0)
     with pytest.raises(ValueError):
         TradeSeries(np.empty(0), np.empty(0), np.empty(0)).span()

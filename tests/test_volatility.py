@@ -187,7 +187,14 @@ def test_report_consistency(two_trade_view):
     assert not rep.negative_flag
     assert abs(rep.sigma_p2_direct - rep.sigma_p2_closed) <= _identity_tol(rep.sigma_p2_direct)
     assert rep.stats.n == 2
-    assert rep.window == two_trade_view.spec
+
+
+def test_report_of_a_whole_stream_equals_a_covering_window():
+    series = simulate_trades(SimConfig(n_trades=300, seed=14))
+    t0, t1 = series.span()
+    covering = select_window(series, WindowSpec((t0 + t1) / 2, t1 - t0 + 2.0))
+    assert len(covering) == len(series)
+    assert price_volatility_report(series) == price_volatility_report(covering)
 
 
 def test_all_windows_path_matches_per_window_reports():
