@@ -13,15 +13,16 @@ no value) and written before the next block is formatted, so the text
 of a whole table is never held in memory.
 
 Exit codes: 0 success/pass, 1 identity-check fail, 2 config error
-(including an unwritable --output path, a window grid of more than
-moments.MAX_WINDOWS = 10**9 windows, simulator parameters whose trades
-overflow, a value that overflows the double range, such as C^8 of costs
-near 1e40, and a volatility divisor sum(b^2) that underflows to 0: the
-NonFiniteError names the column and the window center, or the charfun
-order, and nothing is written), 3 input error (including a missing,
-unreadable or non-UTF-8 input file, and an integer field past the double
-range), 4 unsupported configuration. Every error prints one "error:"
-line on stderr, with plain numbers.
+(including a --window or --stride that is not positive and finite, an
+unwritable --output path or stdout, a grid of more than MAX_WINDOWS
+windows, simulator parameters whose trades overflow, a value past the
+double range, such as C^8 of costs near 1e40, and a volatility divisor
+sum(b^2) that underflows to 0: the NonFiniteError names the column and
+window center, or the charfun order, and nothing is written), 3 input
+error (a missing, unreadable, non-UTF-8 or malformed input file, an
+invalid trade, an integer field past the double range), 4 unsupported
+configuration. Commands raise; main alone maps an exception to its code
+and prints its one "error:" line on stderr, with plain numbers.
 
 Every command that sums over windows, charfun included, runs in four
 array steps: the bounds of all windows from one searchsorted per edge
@@ -42,6 +43,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
+import os
 import sys
 
 import numpy as np
@@ -49,7 +51,6 @@ import numpy as np
 from .charfun import charfun_truncated, moment_provider
 from .errors import (
     ConfigError,
-    LagTooLargeError,
     NonFiniteError,
     ParseError,
     TickvolError,
@@ -154,16 +155,22 @@ def _write_output(text: str, out) -> None:
 @contextlib.contextmanager
 def _output(args):
     """The --output file (default stdout) as a text stream."""
-    if not args.output:
-        yield sys.stdout
-        return
-    with _output_errors(args.output), open(args.output, "w", encoding="utf-8") as fh:
-        yield fh
+    with _output_errors(args.output or "stdout"):
+        if args.output:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                yield fh
+            return
+        try:
+            yield sys.stdout
+            sys.stdout.flush()
+        except OSError:  # a closed pipe: the flush at exit must not fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise
 
 
 @contextlib.contextmanager
 def _output_errors(path: str):
-    """An unwritable --output path is a configuration error (exit 2)."""
+    """An unwritable --output path, or stdout, is a configuration error (exit 2)."""
     try:
         yield
     except OSError as exc:
@@ -183,15 +190,8 @@ def _input_errors(path: str):
         raise ParseError(f"{path} is not UTF-8 text")
 
 
-def _schema(args) -> IngestSchema:
-    try:
-        return IngestSchema(args.schema, args.ts_unit)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-
-
 def _load_input(args) -> TradeSeries:
-    schema = _schema(args)
+    schema = IngestSchema(args.schema, args.ts_unit)
     with _input_errors(args.input):
         series = load_trades(args.input, schema)
     if len(series) == 0:
@@ -211,13 +211,15 @@ def _parse_degrees(text: str) -> list[int]:
     return degrees
 
 
+def _positive(flag: str, value: float) -> float:
+    if not 0 < value < np.inf:
+        raise ConfigError(f"{flag} must be positive and finite, got {value}")
+    return value
+
+
 def _window_stride(args) -> tuple[float, float]:
-    if not args.window > 0:
-        raise ConfigError(f"--window must be positive, got {args.window}")
-    stride = args.stride if args.stride is not None else args.window
-    if not stride > 0:
-        raise ConfigError(f"--stride must be positive, got {stride}")
-    return args.window, stride
+    width = _positive("--window", args.window)
+    return width, _positive("--stride", args.stride if args.stride is not None else width)
 
 
 def _check_finite(centers, counts, columns: dict) -> None:
@@ -291,10 +293,7 @@ def cmd_returns_vol(args) -> int:
     width, stride = _window_stride(args)
     if args.lag < 1:
         raise ConfigError(f"--lag must be >= 1, got {args.lag}")
-    try:
-        records = build_returns(series, args.lag)
-    except LagTooLargeError as exc:
-        raise ConfigError(str(exc))
+    records = build_returns(series, args.lag)
     centers = window_centers(series, width, stride)
     counts, sums, (direct, closed, _) = _forms(records, centers, width, returns_summands(records))
     r11, r21, r22, rform = rform_from_sums(*sums[2:])
@@ -307,23 +306,19 @@ def cmd_returns_vol(args) -> int:
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"--grid must be start:step:count, got {text!r}")
-    try:
-        start, step = float(parts[0]), float(parts[1])
-        count = int(parts[2])
+    try:  # a text without exactly two colons fails to unpack
+        start, step, count = text.split(":")
+        start, step, count = float(start), float(step), int(count)
     except ValueError:
         raise ConfigError(f"--grid must be start:step:count, got {text!r}")
-    if count < 1 or not step > 0:
-        raise ConfigError(f"--grid needs count >= 1 and step > 0, got {text!r}")
+    if count < 1 or not 0 < step < np.inf or not np.isfinite(start + (count - 1) * step):
+        raise ConfigError(f"--grid needs count >= 1, step > 0 and finite points, got {text!r}")
     return start, step, count
 
 
 def _load_testfn(path: str, count: int) -> list[float]:
-    with _input_errors(path):
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
+    with _input_errors(path), open(path, encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
     try:
         values = [float(ln) for ln in lines]
     except ValueError as exc:
@@ -337,13 +332,12 @@ def _load_testfn(path: str, count: int) -> list[float]:
 
 def cmd_charfun(args) -> int:
     series = _load_input(args)
-    if not args.window > 0:
-        raise ConfigError(f"--window must be positive, got {args.window}")
+    width = _positive("--window", args.window)
     start, step, count = _parse_grid(args.grid)
     xs = _load_testfn(args.testfn, count)
     grid = [start + k * step for k in range(count)]
     try:
-        result = charfun_truncated(moment_provider(series, args.window), grid, xs, step, args.nmax)
+        result = charfun_truncated(moment_provider(series, width), grid, xs, step, args.nmax)
     except NonFiniteError as exc:
         raise NonFiniteError(f"{exc}; lower --nmax or rescale the input units")
     terms = result.order_terms
@@ -357,7 +351,7 @@ def cmd_charfun(args) -> int:
     if args.format == "json":
         record = {
             "grid_start": start, "grid_step": step, "grid_points": count,
-            "window": args.window, "n_max": args.nmax,
+            "window": width, "n_max": args.nmax,
             "value_re": result.value.real, "value_im": result.value.imag,
         }
         cells = [_cells(np.array([value]), True)[0] for value in record.values()]
@@ -370,29 +364,27 @@ def cmd_charfun(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        config = SimConfig(
-            n_trades=args.n_trades,
-            seed=args.seed if args.seed is not None else int(np.random.SeedSequence().entropy % 2**31),
-            sigma_step=args.sigma_step,
-            start_price=args.start_price,
-            volume_mu=args.vol_mu,
-            volume_sigma=args.vol_sigma,
-            arrival_rate=args.rate,
-            start_time=args.start_time,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    config = SimConfig(
+        n_trades=args.n_trades,
+        seed=args.seed if args.seed is not None else int(np.random.SeedSequence().entropy % 2**31),
+        sigma_step=args.sigma_step,
+        start_price=args.start_price,
+        volume_mu=args.vol_mu,
+        volume_sigma=args.vol_sigma,
+        arrival_rate=args.rate,
+        start_time=args.start_time,
+    )
     try:
         series = simulate_trades(config)
     except ValidationError as exc:  # parameters whose trades overflow
         raise ConfigError(f"simulated {exc}")
-    schema = _schema(args)
+    schema = IngestSchema(args.schema, args.ts_unit)
     if args.output:
         with _output_errors(args.output):
             write_trades(series, args.output, schema)
     else:
-        sys.stdout.writelines(trade_blocks(series, schema, "csv"))
+        with _output(args) as out:
+            out.writelines(trade_blocks(series, schema, "csv"))
     print(f"seed: {config.seed}", file=sys.stderr)
     return EXIT_OK
 
@@ -439,8 +431,7 @@ def cmd_identity_check(args) -> int:
         width, stride = _window_stride(args)
     else:
         t0, t1 = series.span()
-        width = (t1 - t0) / 16 if t1 > t0 else 1.0
-        stride = width
+        width = stride = (t1 - t0) / 16 if t1 > t0 else 1.0
     try:
         lags = sorted({int(p) for p in args.lags.split(",") if p.strip()})
     except ValueError:
@@ -458,8 +449,7 @@ def cmd_identity_check(args) -> int:
         "threshold": np.full(len(devs), IDENTITY_TOLERANCE),
         "status": np.array(status),
     }, args)
-    all_pass = "FAIL" not in status
-    return EXIT_OK if all_pass else EXIT_IDENTITY_FAIL
+    return EXIT_IDENTITY_FAIL if "FAIL" in status else EXIT_OK
 
 
 def _add_io_flags(sub, input_required=True):
@@ -545,27 +535,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; the only place where an error becomes an exit code."""
+    args = build_parser().parse_args(argv)
     try:
         # inf and nan are reported by _check_finite before anything is written
         with np.errstate(all="ignore"):
             return args.func(args)
-    except ConfigError as exc:
+    except (TickvolError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except UnsupportedWindowOverlapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
-    except TickvolError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        if isinstance(exc, (ParseError, ValidationError)):
+            return EXIT_INPUT
+        return EXIT_UNSUPPORTED if isinstance(exc, UnsupportedWindowOverlapError) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

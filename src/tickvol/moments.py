@@ -137,12 +137,13 @@ def window_centers(series: PairSeries, width: float, stride: float) -> np.ndarra
     Centers start at the first trade's timestamp plus width/2 and advance
     by stride while the window's left edge still lies at or before the
     last trade. Anchoring to the data keeps output independent of the
-    absolute epoch.
+    absolute epoch. ValueError for a width or stride that is not positive
+    and finite, NonFiniteError for a center past the double range.
     """
-    if not width > 0:
-        raise ValueError("width must be positive")
-    if not stride > 0:
-        raise ValueError("stride must be positive")
+    if not 0 < width < math.inf:
+        raise ValueError("width must be positive and finite")
+    if not 0 < stride < math.inf:
+        raise ValueError("stride must be positive and finite")
     if len(series) == 0:
         return np.empty(0)
     t0, t1 = series.span()
@@ -158,7 +159,12 @@ def window_centers(series: PairSeries, width: float, stride: float) -> np.ndarra
         raise ConfigError(
             f"a {span:g} s span at stride {stride:g} gives more than {MAX_WINDOWS} windows"
         )
-    return t0 + width / 2 + stride * np.arange(k + 1, dtype=np.float64)
+    with np.errstate(over="ignore"):  # centers increase: the last is checked below
+        centers = t0 + width / 2 + stride * np.arange(k + 1, dtype=np.float64)
+    if not np.isfinite(centers[-1]):
+        raise NonFiniteError(f"window center {centers[-1]} overflows the double range "
+                             f"(last trade at t={t1}); rescale the input units")
+    return centers
 
 
 def moment_sums(series: PairSeries, centers, width: float, degrees) -> tuple:

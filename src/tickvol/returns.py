@@ -43,10 +43,11 @@ from .moments import item_sums, nonzero_divisor, price_moment
 from .sums import csum  # noqa: F401  (bench/tracer.py wraps returns.csum)
 from .trades import PairSeries, TradeSeries, select_window
 from .volatility import (
+    _TERMS,
     DispersionStats,
     dispersion_stats,
     dispersion_summands,
-    finite_stats,
+    finite,
     price_volatility_closed,
     price_volatility_direct,
     volatility_forms,
@@ -157,7 +158,7 @@ def returns_volatility_rform(records: ReturnsSet) -> float:
     if n == 1:
         return 0.0
     nonzero_divisor(records, "r21", sums[3])
-    return rform_from_sums(*sums[2:])[3]
+    return finite(records, ["sigma2_rform"], [rform_from_sums(*sums[2:])[3]])[0]
 
 
 @dataclass(frozen=True)
@@ -179,16 +180,18 @@ def returns_volatility_report(records: ReturnsSet) -> ReturnsVolatilityReport:
     n, *sums = item_sums(records, returns_summands)
     nonzero_divisor(records, "q(2)", sums[3])
     direct, closed, terms = volatility_forms(n, *sums[:4])
-    r11, r21, r22, rform = rform_from_sums(*sums[2:])
+    direct, closed, r11, r21, r22, rform, *terms = finite(
+        records, ["sigma2_direct", "sigma2_closed", "r11", "r21", "r22", "sigma2_rform", *_TERMS],
+        [direct, closed, *rform_from_sums(*sums[2:]), *terms])
     return ReturnsVolatilityReport(
         lag=records.lag,
         n_records=n,
-        sigma_q2_direct=float(direct),
+        sigma_q2_direct=direct,
         sigma_q2_rform=rform,
-        sigma_q2_closed=float(closed),
+        sigma_q2_closed=closed,
         r11=r11,
         r21=r21,
         r22=r22,
-        stats=finite_stats(records, n, terms),
-        negative_flag=bool(direct < 0),
+        stats=DispersionStats(n, *terms),
+        negative_flag=direct < 0,
     )

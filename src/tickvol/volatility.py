@@ -95,23 +95,26 @@ def closed_volatility(a_mean, b_mean, sigma_a2, sigma_b2, phi_b2):
 
     which hold identically in the defining means and avoid the needless
     cancellation the literal fourth powers suffer when the b dispersion
-    dominates the b mean. The denominator is strictly positive for terms
-    from any non-empty window; a non-positive value means the terms are
-    corrupted, not that the input was unusual.
+    dominates the b mean. For terms from any non-empty window of positive
+    values b1 > 0 and the denominator is not negative; other terms are
+    corrupted, not unusual input, and raise DegenerateDenominatorError.
+    b1^2 can underflow to 0 (b1 = 1e-164), and then the result is inf or
+    nan for the caller to report.
 
     Squares use float_power, which like Python's float ** 2 calls libm
     pow; x * x differs from it in the last bit for about 1 in 1000 values.
     """
-    b1_sq = np.float_power(b_mean, 2.0)
-    denom = b1_sq * (phi_b2 + sigma_b2)
-    bad = ~(denom > 0)
-    if np.any(bad):
-        first = float(np.extract(bad, denom)[0])
-        raise DegenerateDenominatorError(
-            f"phi_b^4 - sigma_b^4 = {2 * first!r} is not positive; stats are corrupted"
-        )
-    num = sigma_a2 * b1_sq - sigma_b2 * np.float_power(a_mean, 2.0)
-    return 2.0 * num / denom
+    with np.errstate(all="ignore"):
+        b1_sq = np.float_power(b_mean, 2.0)
+        denom = b1_sq * (phi_b2 + sigma_b2)
+        bad = ~((b_mean > 0) & (denom >= 0))
+        if np.any(bad):
+            b1, twice = (float(np.extract(bad, x)[0]) for x in (b_mean, 2 * denom))
+            raise DegenerateDenominatorError(
+                f"b1 = {b1!r} and phi_b^4 - sigma_b^4 = {twice!r} come from no window of "
+                "positive values; stats are corrupted")
+        num = sigma_a2 * b1_sq - sigma_b2 * np.float_power(a_mean, 2.0)
+        return 2.0 * num / denom
 
 
 def volatility_forms(count, sum_a, sum_a2, sum_b, sum_b2) -> tuple:
@@ -139,15 +142,19 @@ class DispersionStats:
     phi_b2: float       # b2 + b1^2
 
 
-def finite_stats(window, n: int, terms) -> DispersionStats:
-    """DispersionStats of n items from their dispersion_terms; NonFiniteError,
-    naming the term, where one overflows the double range (phi_a2 does for
-    one cost of 1.3e154, although every sum is finite)."""
-    stats = DispersionStats(n, *map(float, terms))
-    for field in fields(stats)[1:]:
-        if not math.isfinite(getattr(stats, field.name)):
-            raise NonFiniteError(f"{field.name} over {window!r} overflows the double range")
-    return stats
+_TERMS = [field.name for field in fields(DispersionStats)[1:]]  # dispersion_terms by name
+
+
+def finite(where, names, values) -> list[float]:
+    """values as floats; NonFiniteError naming the first (by names) that
+    is inf or nan, and the window or stats it is computed over. A value
+    can overflow while every sum is finite: phi_a2 does for one cost of
+    1.3e154, p(2) (so the direct form) for volumes of 1e-161 and 5e-324."""
+    values = [float(value) for value in values]
+    for name, value in zip(names, values):
+        if not math.isfinite(value):
+            raise NonFiniteError(f"{name} over {where!r} overflows the double range")
+    return values
 
 
 @dataclass(frozen=True)
@@ -163,7 +170,7 @@ def dispersion_stats(view: PairSeries) -> DispersionStats:
     """Means and dispersions of a and b over a window or stream: cost and
     volume for trades (returns.returns_dispersion_stats is this function)."""
     n, *sums = item_sums(view, dispersion_summands)
-    return finite_stats(view, n, dispersion_terms(n, *sums))
+    return DispersionStats(n, *finite(view, _TERMS, dispersion_terms(n, *sums)))
 
 
 def price_volatility_direct(view: PairSeries) -> float:
@@ -176,7 +183,7 @@ def price_volatility_direct(view: PairSeries) -> float:
     """
     sums = item_sums(view, dispersion_summands)
     nonzero_divisor(view, "p(2)", sums[4])
-    return float(direct_volatility(*sums))
+    return finite(view, ["sigma2_direct"], [direct_volatility(*sums)])[0]
 
 
 def price_volatility_closed(stats: DispersionStats) -> float:
@@ -187,8 +194,9 @@ def price_volatility_closed(stats: DispersionStats) -> float:
     sigma_p^2 for the stats of trades, Sigma_q^2 for those of returns
     records (returns.returns_volatility_closed is this function).
     """
-    return float(closed_volatility(stats.a_mean, stats.b_mean,
-                                   stats.sigma_a2, stats.sigma_b2, stats.phi_b2))
+    closed = closed_volatility(stats.a_mean, stats.b_mean, stats.sigma_a2, stats.sigma_b2,
+                               stats.phi_b2)
+    return finite(stats, ["sigma2_closed"], [closed])[0]
 
 
 def price_volatility_report(view: PairSeries) -> PriceVolatilityReport:
@@ -197,10 +205,12 @@ def price_volatility_report(view: PairSeries) -> PriceVolatilityReport:
     sums = item_sums(view, dispersion_summands)
     nonzero_divisor(view, "p(2)", sums[4])
     direct, closed, terms = volatility_forms(*sums)
+    direct, closed, *terms = finite(view, ["sigma2_direct", "sigma2_closed", *_TERMS],
+                                    [direct, closed, *terms])
     return PriceVolatilityReport(
         n_trades=sums[0],
-        sigma_p2_direct=float(direct),
-        sigma_p2_closed=float(closed),
-        stats=finite_stats(view, sums[0], terms),
-        negative_flag=bool(direct < 0),
+        sigma_p2_direct=direct,
+        sigma_p2_closed=closed,
+        stats=DispersionStats(sums[0], *terms),
+        negative_flag=direct < 0,
     )

@@ -523,6 +523,55 @@ class TestMoreSurface:
         assert float(rows[0]["t"]) == pytest.approx(3.0)  # 1s + 4/2
 
 
+class TestErrorLines:
+    """main maps each family of error to its exit code with one exact
+    stderr line and nothing on stdout."""
+
+    FILES = {"three": THREE_TRADE_CSV, "testfn": "0.5\n0.5\n",
+             "malformed": "ts,cost,volume\n0.0,4.0,2.0\n1.0,oops,2.0\n",
+             "invalid": "ts,cost,volume\n0.0,1.0,1.0\n1.0,inf,1.0\n",
+             "late": "ts,cost,volume\n1.7e308,1.0,1.0\n1.75e308,1.0,1.0\n"}
+    CHARFUN = ["charfun", "--input", "{three}", "--testfn", "{testfn}"]
+
+    @pytest.mark.parametrize("args, code, message", [
+        (["returns-vol", "--input", "{three}", "--window", "6", "--lag", "10"], 2,
+         "lag 10 >= series length 3; no records possible"),
+        (["simulate", "--n-trades", "0"], 2, "n_trades must be >= 1, got 0"),
+        (["simulate", "--seed", "1", "--rate", "nan"], 2, "arrival_rate must be positive, got nan"),
+        ([*CHARFUN, "--window", "3", "--grid", "0:1:2"], 4,
+         "windows at t=0.0 and t=1.0 (width 3.0) are distinct but not disjoint; "
+         "no combination set is defined there"),
+        (["moments", "--input", "{malformed}", "--window", "5"], 3,
+         "line 3: cost must be a number, got 'oops'"),
+        (["moments", "--input", "{invalid}", "--window", "5"], 3,
+         "trade 1: cost must be positive (got inf)"),
+        (["price-vol", "--input", "{three}", "--window", "4", "--output", "{tmp}/no/x.csv"], 2,
+         "cannot write {tmp}/no/x.csv: No such file or directory"),
+        # an infinite window or stride gave a row at t=nan, and JSON's inf
+        (["moments", "--input", "{three}", "--window", "inf"], 2,
+         "--window must be positive and finite, got inf"),
+        (["moments", "--input", "{three}", "--window", "1", "--stride", "inf", "--format", "json"],
+         2, "--stride must be positive and finite, got inf"),
+        ([*CHARFUN, "--window", "inf", "--grid", "1:1:2", "--format", "json"], 2,
+         "--window must be positive and finite, got inf"),
+        ([*CHARFUN, "--window", "1", "--grid", "0:inf:2"], 2,
+         "--grid needs count >= 1, step > 0 and finite points, got '0:inf:2'"),
+        (["moments", "--input", "{late}", "--window", "1e308"], 2,
+         "window center inf overflows the double range (last trade at t=1.75e+308); "
+         "rescale the input units"),
+    ], ids=["lag_too_large", "simulate_n_trades", "simulate_rate", "charfun_overlap",
+            "malformed_line", "invalid_trade", "unwritable_output", "infinite_window",
+            "infinite_stride", "charfun_infinite_window", "charfun_infinite_grid",
+            "overflowing_center"])
+    def test_error_line_and_code(self, args, code, message, tmp_path, capsys):
+        paths = {"tmp": str(tmp_path)}
+        for name, text in self.FILES.items():
+            paths[name] = str(tmp_path / name)
+            (tmp_path / name).write_text(text)
+        got = run_cli([arg.format(**paths) for arg in args], capsys)
+        assert got == (code, "", f"error: {message.format(**paths)}\n")
+
+
 class TestFileErrors:
     def test_invalid_trade_prints_a_plain_number(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -645,6 +694,21 @@ class TestOverflow:
         assert err == ("error: the sum of volume^2 underflows to 0 in the window at t=2.5; "
                        "rescale the input units\n")
 
+    @pytest.mark.parametrize("command", ["price-vol", "identity-check"])
+    def test_volatility_overflow_with_finite_sums_exits_2(self, command, tmp_path, capsys):
+        # every sum is finite, but p(2) = 1000 / 1e-322 overflows and b1^2
+        # underflows to 0: legal input, not corrupted stats
+        path = tmp_path / "tiny.csv"
+        path.write_text("ts,cost,volume\n0,1,1e-161\n" + "".join(
+            f"{t},1,5e-324\n" for t in range(1, 1000)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run_cli([command, "--input", str(path), "--window", "5000"],
+                                        capsys)
+        assert code == 2 and stdout == ""
+        assert err == ("error: sigma2_direct overflows the double range in the window at "
+                       "t=2500.0; rescale the input units\n")
+
     def test_charfun_overflow_exits_2(self, tmp_path, capsys):
         path = tmp_path / "big.csv"
         path.write_text("ts,cost,volume\n0.0,1e200,1.0\n")
@@ -663,11 +727,15 @@ class TestOverflow:
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
 
+def _env():
+    """The environment with this checkout's src/ importable."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
+
+
 def run_python(args):
     """`python ARGS` with this checkout's src/ importable."""
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC + (os.pathsep + path if path else ""))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=_env())
 
 
 def run_module(args):
@@ -686,3 +754,24 @@ class TestEntryPoint:
     def test_unknown_flag_exits_2(self):
         proc = run_module(["moments", "--nope"])
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--seed", "1", "--n-trades", "20000"],
+        ["price-vol", "--window", "10", "--stride", "0.1"],
+    ], ids=lambda command: command[0])
+    def test_closed_stdout_exits_2(self, command, tmp_path):
+        # `tickvol ... | head -1`: the reader goes away after one line, with
+        # megabytes still to write
+        if command[0] != "simulate":
+            path = tmp_path / "t.csv"
+            assert run_module(["simulate", "--seed", "1", "--n-trades", "2000",
+                               "--output", str(path)]).returncode == 0
+            command = [*command, "--input", str(path)]
+        proc = subprocess.Popen([sys.executable, "-m", "tickvol", *command], env=_env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"t")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 2
+        assert err == b"error: cannot write stdout: Broken pipe\n"

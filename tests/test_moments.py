@@ -23,10 +23,12 @@ from tickvol import (
     collect_price_moments,
     dispersion_stats,
     price_moment,
+    price_volatility_closed,
     price_volatility_direct,
     price_volatility_report,
     returns_dispersion_stats,
     returns_moment,
+    returns_volatility_closed,
     returns_volatility_direct,
     returns_volatility_report,
     returns_volatility_rform,
@@ -199,6 +201,25 @@ class TestWindowGridCap:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("width, stride", [
+        (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan),
+    ])
+    def test_non_finite_width_or_stride_rejected(self, width, stride):
+        # an infinite width or stride would put a center of nan or inf in a table
+        series = validate_series([(0.0, 1.0, 1.0), (1.0, 2.0, 1.0)])
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            window_centers(series, width, stride)
+
+    def test_overflowing_center_rejected(self):
+        # width and stride are finite, but the first center, or only the
+        # last of six, is not
+        series = validate_series([(1.7e308, 1.0, 1.0), (1.75e308, 1.0, 1.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for width, stride in [(1e308, 1e307), (1.6e307, 1e306)]:
+                with pytest.raises(NonFiniteError, match="^window center inf overflows"):
+                    window_centers(series, width, stride)
 
     def test_subnormal_stride_rejected(self):
         series = validate_series([(0.0, 1.0, 1.0), (1.0, 2.0, 1.0)])
@@ -393,6 +414,41 @@ class TestOverflow:
                              np.array([1.3e154]), np.ones(1), np.zeros(1), np.zeros(1))
         for fn in (returns_dispersion_stats, returns_volatility_report):
             with pytest.raises(NonFiniteError, match="phi_a2 over"):
+                fn(records)
+
+    # Every sum is finite, but p(2) = 1000 / 1e-322 and p(1)^2 overflow, and
+    # b1^2 = (1e-164)^2 underflows to 0, a denominator of both closed forms.
+    _TINY_VOLUMES = [(0.0, 1.0, 1e-161)] + [(float(t), 1.0, 5e-324) for t in range(1, 1000)]
+
+    @pytest.mark.parametrize("fn, name", [
+        (price_volatility_direct, "sigma2_direct"),
+        (price_volatility_report, "sigma2_direct"),
+        (lambda v: price_volatility_closed(dispersion_stats(v)), "sigma2_closed"),
+    ], ids=["price_volatility_direct", "price_volatility_report", "price_volatility_closed"])
+    def test_volatility_overflows_with_finite_sums(self, fn, name):
+        series = validate_series(self._TINY_VOLUMES)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=f"^{name} over .* overflows the double range"):
+                fn(series)
+
+    @pytest.mark.parametrize("fn, name", [
+        (returns_volatility_direct, "sigma2_direct"),
+        (returns_volatility_rform, "sigma2_rform"),
+        (returns_volatility_report, "sigma2_direct"),
+        (lambda r: returns_volatility_closed(returns_dispersion_stats(r)), "sigma2_closed"),
+    ], ids=["returns_volatility_direct", "returns_volatility_rform",
+            "returns_volatility_report", "returns_volatility_closed"])
+    def test_returns_volatility_overflows_with_finite_sums(self, fn, name):
+        # the volume ratios of _TINY_VOLUMES' shape; returns of 1e300 make
+        # r11 = sum(r qv) / sum(qv) = 1e264, so r11^2 and r22 overflow
+        ratio = np.array([1e-161] + [1e-200] * 999)
+        r = np.array([0.0] + [1e300] * 999)
+        records = ReturnsSet(1, np.arange(1, 1001), np.arange(1000.0), np.ones(1000),
+                             np.ones(1000), ratio, r, np.zeros(1000))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=f"^{name} over .* overflows the double range"):
                 fn(records)
 
     def test_finite_near_the_limit(self):

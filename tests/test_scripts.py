@@ -47,17 +47,37 @@ def simulated_file(tmp_path_factory):
     return path
 
 
+def _traced(args, tmp_path):
+    """layer_metrics of `tickvol ARGS` run under bench/tracer.py."""
+    spans = tmp_path / "spans.npz"
+    proc = run_python([str(ROOT / "bench" / "tracer.py"), str(spans), *args])
+    assert proc.returncode == 0, proc.stderr
+    return _load_tracer().layer_metrics(spans)
+
+
 @pytest.mark.parametrize("args", [
     ["price-vol", "--window", "10", "--stride", "5"],
     ["returns-vol", "--window", "20", "--lag", "2"],
     ["moments", "--window", "20", "--stride", "10", "--degrees", "1,2,3,4",
      "--format", "json"],
+    ["identity-check", "--window", "30"],
+    # 8 disjoint windows of about 30 trades each, one per testfn value
+    ["charfun", "--window", "30", "--grid", "20:35:8", "--nmax", "2",
+     "--testfn", str(ROOT / "tests" / "data" / "golden" / "charfun_testfn.txt")],
 ], ids=lambda args: args[0])
 def test_traced_command_runs(args, simulated_file, tmp_path):
-    """A command run under bench/tracer.py exits 0 and records its windows."""
-    spans = tmp_path / "spans.npz"
-    proc = run_python([str(ROOT / "bench" / "tracer.py"), str(spans), args[0],
-                       "--input", str(simulated_file), *args[1:],
-                       "--output", str(tmp_path / "out")])
-    assert proc.returncode == 0, proc.stderr
-    assert _load_tracer().layer_metrics(spans)["moments.windows"] > 0
+    """A command run under bench/tracer.py exits 0 and records the rows it
+    wrote and, except charfun, which takes no window grid, its windows."""
+    metrics = _traced([args[0], "--input", str(simulated_file), *args[1:],
+                       "--output", str(tmp_path / "out")], tmp_path)
+    assert metrics["cli.rows"] > 0
+    assert metrics["moments.windows"] > 0 or args[0] == "charfun"
+
+
+def test_traced_simulate_runs(tmp_path):
+    """simulate, the command behind the simulate-write workload, runs under
+    bench/tracer.py and records the bytes it wrote."""
+    path = tmp_path / "trades.csv"
+    metrics = _traced(["simulate", "--seed", "5", "--n-trades", "300", "--output", str(path)],
+                      tmp_path)
+    assert metrics["ingest.write_bytes"] == path.stat().st_size > 0
