@@ -5,12 +5,11 @@ diagnostics go to stderr only. Numbers in tables serialize with 17
 significant digits, which round-trips doubles exactly, so CSV and JSON
 outputs of the same run carry identical values and diff cleanly.
 
-Every table goes through one writer (_emit over _table_blocks): the
-table is a set of columns, and each block of ingest.BLOCK_ROWS rows is
-formatted one column at a time ("{:.17g}" for floats, 0/1 or
-false/true for flags, an empty cell or null where an empty window has
-no value) and written before the next block is formatted, so the text
-of a whole table is never held in memory.
+Every table goes through one writer (_emit over _table_blocks): each
+block of ingest.BLOCK_ROWS rows is one % over its row templates
+(ingest._format_block; "%.17g" % x calls the float formatter that
+"{:.17g}".format(x) calls, so the bytes are the same), written before
+the next block is formatted: a whole table's text is never held.
 
 Exit codes: 0 success/pass, 1 identity-check fail, 2 config error
 (including a --window or --stride that is not positive and finite, an
@@ -57,7 +56,7 @@ from .errors import (
     UnsupportedWindowOverlapError,
     ValidationError,
 )
-from .ingest import BLOCK_ROWS, IngestSchema, load_trades, trade_blocks, write_trades
+from .ingest import BLOCK_ROWS, IngestSchema, _format_block, load_trades, trade_blocks, write_trades
 from .moments import DEFAULT_DEGREE_CAP, moment_sums, window_centers
 from .returns import build_returns, returns_summands, rform_from_sums
 from .sums import windowed_sums
@@ -82,25 +81,25 @@ EXIT_UNSUPPORTED = 4
 IDENTITY_TOLERANCE = 1e-10
 
 
-def _cells(values: np.ndarray, is_json: bool) -> list[str]:
-    """Cell texts of one column: floats with 17 significant digits, flags
-    as 0/1 (JSON: false/true), strings quoted in JSON."""
+def _conversion(values: np.ndarray, is_json: bool) -> tuple[str, np.ndarray]:
+    """The % conversion of a column and the values it takes: floats with 17
+    significant digits, flags as 0/1 (JSON: false/true), strings quoted in JSON."""
     kind = values.dtype.kind
-    values = values.tolist()
     if kind == "f":
-        return list(map("{:.17g}".format, values))
-    if kind == "b":
-        return list(map((("0", "1"), ("false", "true"))[is_json].__getitem__, values))
+        return "%.17g", values
     if kind in "iu":
-        return list(map(str, values))
+        return "%d", values
+    if kind == "b":
+        return "%s", np.where(values, *(("true", "false") if is_json else ("1", "0")))
     if is_json:
-        return ['"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"' for s in values]
-    return values
+        return '"%s"', np.array([s.replace("\\", "\\\\").replace('"', '\\"') for s in values])
+    return "%s", values
 
 
-def _json_object(keys, pad: str) -> str:
-    """str.format template of a JSON object whose members start at pad + 2 spaces."""
-    return "{{" + ",".join(f'\n{pad}  "{key}": {{}}' for key in keys) + "\n" + pad + "}}"
+def _json_object(keys, cells, pad: str) -> str:
+    """% template of a JSON object whose members start at pad + 2 spaces."""
+    members = (f'\n{pad}  "{key}": {cell}' for key, cell in zip(keys, cells))
+    return "{" + ",".join(members) + f"\n{pad}}}"
 
 
 def _table_blocks(present: np.ndarray, columns: dict, is_json: bool, pad: str = ""):
@@ -109,28 +108,32 @@ def _table_blocks(present: np.ndarray, columns: dict, is_json: bool, pad: str = 
 
     A column holds a value for every row, or, when it is shorter, for the
     rows where present is true only; the other rows get an empty cell
-    (JSON null) in that column.
+    (JSON null) in that column: their row template has "%.0s" (JSON:
+    "null%.0s") there, which takes a padding value and prints nothing.
     """
     n = len(present)
     rank = np.concatenate([[0], np.cumsum(present)])
-    if is_json:
-        row = f"\n{pad}  " + _json_object(columns, pad + "  ")
+    convs, values = zip(*(_conversion(v, is_json) for v in columns.values()))
+    gaps = [conv if len(v) == n else ("null" if is_json else "") + "%.0s"
+            for conv, v in zip(convs, values)]
+    if is_json:  # each row opens with its separator; the table's first drops it
+        full, empty = (f",\n{pad}  " + _json_object(columns, cells, pad + "  ")
+                       for cells in (convs, gaps))
         yield "["
     else:
-        row = ",".join(["{}"] * len(columns)) + "\n"
+        full, empty = (",".join(cells) + "\n" for cells in (convs, gaps))
         yield ",".join(columns) + "\n"
     for lo in range(0, n, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, n)
-        cells = []
-        for values in columns.values():
-            if len(values) == n:
-                cells.append(_cells(values[lo:hi], is_json))
-            else:
-                column = np.full(hi - lo, "null" if is_json else "", dtype=object)
-                column[present[lo:hi]] = _cells(values[rank[lo]:rank[hi]], is_json)
-                cells.append(column.tolist())
-        text = map(row.format, *cells)
-        yield ("," if lo else "") + ",".join(text) if is_json else "".join(text)
+        block = []
+        for column in values:
+            cells = column[lo:hi]
+            if len(column) != n:  # the empty rows hold padding values
+                cells = np.zeros(hi - lo, column.dtype)
+                cells[present[lo:hi]] = column[rank[lo]:rank[hi]]
+            block.append(cells.tolist())
+        text = _format_block("".join(map((empty, full).__getitem__, present[lo:hi].tolist())), block)
+        yield text[1:] if is_json and not lo else text
     if is_json:
         yield f"\n{pad}]" if n else "]"
 
@@ -160,6 +163,8 @@ def _output(args):
             with open(args.output, "w", encoding="utf-8") as fh:
                 yield fh
             return
+        if sys.stdout is None:  # fd 1 was closed when the process started
+            raise ConfigError("cannot write stdout")
         try:
             yield sys.stdout
             sys.stdout.flush()
@@ -354,10 +359,10 @@ def cmd_charfun(args) -> int:
             "window": width, "n_max": args.nmax,
             "value_re": result.value.real, "value_im": result.value.imag,
         }
-        cells = [_cells(np.array([value]), True)[0] for value in record.values()]
-        cells.append("".join(_table_blocks(present, orders, True, "  ")))
+        convs = [*(_conversion(np.array(value), True)[0] for value in record.values()), "%s"]
+        record["orders"] = "".join(_table_blocks(present, orders, True, "  "))
         with _output(args) as out:
-            _write_output(_json_object([*record, "orders"], "").format(*cells) + "\n", out)
+            _write_output(_json_object(record, convs, "") % tuple(record.values()) + "\n", out)
     else:
         _emit(present, orders, args)
     return EXIT_OK

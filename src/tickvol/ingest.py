@@ -21,9 +21,9 @@ names the first bad line. Series validation runs once every block has
 parsed, so a parse error anywhere wins over an invalid row.
 
 write_trades + load_trades round-trip a series bit-exactly in both
-layouts: floats are serialized with shortest round-trip formatting, and
-the price column is chosen so that price*volume reproduces the stored
-cost exactly (see _price_for_exact_cost).
+layouts: a block is one % over its rows (_format_block), where %r gives
+a float's shortest round-trip repr, and the price column is chosen so
+that price*volume reproduces the stored cost (_price_for_exact_cost).
 """
 
 from __future__ import annotations
@@ -109,7 +109,9 @@ def load_trades(path: str | os.PathLike, schema: IngestSchema) -> TradeSeries:
     ts, mid, vol = (np.concatenate(column) if column else np.empty(0) for column in columns)
     if schema.nanoseconds:
         ts /= 1e9
-    return TradeSeries(ts, mid * vol if schema.variant == "ts_price_volume" else mid, vol)
+    with np.errstate(over="ignore", invalid="ignore"):  # validation reports inf and nan
+        cost = mid * vol if schema.variant == "ts_price_volume" else mid
+    return TradeSeries(ts, cost, vol)
 
 
 def _check_header(header: str | None, schema: IngestSchema) -> None:
@@ -260,31 +262,34 @@ def _price_for_exact_cost(cost: np.ndarray, volume: np.ndarray) -> np.ndarray:
     walk over neighbouring doubles (the quotient and 4 above, then 4
     below) finds the exact preimages (when cost was built as
     price*volume, that price is one of them). Among exact preimages the
-    shortest decimal wins, ties going to the one nearest the quotient and
+    shortest repr wins, ties going to the one nearest the quotient and
     then to the first in walk order, which keeps files built from round
-    prices humanly round. Falls back to the plain quotient if no preimage
-    exists nearby.
+    prices humanly round: one lexsort of the preimages of every row with
+    two or more. Falls back to the plain quotient if no preimage exists.
     """
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         q = cost / volume
-        walk = [q]
-        for _ in range(4):
-            walk.append(np.nextafter(walk[-1], np.inf))
-        p = q
-        for _ in range(4):
-            p = np.nextafter(p, -np.inf)
-            walk.append(p)
-        candidates = np.stack(walk)
+        # q >= 0, so the double k steps above q has the bit pattern of q plus
+        # k (a NaN, which no product matches, where the walk leaves [0, inf])
+        steps = np.array([0, 1, 2, 3, 4, -1, -2, -3, -4])[:, None]
+        candidates = (q.view(np.int64) + steps).view(np.float64)
         exact = candidates * volume == cost
-    hits = exact.sum(axis=0)
-    first = np.take_along_axis(candidates, exact.argmax(axis=0)[None], axis=0)[0]
-    price = np.where(hits > 0, first, q)
-    quotients = q.tolist()
-    for i in np.flatnonzero(hits > 1).tolist():  # the shortest repr decides
-        qi = quotients[i]
-        tied = candidates[exact[:, i], i].tolist()
-        price[i] = min(tied, key=lambda c: (len(repr(c)), abs(c - qi)))
+        hits = exact.sum(axis=0)
+        price = np.where(hits > 0, candidates[exact.argmax(axis=0), np.arange(len(q))], q)
+        tied = np.flatnonzero(hits > 1)
+        row, step = np.nonzero(exact[:, tied].T)  # row ascending, then walk order
+        values = candidates[step, tied[row]]
+        length = np.fromiter(map(len, map(repr, values.tolist())), np.intp, len(values))
+        # a stable sort, so walk order is the last key; each row's winner opens its run
+        order = np.lexsort((np.abs(values - q[tied[row]]), length, row))
+        price[tied] = values[order[np.diff(row, prepend=-1) > 0]]
     return price
+
+
+def _format_block(template: str, columns) -> str:
+    """Text of a block from one % over template, its row templates in
+    order: row i takes the i-th value of each column, in column order."""
+    return template % tuple(itertools.chain.from_iterable(zip(*columns)))
 
 
 def trade_blocks(series: TradeSeries, schema: IngestSchema, fmt: str):
@@ -293,15 +298,15 @@ def trade_blocks(series: TradeSeries, schema: IngestSchema, fmt: str):
         raise ValueError(f"unknown trade file format {fmt!r}")
     if fmt == "csv":
         yield ",".join(schema.fields) + "\n"
-        row = "{},{},{}\n"
+        row = "%r,%r,%r\n"
     else:
-        row = '{{"%s": {}, "%s": {}, "%s": {}}}\n' % schema.fields
+        row = '{"%s": %%r, "%s": %%r, "%s": %%r}\n' % schema.fields
     for lo in range(0, len(series), BLOCK_ROWS):
         t, cost, vol = (col[lo:lo + BLOCK_ROWS] for col in (series.timestamps, series.a, series.b))
         mid = _price_for_exact_cost(cost, vol) if schema.variant == "ts_price_volume" else cost
-        # str() of a float is its shortest round-trip repr
+        # %r of a float is its shortest round-trip repr
         ts = map(round, (t * 1e9).tolist()) if schema.nanoseconds else t.tolist()
-        yield "".join(map(row.format, ts, mid.tolist(), vol.tolist()))
+        yield _format_block(row * len(t), (ts, mid.tolist(), vol.tolist()))
 
 
 def render_trades(series: TradeSeries, schema: IngestSchema, fmt: str) -> str:

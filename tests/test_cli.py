@@ -9,9 +9,11 @@ import pathlib
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tickvol import ingest
 from tickvol.cli import main
@@ -458,6 +460,80 @@ class TestEmission:
         assert capsys.readouterr().out == want
 
 
+def _reference_cells(values: np.ndarray, is_json: bool) -> list[str]:
+    """Cell texts of one column, formatted a cell at a time."""
+    kind = values.dtype.kind
+    values = values.tolist()
+    if kind == "f":
+        return list(map("{:.17g}".format, values))
+    if kind == "b":
+        return [(("0", "1"), ("false", "true"))[is_json][v] for v in values]
+    if kind in "iu":
+        return list(map(str, values))
+    if is_json:
+        return ['"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"' for s in values]
+    return values
+
+
+def _reference_table(present: np.ndarray, columns: dict, is_json: bool, pad: str) -> str:
+    """What cli._table_blocks writes, built from per-cell texts and one
+    str.format call per row."""
+    n = len(present)
+    cells = []
+    for values in columns.values():
+        texts = _reference_cells(values, is_json)
+        if len(values) != n:
+            shown = iter(texts)
+            texts = [next(shown) if p else "null" if is_json else "" for p in present.tolist()]
+        cells.append(texts)
+    if is_json:
+        members = ",".join(f'\n{pad}    "{key}": {{}}' for key in columns)
+        row = f"\n{pad}  {{{{" + members + f"\n{pad}  }}}}"
+        return "[" + ",".join(map(row.format, *cells)) + (f"\n{pad}]" if n else "]")
+    row = ",".join(["{}"] * len(columns)) + "\n"
+    return ",".join(columns) + "\n" + "".join(map(row.format, *cells))
+
+
+_CELL_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    # signed zero, subnormals, the range's ends, and integers where %g turns to exponents
+    st.sampled_from([-0.0, 5e-324, -1e-310, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308, 1e16, 1e17, -123456789012345678.0, 2.0 ** 53]),
+)
+_COLUMN_KINDS = {
+    "f": lambda size: st.lists(_CELL_FLOATS, min_size=size, max_size=size).map(np.array),
+    "i": lambda size: st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), min_size=size,
+                               max_size=size).map(lambda v: np.array(v, dtype=np.int64)),
+    "b": lambda size: st.lists(st.booleans(), min_size=size,
+                               max_size=size).map(lambda v: np.array(v, dtype=bool)),
+    "U": lambda size: st.lists(st.text('a"\\%{} ,', max_size=4), min_size=size,
+                               max_size=size).map(lambda v: np.array(v, dtype=str)),
+}
+
+
+class TestTableWriter:
+    """cli._table_blocks against a per-cell writer: every layout of empty
+    cells over block edges, odd floats, and strings that look like templates."""
+
+    @pytest.mark.parametrize("is_json", [False, True], ids=["csv", "json"])
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_table_blocks_match_a_per_cell_writer(self, is_json, data):
+        from tickvol import cli
+
+        present = np.array(data.draw(st.lists(st.booleans(), max_size=9)), dtype=bool)
+        kinds = data.draw(st.lists(st.tuples(st.sampled_from("fibU"), st.booleans()),
+                                   min_size=1, max_size=6))
+        sizes = len(present), int(present.sum())
+        columns = {f"c{i}": data.draw(_COLUMN_KINDS[kind](sizes[short]))
+                   for i, (kind, short) in enumerate(kinds)}
+        pad = data.draw(st.sampled_from(["", "  "])) if is_json else ""  # charfun nests a table
+        block_rows = data.draw(st.sampled_from([1, 2, 3, cli.BLOCK_ROWS]))
+        with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
+            got = "".join(cli._table_blocks(present, columns, is_json, pad))
+        assert got == _reference_table(present, columns, is_json, pad)
+
+
 class TestMoreSurface:
     def test_returns_vol_empty_windows_emit_empty_cells(self, tmp_path, capsys):
         path = tmp_path / "gap.csv"
@@ -754,6 +830,20 @@ class TestEntryPoint:
     def test_unknown_flag_exits_2(self):
         proc = run_module(["moments", "--nope"])
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--seed", "1", "--n-trades", "3"],
+        ["price-vol", "--window", "10"],
+    ], ids=lambda command: command[0])
+    def test_stdout_closed_at_start_exits_2(self, command, tmp_path):
+        # `tickvol ... >&-`: Python starts with sys.stdout set to None
+        if command[0] != "simulate":
+            path = tmp_path / "t.csv"
+            path.write_text(TWO_TRADE_CSV)
+            command = [*command, "--input", str(path)]
+        proc = subprocess.run(["sh", "-c", 'exec "$0" -m tickvol "$@" >&-', sys.executable,
+                               *command], capture_output=True, env=_env())
+        assert (proc.returncode, proc.stderr) == (2, b"error: cannot write stdout\n")
 
     @pytest.mark.parametrize("command", [
         ["simulate", "--seed", "1", "--n-trades", "20000"],

@@ -2,6 +2,7 @@
 parser, and the synthetic generator."""
 
 import contextlib
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,7 @@ from tickvol import (
     IngestSchema,
     ParseError,
     SimConfig,
+    TradeSeries,
     ValidationError,
     load_trades,
     render_trades,
@@ -88,6 +90,19 @@ class TestLoadCsv:
         path.write_text("ts,cost,volume\n1500000000,10.0,2.0\n")
         series = load_trades(path, IngestSchema("ts_cost_volume", "nanoseconds"))
         assert series.timestamps[0] == 1.5
+
+    @pytest.mark.parametrize("rows", [
+        # the bulk-path hypothesis test's failing example at --hypothesis-seed=34
+        "0,inf,0\n0,0,0\n",
+        "0,1e200,1e200\n",
+    ], ids=["inf_times_0", "product_overflows"])
+    def test_price_times_volume_is_judged_by_validation_alone(self, tmp_path, rows):
+        path = tmp_path / "t.csv"
+        path.write_text("ts,price,volume\n" + rows)
+        with (warnings.catch_warnings(), mock.patch.object(ingest, "BLOCK_ROWS", 1),
+              pytest.raises(ValidationError, match="^trade 0: ")):
+            warnings.simplefilter("error")  # no RuntimeWarning from price * volume
+            load_trades(path, IngestSchema("ts_price_volume", "nanoseconds"))
 
     def test_nanoseconds_must_be_integer(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -395,3 +410,90 @@ class TestBulkPath:
         for got, want in ((back.timestamps, series.timestamps), (back.a, series.a),
                           (back.b, series.b)):
             np.testing.assert_array_equal(got, want)
+
+
+def _reference_price(cost, volume):
+    """_price_for_exact_cost as a walk by np.nextafter and a per-row min,
+    with the count of exact preimages of each row."""
+    with np.errstate(over="ignore"):
+        q = cost / volume
+        walk = [q]
+        for _ in range(4):
+            walk.append(np.nextafter(walk[-1], np.inf))
+        p = q
+        for _ in range(4):
+            p = np.nextafter(p, -np.inf)
+            walk.append(p)
+        candidates = np.stack(walk)
+        exact = candidates * volume == cost
+    price = q.copy()
+    for i in range(len(q)):
+        tied = candidates[exact[:, i], i].tolist()
+        if tied:  # min keeps the first of equal keys, which is walk order
+            qi = float(q[i])
+            price[i] = min(tied, key=lambda c: (len(repr(c)), abs(c - qi)))
+    return price, exact.sum(axis=0)
+
+
+def _reference_trade_file(series, schema, fmt):
+    """A trade file written a row and a cell at a time with str.format."""
+    if fmt == "csv":
+        head, row = ",".join(schema.fields) + "\n", "{},{},{}\n"
+    else:
+        head, row = "", '{{"%s": {}, "%s": {}, "%s": {}}}\n' % schema.fields
+    ts = series.timestamps.tolist()
+    if schema.nanoseconds:
+        ts = [round(t * 1e9) for t in ts]
+    mid = series.a
+    if schema.variant == "ts_price_volume":
+        mid = _reference_price(series.a, series.b)[0]
+    return head + "".join(row.format(*cells)
+                          for cells in zip(ts, mid.tolist(), series.b.tolist()))
+
+
+MAX = 1.7976931348623157e308
+_POSITIVE = st.one_of(
+    st.floats(5e-324, MAX),
+    st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308, 0.1, 1e16, 2.0 ** 60, MAX]),
+    st.integers(1, 10 ** 6).map(lambda cents: cents / 100),
+)
+
+
+def _same_bits(got, want):
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestBlockWriter:
+    """trade_blocks and _price_for_exact_cost against per-row references."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "ndjson"])
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_trade_blocks_match_a_per_row_writer(self, fmt, data):
+        schema = data.draw(st.sampled_from(SCHEMAS))
+        # k / 1024 s ends in half a nanosecond for odd k, which rounds half to even
+        ts = st.floats(-1e12, 1e12) | st.integers(-2 ** 40, 2 ** 40).map(lambda k: k / 1024)
+        if not schema.nanoseconds:
+            ts = st.floats(-MAX, MAX)
+        rows = data.draw(st.lists(st.tuples(ts, _POSITIVE, _POSITIVE), max_size=8))
+        series = TradeSeries(*(zip(*rows) if rows else ([], [], [])))
+        block_rows = data.draw(st.sampled_from([1, 2, 3, ingest.BLOCK_ROWS]))
+        with mock.patch.object(ingest, "BLOCK_ROWS", block_rows):
+            got = "".join(ingest.trade_blocks(series, schema, fmt))
+        assert got == _reference_trade_file(series, schema, fmt)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_exact_cost_prices_match_the_per_row_loop(self, seed):
+        # cent prices times 3-digit volumes, where several preimages are common
+        rng = np.random.default_rng(seed)
+        volume = rng.integers(100, 1000, 20_000).astype(np.float64)
+        cost = rng.integers(1, 10 ** 7, 20_000) / 100 * volume
+        want, hits = _reference_price(cost, volume)
+        assert (hits > 1).mean() > 0.05
+        _same_bits(ingest._price_for_exact_cost(cost, volume), want)
+
+    @given(st.lists(st.tuples(_POSITIVE, _POSITIVE), min_size=1, max_size=20))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_cost_prices_match_on_any_positive_pairs(self, pairs):
+        cost, volume = (np.array(col) for col in zip(*pairs))
+        _same_bits(ingest._price_for_exact_cost(cost, volume), _reference_price(cost, volume)[0])
