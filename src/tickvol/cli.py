@@ -28,11 +28,11 @@ array steps: the bounds of all windows from one searchsorted per edge
 (window_bounds), the power sums of all windows from one kernel call
 (window_sums), the moment and volatility algebra on the sum arrays, and
 the table of all windows (for charfun, one polynomial per grid point).
-The kernel sums the rows of each summand column that some window covers,
-by math.fsum over each window's slice of them or, when windows overlap
-heavily, from exact integer prefix sums of the column; both paths round
-the exact sum the same way, so tables carry exactly the csum (math.fsum)
-values of the per-window library API, which stays the test oracle. The stream summed
+The kernel sums the rows of each summand column that some window covers
+from exact integer prefix sums, rounded as math.fsum rounds (fsum itself
+sums a column with a non-finite value or an absolute sum near the double
+range, and an exact-zero window), so tables carry exactly the csum values
+of the per-window library API, which stays the test oracle. The stream summed
 is a PairSeries: the trades, or for returns the lag-m ReturnsSet, whose
 a and b columns feed one helper (_forms) for both.
 """
@@ -384,6 +384,10 @@ def cmd_simulate(args) -> int:
     except ValidationError as exc:  # parameters whose trades overflow
         raise ConfigError(f"simulated {exc}")
     schema = IngestSchema(args.schema, args.ts_unit)
+    # timestamps are sorted, so one at an end has the largest magnitude
+    edge = max(series.timestamps[[0, -1]].tolist(), key=abs)
+    if schema.nanoseconds and abs(edge) * 1e9 == float("inf"):
+        raise ConfigError(f"simulated timestamp {edge!r} overflows the double range in nanoseconds")
     if args.output:
         with _output_errors(args.output):
             write_trades(series, args.output, schema)

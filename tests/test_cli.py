@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tickvol import ingest
+from tickvol import IngestSchema, WindowSpec, aggregate_degree, ingest, load_trades, select_window
 from tickvol.cli import main
 
 TWO_TRADE_CSV = "ts,cost,volume\n0.0,10.0,2.0\n1.0,6.0,3.0\n"
@@ -139,6 +139,26 @@ class TestMoments:
         assert code == 0
         assert out == ""
         assert out_path.read_text().startswith("t,n_trades")
+
+    def test_sums_spanning_many_limbs_match_the_per_window_api(self, tmp_path, capsys):
+        # widely spread volumes make C^8 span more than 8 of the exact
+        # kernel's 32-bit limbs
+        path = tmp_path / "spread.csv"
+        assert run_cli(["simulate", "--seed", "4", "--n-trades", "1000", "--vol-sigma", "3",
+                        "--output", str(path)], capsys)[0] == 0
+        series = load_trades(path, IngestSchema("ts_cost_volume"))
+        exp = np.frexp(series.costs ** 8)[1]
+        assert (exp.max() - exp.min() + 53 + 31) // 32 > 8
+        code, out, _ = run_cli(["moments", "--input", str(path), "--window", "50", "--stride",
+                                "10", "--degrees", "1,2,3,4,5,6,7,8"], capsys)
+        assert code == 0
+        rows = parse_csv(out)
+        assert len(rows) > 90
+        for row in rows:
+            window = select_window(series, WindowSpec(float(row["t"]), 50.0))
+            for n in range(1, 9):
+                want = [x.hex() for x in aggregate_degree(window, n)]
+                assert [float(row[f"C{n}"]).hex(), float(row[f"V{n}"]).hex()] == want
 
 
 class TestPriceVol:
@@ -359,6 +379,17 @@ class TestSimulate:
              "--vol-mu", "5"], capsys)
         assert code == 2 and out == ""
         assert err == "error: simulated trade 0: cost must be positive (got inf)\n"
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_nanosecond_overflow_exits_2_before_writing(self, to_file, tmp_path, capsys):
+        path = tmp_path / "trades.csv"
+        args = ["simulate", "--seed", "1", "--n-trades", "3", "--start-time", "1e300",
+                "--ts-unit", "nanoseconds"]
+        code, out, err = run_cli([*args, "--output", str(path)] if to_file else args, capsys)
+        assert code == 2 and out == ""
+        assert err == ("error: simulated timestamp 1.0000000000000003e+300 overflows the double "
+                       "range in nanoseconds\n")
+        assert not path.exists()
 
 
 class TestIdentityCheck:

@@ -1,10 +1,12 @@
 """The all-windows kernel against csum (math.fsum) as the oracle.
 
 window_sums must return exactly csum of every window's slice: same bits,
-for ties, empty and one-element windows, overlapping windows, powers 1-8
-and magnitudes 1e-8..1e8, on both of its paths, each forced in turn: the
-slice path (fsum per window slice) and the prefix path (exact limb prefix
-sums, for every column it can hold).
+for ties, empty and one-element windows, overlapping windows, powers 1-8,
+magnitudes 1e-8..1e8 and exponent spans from one limb to past 60. Every
+finite column with a nonzero value and an absolute sum below
+ABS_SUM_LIMIT is summed from exact limb prefix sums, in blocks of the
+default size and of 3 rows (so block edges fall inside windows); the
+other columns, and exact-zero windows, are summed by fsum.
 """
 
 import math
@@ -24,13 +26,11 @@ from tickvol.volatility import dispersion_summands
 
 POWERS = range(1, 9)
 
-# window_sums forced onto one path: every column sliced, or every column
-# the prefix path can hold summed from prefix sums, in blocks of the
-# default size or of 3 rows (so that block edges fall inside windows)
+# window_sums with limbs prefix-summed and windows rounded in blocks of
+# the default size, or of 3 rows
 PATHS = {
-    "slice": {"_prefix_sums": lambda *args: None},
-    "prefix": {"PREFIX_OVERLAP": 0},
-    "prefix, 3-row blocks": {"PREFIX_OVERLAP": 0, "PREFIX_BLOCK_ROWS": 3},
+    "default blocks": {"PREFIX_BLOCK_ROWS": sums.PREFIX_BLOCK_ROWS},
+    "3-row blocks": {"PREFIX_BLOCK_ROWS": 3},
 }
 
 
@@ -39,8 +39,11 @@ def _bits(x):
 
 
 def _forced(path, values, starts, lengths):
+    """window_sums of a 1-d array, or of each column of a 2-d one, shaped
+    as one row per window (of one sum per column)."""
     with mock.patch.multiple(sums, **PATHS[path]):
-        return window_sums(values, starts, lengths)
+        got = window_sums(list(values.reshape(len(values), -1).T), starts, lengths)
+    return got.reshape(np.shape(lengths) + values.shape[1:])
 
 
 def _assert_matches_csum(cols, starts, lengths):
@@ -54,7 +57,7 @@ def _assert_matches_csum(cols, starts, lengths):
 
 
 def _prefix_takes(col):
-    """Whether the prefix path holds this column (else it is sliced)."""
+    """Whether the exact path sums this column (else fsum does)."""
     col = np.asarray(col, dtype=np.float64)
     return sums._prefix_sums(col, np.array([0]), np.array([len(col)])) is not None
 
@@ -191,7 +194,7 @@ class TestWindowedSums:
 
 
 def _limbs(col):
-    """32-bit limbs that the prefix path needs for a column's exponent span."""
+    """32-bit limbs that the exact path needs for a column's exponent span."""
     frac, exp = np.frexp(np.asarray(col, dtype=np.float64))
     exp = exp[frac != 0]
     return (int(exp.max()) - int(exp.min()) + 53 + 31) // 32
@@ -200,11 +203,11 @@ def _limbs(col):
 @st.composite
 def _spread(draw):
     """Values of random sign from subnormals up to ~1e298, each with a
-    random 53-bit mantissa; the exponent span is drawn, so some columns fit
-    in MAX_LIMBS limbs and others do not."""
+    random 53-bit mantissa; the exponent span is drawn, from one limb to
+    past 60."""
     n = draw(st.integers(1, 40))
     low = draw(st.one_of(st.just(-1074), st.integers(-1074, 990)))
-    high = min(990, low + draw(st.integers(0, 300)))
+    high = min(990, low + draw(st.integers(0, 2064)))
     values = []
     for _ in range(n):
         frac = draw(st.integers(2 ** 52, 2 ** 53 - 1)) / 2.0 ** 53
@@ -213,9 +216,21 @@ def _spread(draw):
     return np.array(values)
 
 
+def _every_window(n):
+    """Starts and lengths of every window of n rows, the empty ones too."""
+    pairs = [(lo, k) for lo in range(n + 1) for k in range(n - lo + 1)]
+    return np.array(pairs).T
+
+
+# a chain of 53-bit all-ones mantissas that ends in one unit of its last
+# bit: the sum is 2**200 exactly, and every limb below carries into the top
+_CARRY_CHAIN = [(2.0 ** 53 - 1) * 2.0 ** (e - 53) for e in range(200, -70, -53)] + [2.0 ** -118]
+
+
 class TestPrefixPath:
-    """The exact prefix path on the columns it holds, and the columns it
-    leaves to the slice path; both paths must give csum's bits."""
+    """The exact path on every finite column with a nonzero value and an
+    absolute sum below ABS_SUM_LIMIT, and fsum on the other columns; both
+    must give csum's bits."""
 
     @given(_spread(), st.data())
     @settings(max_examples=200, deadline=None)
@@ -224,9 +239,8 @@ class TestPrefixPath:
                                              max_size=12)))
         lengths = np.array([data.draw(st.integers(0, len(values) - lo)) for lo in starts])
         _assert_matches_csum(values[:, None], starts, lengths)
-        nonzero = values[values != 0]
-        if len(nonzero):
-            assert _prefix_takes(values) == (_limbs(nonzero) <= 8)
+        if values.any():
+            assert _prefix_takes(values)
 
     def test_subnormals_and_the_limb_cap(self):
         cols = {
@@ -235,13 +249,37 @@ class TestPrefixPath:
             "9 limbs": [1.0, 2.0 ** -210, -(2.0 ** -100)],
             "subnormal to 1e300": [5e-324, 1e300, -1e300, 1e-310],
         }
-        assert [_limbs(col) for col in cols.values()][1:3] == [8, 9]
-        assert [_prefix_takes(col) for col in cols.values()] == [True, True, False, False]
+        assert [_limbs(col) for col in cols.values()][1:] == [8, 9, 67]
+        assert all(_prefix_takes(col) for col in cols.values())
         for col in cols.values():
             values = np.array(col)
             n = len(values)
             starts = np.array([0, 0, 1, n - 1, 2])
             _assert_matches_csum(values[:, None], starts, np.array([n, 2, n - 1, 1, 0]))
+
+    @pytest.mark.parametrize("col", [
+        # exact ties, decided by bits of the third limb from the top, just
+        # below the 64 bits rounded, or more than three limbs below the top
+        [1.0, 2.0 ** -53, 2.0 ** -70, -(2.0 ** -69)],
+        [1.0, 2.0 ** -53, 2.0 ** -200, -(2.0 ** -199), 2.0 ** -200],
+        [1.0 + 2.0 ** -52, 2.0 ** -53, -(2.0 ** -200), 2.0 ** -199, -(2.0 ** -200)],
+        [-1.0, -(2.0 ** -53), -(2.0 ** -200), 2.0 ** -199],
+        _CARRY_CHAIN,
+        [-x for x in _CARRY_CHAIN],
+        [3.0, -5.5, 2.0 ** -70, -1e10, 1e10 - 2.0 ** -30],
+        # results below 2**-1022, and on the edge of the normal range
+        [2.0 ** -1022, -(2.0 ** -1022 - 2.0 ** -1074), 3e-320, -(2.0 ** -1000), 2.0 ** -1000,
+         -(2.0 ** -1022)],
+        # sums of one unit of the column's smallest exponent, in the
+        # lowest limb
+        [1.0 + 2.0 ** -52, -1.0, -(1.0 + 2.0 ** -51), 1.0 + 3 * 2.0 ** -52],
+        # an exponent span of 67 limbs
+        [5e-324, 1e300, 2.0 ** -540, -1e300, -5e-324, 1e-310],
+    ], ids=["tie, third limb", "tie", "odd tie", "negative tie", "carry", "negative carry",
+            "negative sums", "subnormal results", "one-unit sums", "67 limbs"])
+    def test_rounding_edge_cases_match_csum(self, col):
+        assert _prefix_takes(col)
+        _assert_matches_csum(np.array(col)[:, None], *_every_window(len(col)))
 
     def test_signed_cancellation_is_exact(self):
         # large terms that cancel leave a small remainder, or an exact 0
@@ -258,7 +296,7 @@ class TestPrefixPath:
         outside = np.array([2.0 ** 999, 2.0 ** 999, -(2.0 ** 999)])
         assert not _prefix_takes(outside)
         _assert_matches_csum(outside[:, None], np.array([0, 1, 0]), np.array([2, 2, 3]))
-        # fsum's partials overflow though the sum is finite: both paths raise
+        # fsum's partials overflow though the sum is finite: it raises
         overflow = np.array([1e308, 1e308, -1e308])
         assert not _prefix_takes(overflow)
         for path in PATHS:
@@ -286,7 +324,7 @@ class TestPrefixPath:
             assert _bits(got) == _bits([0.0, 0.0, 0.0, 3e10, csum(values)])
 
     def test_negative_zero_windows_match_csum(self):
-        # fsum's sign for an exact zero changed in Python 3.12; the prefix
+        # fsum's sign for an exact zero changed in Python 3.12; the exact
         # path must give this interpreter's csum bits either way
         values = np.array([-0.0, -0.0, 1.0, -1.0, -0.0, 0.0, 2.5, -0.0])
         starts = np.array([0, 0, 2, 0, 4, 1, 6, 7, 3])
@@ -297,48 +335,30 @@ class TestPrefixPath:
         assert not _prefix_takes(zeros)
         _assert_matches_csum(zeros[:, None], np.array([0, 1, 0]), np.array([3, 1, 0]))
 
-
-def _paths_taken(monkeypatch):
-    """Record which path window_sums runs for each column."""
-    taken = []
-    prefix, sliced = sums._prefix_sums, sums._slice_sums
-    monkeypatch.setattr(sums, "_prefix_sums",
-                        lambda *args: taken.append("prefix") or prefix(*args))
-    monkeypatch.setattr(sums, "_slice_sums",
-                        lambda *args: taken.append("slice") or sliced(*args))
-    return taken
-
-
-class TestDispatch:
-    """Which path the window grids of the benchmark workloads take, on
-    simulated trades at about one per second: fixed by the overlap rule,
-    with no timing involved, so a change of PREFIX_OVERLAP that moves one
-    of them fails here."""
-
-    @pytest.fixture(scope="class")
-    def series(self):
-        return simulate_trades(SimConfig(n_trades=20000, seed=11))
-
-    def _sum_grid(self, stream, width, stride, summands):
-        windowed_sums(stream.timestamps, window_centers(stream, width, stride), width, summands)
-
-    def test_moments_overlap_takes_the_prefix_path(self, series, monkeypatch):
-        taken = _paths_taken(monkeypatch)
-        # moments degrees 1-4, width 200 at stride 10: 20x overlap
-        self._sum_grid(series, 200.0, 10.0, power_summands(series, [1, 2, 3, 4]))
-        assert taken == ["prefix"] * 8
-
-    @pytest.mark.parametrize("shape", ["pricevol-narrow", "returns-ndjson-wide",
-                                       "identity-check"])
-    def test_low_overlap_grids_take_the_slice_path(self, series, monkeypatch, shape):
-        taken = _paths_taken(monkeypatch)
+    @pytest.mark.parametrize("shape", ["moments-overlap", "pricevol-narrow",
+                                       "returns-ndjson-wide", "identity-check", "C^8"])
+    def test_benchmark_grids_take_the_exact_path(self, shape, monkeypatch):
+        """Every column of the window grids of the benchmark workloads, on
+        simulated trades at about one per second, and C^8 of trades whose
+        C^8 spans more than 8 limbs, is summed from prefix sums."""
+        taken, exact = [], sums._prefix_sums
+        monkeypatch.setattr(sums, "_prefix_sums",
+                            lambda *args: taken.append(exact(*args)) or taken[-1])
+        series = simulate_trades(SimConfig(n_trades=20000, seed=11))
         t0, t1 = series.span()
-        if shape == "pricevol-narrow":  # width 10 at stride 5: 2x
-            self._sum_grid(series, 10.0, 5.0, dispersion_summands(series))
-        elif shape == "returns-ndjson-wide":  # lag 10, width 2000 at stride 1000: 2x
-            records = build_returns(series, 10)
-            self._sum_grid(records, 2000.0, 1000.0, returns_summands(records))
-        else:  # span/16 at stride span/16: 1x
-            width = (t1 - t0) / 16
-            self._sum_grid(series, width, width, dispersion_summands(series))
-        assert taken == ["slice"] * len(taken) and taken
+        width, stride = 200.0, 10.0
+        if shape == "moments-overlap":
+            summands = power_summands(series, [1, 2, 3, 4])
+        elif shape == "C^8":
+            series = simulate_trades(SimConfig(n_trades=1000, seed=4, volume_sigma=3.0))
+            summands = power_summands(series, [8])
+            assert _limbs(summands[0]) > 8
+        elif shape == "returns-ndjson-wide":
+            width, stride = 2000.0, 1000.0
+            series = build_returns(series, 10)
+            summands = returns_summands(series)
+        else:
+            width, stride = (10.0, 5.0) if shape == "pricevol-narrow" else ((t1 - t0) / 16,) * 2
+            summands = dispersion_summands(series)
+        windowed_sums(series.timestamps, window_centers(series, width, stride), width, summands)
+        assert len(taken) == len(summands) and all(sums is not None for sums in taken)
