@@ -21,7 +21,7 @@ from tickvol import (
     SimConfig,
     WindowSpec,
     build_returns,
-    mean_return,
+    returns_moment,
     returns_volatility_report,
     select_window,
     simulate_trades,
@@ -37,7 +37,8 @@ print(f"{'lag':>4} {'records':>8} {'mean ret':>10} {'direct':>13}"
 for m in (1, 2, 5, 10, 50):
     records = select_window(build_returns(series, m), window)
     rep = returns_volatility_report(records)
-    print(f"{m:>4} {rep.n_records:>8} {mean_return(records):>10.6f}"
+    mean_return = returns_moment(records, 1) - 1.0  # q(1) - 1
+    print(f"{m:>4} {rep.n_records:>8} {mean_return:>10.6f}"
           f" {rep.sigma_q2_direct:>13.4e} {rep.sigma_q2_rform:>13.4e}"
           f" {rep.sigma_q2_closed:>13.4e} {str(rep.negative_flag):>4}")
 

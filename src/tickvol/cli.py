@@ -14,27 +14,27 @@ the next block is formatted: a whole table's text is never held.
 Exit codes: 0 success/pass, 1 identity-check fail, 2 config error
 (including a --window or --stride that is not positive and finite, an
 unwritable --output path or stdout, a grid of more than MAX_WINDOWS
-windows, simulator parameters whose trades overflow, a value past the
-double range, such as C^8 of costs near 1e40, and a volatility divisor
-sum(b^2) that underflows to 0: the NonFiniteError names the column and
-window center, or the charfun order, and nothing is written), 3 input
-error (a missing, unreadable, non-UTF-8 or malformed input file, an
-invalid trade, an integer field past the double range), 4 unsupported
-configuration. Commands raise; main alone maps an exception to its code
-and prints its one "error:" line on stderr, with plain numbers.
+windows, simulator parameters whose trades overflow, memory that cannot
+be allocated, a value past the double range, such as C^8 of costs near
+1e40, and a volatility divisor sum(b^2) that underflows to 0: the
+NonFiniteError names the column and window center, or the charfun order,
+and nothing is written), 3 input error (a missing, unreadable, non-UTF-8
+or malformed input file, an invalid trade, an integer field past the
+double range), 4 unsupported configuration. Commands raise; main alone
+maps an exception to its code and prints its one "error:" line on
+stderr, with plain numbers.
 
 Every command that sums over windows, charfun included, runs in four
 array steps: the bounds of all windows from one searchsorted per edge
 (window_bounds), the power sums of all windows from one kernel call
 (window_sums), the moment and volatility algebra on the sum arrays, and
 the table of all windows (for charfun, one polynomial per grid point).
-The kernel sums the rows of each summand column that some window covers
-from exact integer prefix sums, rounded as math.fsum rounds (fsum itself
-sums a column with a non-finite value or an absolute sum near the double
-range, and an exact-zero window), so tables carry exactly the csum values
-of the per-window library API, which stays the test oracle. The stream summed
-is a PairSeries: the trades, or for returns the lag-m ReturnsSet, whose
-a and b columns feed one helper (_forms) for both.
+The kernel rounds exact integer prefix sums as math.fsum rounds, so
+tables carry exactly the csum values of the per-window library API,
+which stays the test oracle. One builder (_volatility_table) makes the
+volatility table of a PairSeries, the trades or a lag-m ReturnsSet:
+price-vol and returns-vol write it, and identity-check compares its
+sigma2_ columns.
 """
 
 from __future__ import annotations
@@ -227,86 +227,83 @@ def _window_stride(args) -> tuple[float, float]:
     return width, _positive("--stride", args.stride if args.stride is not None else width)
 
 
-def _check_finite(centers, counts, columns: dict) -> None:
+def _check_windows(centers, counts, columns: dict, divisor: bool = False) -> None:
     """Raise NonFiniteError naming the first value, in row then column order,
-    that overflowed to inf or nan. Column arrays hold values for the
-    non-empty windows only."""
-    bad = ~np.isfinite(np.column_stack([*columns.values()]))
+    that overflowed to inf or nan or, in divisor sums, underflowed to 0.
+    Column arrays hold values for the non-empty windows only."""
+    values = np.column_stack([*columns.values()])
+    bad = values == 0 if divisor else ~np.isfinite(values)
     if bad.any():
         row, col = divmod(int(np.argmax(bad)), bad.shape[1])
-        raise NonFiniteError(f"{[*columns][col]} overflows the double range in the window "
-                             f"at t={centers[counts > 0][row]}; rescale the input units")
+        what = "the sum of {} underflows to 0" if divisor else "{} overflows the double range"
+        raise NonFiniteError(f"{what.format([*columns][col])} in the window at "
+                             f"t={centers[counts > 0][row]}; rescale the input units")
 
 
-def _emit_windows(centers, counts, count_key: str, columns: dict, args) -> None:
-    """Emit one row per window: t, its count, then the named columns.
-
-    Column arrays hold values for the non-empty windows only; empty
-    windows get empty cells.
-    """
-    _check_finite(centers, counts, columns)
+def _emit_windows(args, centers, count_key: str, counts, columns: dict) -> None:
+    """Emit one row per window: t, its count, then the named columns, whose
+    arrays hold values for the non-empty windows only (empty windows get
+    empty cells)."""
+    _check_windows(centers, counts, columns)
     _emit(counts > 0, {"t": centers, count_key: counts, **columns}, args)
 
 
-def _forms(stream: PairSeries, centers, width: float, summands: list) -> tuple:
-    """Item counts of every window, then the sums of the summands (one row
-    per summand) and the volatility forms (direct, closed, terms) of the
-    non-empty windows. The summands start with the dispersion_summands
-    of the stream. NonFiniteError names the first window whose sum of b^2
-    underflows to 0, as it does for volumes near 1e-200: both forms divide
-    by it."""
-    counts, sums = windowed_sums(stream.timestamps, centers, width, summands)
+def _windowed(args, prepare=lambda trades: trades) -> tuple:
+    """prepare(trades) of the --input trades (the stream a command sums),
+    the --window width and the window centers over the trades. Errors win
+    in that order: input, --window/--stride, prepare's, grid."""
+    series = _load_input(args)
+    width, stride = _window_stride(args)
+    return prepare(series), width, window_centers(series, width, stride)
+
+
+def _volatility_table(stream: PairSeries, centers, width: float) -> tuple:
+    """Item counts of every window and, from the same windowed_sums call,
+    the named columns of the stream's volatility table over the non-empty
+    ones: price-vol's for trades, returns-vol's for lag-m records. A sum of
+    b^2 that underflows to 0 (volumes near 1e-200) fails: both forms divide by it."""
+    trades = isinstance(stream, TradeSeries)
+    counts, sums = windowed_sums(stream.timestamps, centers, width,
+                                 (dispersion_summands if trades else returns_summands)(stream))
     sums = sums.T
-    zero = sums[3] == 0
-    if zero.any():
-        raise NonFiniteError(f"the sum of {stream._labels[2]}^2 underflows to 0 in the window "
-                             f"at t={centers[counts > 0][np.argmax(zero)]}; rescale the input units")
-    return counts, sums, volatility_forms(counts[counts > 0], *sums[:4])
+    _check_windows(centers, counts, {f"{stream._labels[2]}^2": sums[3]}, divisor=True)
+    direct, closed, terms = volatility_forms(counts[counts > 0], *sums[:4])
+    if trades:
+        return counts, {"sigma2_direct": direct, "sigma2_closed": closed,
+                        **dict(zip(["sigma_c2", "sigma_v2", "phi_c2", "phi_v2"], terms[4:])),
+                        "negative_flag": direct < 0}
+    r11, r21, r22, rform = rform_from_sums(*sums[2:])
+    return counts, {"mean_return": sums[0] / sums[2] - 1.0, "sigma2_direct": direct,
+                    "sigma2_rform": rform, "sigma2_closed": closed,
+                    "r11": r11, "r21": r21, "r22": r22, "negative_flag": direct < 0}
 
 
 def cmd_moments(args) -> int:
-    series = _load_input(args)
-    width, stride = _window_stride(args)
-    degrees = _parse_degrees(args.degrees)
-    centers = window_centers(series, width, stride)
+    (series, degrees), width, centers = _windowed(
+        args, lambda trades: (trades, _parse_degrees(args.degrees)))
     counts, sums = moment_sums(series, centers, width, degrees)
     columns = {}
     for i, n in enumerate(degrees):
         c, v = sums[:, i], sums[:, len(degrees) + i]
         columns.update({f"C{n}": c, f"V{n}": v, f"p{n}": c / v})
-    _emit_windows(centers, counts, "n_trades", columns, args)
+    _emit_windows(args, centers, "n_trades", counts, columns)
     return EXIT_OK
 
 
 def cmd_price_vol(args) -> int:
-    series = _load_input(args)
-    width, stride = _window_stride(args)
-    centers = window_centers(series, width, stride)
-    counts, _, (direct, closed, terms) = _forms(
-        series, centers, width, dispersion_summands(series))
-    _, _, _, _, sigma_c2, sigma_v2, phi_c2, phi_v2 = terms
-    _emit_windows(centers, counts, "n_trades", {
-        "sigma2_direct": direct, "sigma2_closed": closed,
-        "sigma_c2": sigma_c2, "sigma_v2": sigma_v2, "phi_c2": phi_c2, "phi_v2": phi_v2,
-        "negative_flag": direct < 0,
-    }, args)
+    series, width, centers = _windowed(args)
+    _emit_windows(args, centers, "n_trades", *_volatility_table(series, centers, width))
     return EXIT_OK
 
 
 def cmd_returns_vol(args) -> int:
-    series = _load_input(args)
-    width, stride = _window_stride(args)
-    if args.lag < 1:
-        raise ConfigError(f"--lag must be >= 1, got {args.lag}")
-    records = build_returns(series, args.lag)
-    centers = window_centers(series, width, stride)
-    counts, sums, (direct, closed, _) = _forms(records, centers, width, returns_summands(records))
-    r11, r21, r22, rform = rform_from_sums(*sums[2:])
-    _emit_windows(centers, counts, "n_records", {
-        "mean_return": sums[0] / sums[2] - 1.0,
-        "sigma2_direct": direct, "sigma2_rform": rform, "sigma2_closed": closed,
-        "r11": r11, "r21": r21, "r22": r22, "negative_flag": direct < 0,
-    }, args)
+    def lag_records(trades):  # --lag is checked after --window/--stride
+        if args.lag < 1:
+            raise ConfigError(f"--lag must be >= 1, got {args.lag}")
+        return build_returns(trades, args.lag)
+
+    records, width, centers = _windowed(args, lag_records)
+    _emit_windows(args, centers, "n_records", *_volatility_table(records, centers, width))
     return EXIT_OK
 
 
@@ -379,53 +376,44 @@ def cmd_simulate(args) -> int:
         arrival_rate=args.rate,
         start_time=args.start_time,
     )
-    try:
-        series = simulate_trades(config)
-    except ValidationError as exc:  # parameters whose trades overflow
-        raise ConfigError(f"simulated {exc}")
     schema = IngestSchema(args.schema, args.ts_unit)
-    # timestamps are sorted, so one at an end has the largest magnitude
-    edge = max(series.timestamps[[0, -1]].tolist(), key=abs)
-    if schema.nanoseconds and abs(edge) * 1e9 == float("inf"):
-        raise ConfigError(f"simulated timestamp {edge!r} overflows the double range in nanoseconds")
-    if args.output:
-        with _output_errors(args.output):
-            write_trades(series, args.output, schema)
-    else:
-        with _output(args) as out:
-            out.writelines(trade_blocks(series, schema, "csv"))
+    try:  # parameters whose trades, or timestamps in nanoseconds, overflow
+        series = simulate_trades(config)
+        if args.output:
+            with _output_errors(args.output):
+                write_trades(series, args.output, schema)
+        else:
+            with _output(args) as out:
+                out.writelines(trade_blocks(series, schema, "csv"))
+    except (ValidationError, NonFiniteError) as exc:
+        raise ConfigError(f"simulated {exc}")
     print(f"seed: {config.seed}", file=sys.stderr)
     return EXIT_OK
 
 
-def _max_rel_dev(direct, *others) -> float:
-    """Largest pairwise |x - y| / max(1, |direct|) among the forms, over all
-    windows (0.0 when there are none)."""
-    scale = np.maximum(1.0, np.abs(direct))
-    forms = (direct, *others)
+def _max_rel_dev(*forms) -> float:
+    """Largest pairwise |x - y| / max(1, |first form|) among the forms, over
+    all windows (0.0 when there are none)."""
+    scale = np.maximum(1.0, np.abs(forms[0]))
     devs = [np.abs(x - y) / scale for x, y in itertools.combinations(forms, 2)]
     return float(np.max(devs, initial=0.0))
 
 
 def _identity_rows(series: TradeSeries, width: float, stride: float, lags: list[int]):
+    """One row per identity: the price one, then one per lag. Each compares
+    the sigma2_ columns of its stream's volatility table (see _max_rel_dev)."""
     centers = window_centers(series, width, stride)
-    counts, _, (direct, closed, _) = _forms(
-        series, centers, width, dispersion_summands(series))
-    _check_finite(centers, counts, {"sigma2_direct": direct, "sigma2_closed": closed})
-    rows = [("price_vol_direct_vs_closed", None, int(np.count_nonzero(counts)),
-             _max_rel_dev(direct, closed))]
-    for m in lags:
+    rows = []
+    for m in [0, *lags]:
         if m >= len(series):
             rows.append(("returns_vol_three_way", m, 0, 0.0))
             continue
-        records = build_returns(series, m)
-        counts, sums, (direct, closed, _) = _forms(records, centers, width, returns_summands(records))
-        rform = rform_from_sums(*sums[2:])[3]
-        _check_finite(centers, counts, {f"lag-{m} sigma2_direct": direct,
-                                        f"lag-{m} sigma2_rform": rform,
-                                        f"lag-{m} sigma2_closed": closed})
-        rows.append(("returns_vol_three_way", m, int(np.count_nonzero(counts)),
-                     _max_rel_dev(direct, rform, closed)))
+        stream, prefix = (build_returns(series, m), f"lag-{m} ") if m else (series, "")
+        counts, table = _volatility_table(stream, centers, width)
+        forms = {prefix + name: v for name, v in table.items() if name.startswith("sigma2_")}
+        _check_windows(centers, counts, forms)
+        rows.append(("returns_vol_three_way" if m else "price_vol_direct_vs_closed", m or None,
+                     int(np.count_nonzero(counts)), _max_rel_dev(*forms.values())))
     return rows
 
 
@@ -547,11 +535,12 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command; the only place where an error becomes an exit code."""
     args = build_parser().parse_args(argv)
     try:
-        # inf and nan are reported by _check_finite before anything is written
+        # inf, nan and zero divisors are reported by _check_windows before
+        # anything is written
         with np.errstate(all="ignore"):
             return args.func(args)
-    except (TickvolError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (TickvolError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         if isinstance(exc, (ParseError, ValidationError)):
             return EXIT_INPUT
         return EXIT_UNSUPPORTED if isinstance(exc, UnsupportedWindowOverlapError) else EXIT_CONFIG

@@ -49,8 +49,8 @@ class TruncationOrderOutOfRangeError(TickvolError):
 
 
 class NonFiniteError(TickvolError):
-    """A sum, moment or term is not finite in doubles: it overflows the
-    double range (inf or nan), or a sum it divides by underflows to 0."""
+    """A sum, moment, term or nanosecond timestamp is not finite in doubles:
+    it overflows the double range (inf or nan), or a divisor underflows to 0."""
 
 
 class ParseError(TickvolError):

@@ -36,7 +36,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import ParseError
+from .errors import NonFiniteError, ParseError
 from .trades import TradeSeries
 
 # Not called here: it stays importable from this module, where
@@ -293,9 +293,12 @@ def _format_block(template: str, columns) -> str:
 
 
 def trade_blocks(series: TradeSeries, schema: IngestSchema, fmt: str):
-    """Text of a trade file, BLOCK_ROWS rows at a time."""
+    """Text of a trade file, BLOCK_ROWS rows at a time, checked before the first."""
     if fmt not in ("csv", "ndjson"):
         raise ValueError(f"unknown trade file format {fmt!r}")
+    edge = max(series.span(), key=abs) if len(series) else 0.0  # timestamps are sorted
+    if schema.nanoseconds and abs(edge) * 1e9 == float("inf"):
+        raise NonFiniteError(f"timestamp {edge!r} overflows the double range in nanoseconds")
     if fmt == "csv":
         yield ",".join(schema.fields) + "\n"
         row = "%r,%r,%r\n"
@@ -325,5 +328,7 @@ def write_trades(series: TradeSeries, path: str | os.PathLike, schema: IngestSch
     if fmt is None:
         suffix = os.path.splitext(os.fspath(path))[1].lower()
         fmt = "ndjson" if suffix in (".ndjson", ".jsonl") else "csv"
+    blocks = trade_blocks(series, schema, fmt)
+    first = next(blocks, "")  # trade_blocks checks the series before the file opens
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(trade_blocks(series, schema, fmt))
+        fh.writelines(itertools.chain([first], blocks))

@@ -391,6 +391,24 @@ class TestSimulate:
                        "range in nanoseconds\n")
         assert not path.exists()
 
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 72.8 TiB for an array with shape (10000000000000,) "
+                     "and data type float64"),
+         "Unable to allocate 72.8 TiB for an array with shape (10000000000000,) "
+         "and data type float64"),
+        (MemoryError(), "out of memory"),
+    ], ids=["numpy_text", "no_text"])
+    def test_out_of_memory_exits_2(self, exc, message, monkeypatch, capsys):
+        # a stand-in for the simulator: no test really allocates
+        import tickvol.cli as cli_mod
+
+        def simulate_trades(config):
+            raise exc
+
+        monkeypatch.setattr(cli_mod, "simulate_trades", simulate_trades)
+        got = run_cli(["simulate", "--seed", "1", "--n-trades", "10000000000000"], capsys)
+        assert got == (2, "", f"error: {message}\n")
+
 
 class TestIdentityCheck:
     def test_simulated_input_passes(self, capsys):
@@ -815,6 +833,30 @@ class TestOverflow:
         assert code == 2 and stdout == ""
         assert err == ("error: sigma2_direct overflows the double range in the window at "
                        "t=2500.0; rescale the input units\n")
+
+    @pytest.mark.parametrize("command, prefix", [
+        (["identity-check", "--lags", "1"], "lag-1 "),
+        (["returns-vol", "--lag", "1"], ""),
+    ], ids=["identity-check", "returns-vol"])
+    @pytest.mark.parametrize("rows, message", [
+        # one record of return 1e300: the direct form of a one-record window
+        # is 0 exactly, but (r qv)^2, so r22, is inf
+        ("0,1e-150,1\n1,1e150,1\n",
+         "{prefix}sigma2_rform overflows the double range in the window at t=2.5"),
+        # volume ratio 1e-308: its square underflows to 0
+        ("0,1,1e154\n1,1,1e-154\n",
+         "the sum of volume ratio^2 underflows to 0 in the window at t=2.5"),
+    ], ids=["rform_overflow", "ratio_square_underflow"])
+    def test_returns_form_errors_exit_2(self, command, prefix, rows, message, tmp_path, capsys):
+        path = tmp_path / "ratios.csv"
+        path.write_text("ts,cost,volume\n" + rows)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run_cli([command[0], "--input", str(path), "--window", "5",
+                                         *command[1:], "--output", str(out)], capsys)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err == f"error: {message.format(prefix=prefix)}; rescale the input units\n"
 
     def test_charfun_overflow_exits_2(self, tmp_path, capsys):
         path = tmp_path / "big.csv"

@@ -2,6 +2,7 @@
 parser, and the synthetic generator."""
 
 import contextlib
+import re
 import warnings
 from unittest import mock
 
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from tickvol import ingest
 from tickvol import (
     IngestSchema,
+    NonFiniteError,
     ParseError,
     SimConfig,
     TradeSeries,
@@ -189,6 +191,29 @@ class TestRoundTrip:
         path = tmp_path / "t.csv"
         write_trades(series, path, COST_SCHEMA)
         assert path.read_text() == render_trades(series, COST_SCHEMA, "csv")
+
+    @pytest.mark.parametrize("rows, edge", [
+        ([(1e300, 1.0, 1.0)], "1e+300"),
+        ([(-1e300, 1.0, 1.0), (0.0, 1.0, 1.0)], "-1e+300"),
+    ], ids=["one_trade", "negative_first"])
+    @pytest.mark.parametrize("fmt", ["csv", "ndjson"])
+    def test_nanoseconds_past_the_double_range_refused_before_any_text(self, tmp_path, rows,
+                                                                       edge, fmt):
+        # t * 1e9 overflows: each writer refuses before its first text,
+        # with no numpy overflow warning and no file left behind
+        series = validate_series(rows)
+        schema = IngestSchema("ts_cost_volume", "nanoseconds")
+        path = tmp_path / f"trades.{fmt}"
+        message = re.escape(f"timestamp {edge} overflows the double range in nanoseconds")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=f"^{message}$"):
+                write_trades(series, path, schema)
+            with pytest.raises(NonFiniteError, match=f"^{message}$"):
+                render_trades(series, schema, fmt)
+            with pytest.raises(NonFiniteError, match=f"^{message}$"):
+                next(ingest.trade_blocks(series, schema, fmt))
+        assert not path.exists()
 
 
 class TestSimulate:
