@@ -325,6 +325,9 @@ def _load_testfn(path: str, count: int) -> list[float]:
         values = [float(ln) for ln in lines]
     except ValueError as exc:
         raise ParseError(f"test-function file {path}: {exc}")
+    for text, value in zip(lines, values):
+        if not np.isfinite(value):
+            raise ParseError(f"test-function file {path}: values must be finite, got {text!r}")
     if len(values) != count:
         raise ConfigError(
             f"test-function file has {len(values)} values but the grid has {count} points"

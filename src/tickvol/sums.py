@@ -5,18 +5,17 @@ algorithm) and returns the correctly rounded sum, so results are
 deterministic and independent of evaluation order.
 
 window_sums() computes the csum of many windows at once, a column at a
-time, over the rows some window covers. Every value is an integer
+time, over the rows some window covers. Every finite value is an integer
 multiple of 2**(emin - 53), emin the column's smallest exponent, so the
 column's exact prefix sums are int64 cumsums of 32-bit limbs (after R. M.
 Neal's superaccumulators, arXiv:1505.05571). A window's exact sum is the
 difference of two of them, rounded for all windows at once in numpy to
 the nearest double, half to even, as fsum rounds, so the bits are csum's.
 The cost grows with the covered rows plus the windows, whatever the
-overlap. math.fsum sums each window's slice of a column the limbs would
-not treat as fsum does: one with a non-finite value (fsum's inf, nan or
-ValueError), absolute values summing to ABS_SUM_LIMIT or more (fsum's
-OverflowError), or no nonzero value; and an exact-zero window (fsum's
-sign of zero).
+overlap. Every column takes this path: a window holding inf, -inf or
+nan gets fsum's value, or nan for both infinities (fsum's ValueError);
+a sum past the double range rounds to inf or -inf (fsum's
+OverflowError); an exact-zero window takes fsum's sign of zero.
 """
 
 import math
@@ -27,10 +26,6 @@ from .trades import window_bounds
 
 # Rows made limbs and prefix-summed, and windows rounded, at a time.
 PREFIX_BLOCK_ROWS = 1 << 15
-
-# A column whose absolute values sum to this or more is summed by fsum,
-# so fsum's intermediate-overflow OverflowError stays fsum's.
-ABS_SUM_LIMIT = 2.0 ** 1000
 
 _LIMB = 0xFFFFFFFF
 
@@ -60,27 +55,22 @@ def window_sums(columns, starts, lengths) -> np.ndarray:
     out = np.empty((len(lo), len(columns)))
     for c, column in enumerate(columns):
         col = np.asarray(column, dtype=np.float64)[:len(covered)][covered]
-        sums = _prefix_sums(col, lo, hi)
-        out[:, c] = _slice_sums(col, lo, hi) if sums is None else sums
+        out[:, c] = _prefix_sums(col, lo, hi)
     return out
 
 
-def _slice_sums(col: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list:
-    """math.fsum(col[lo:hi]) for every window (lo, hi) of one column."""
-    values = col.tolist()
-    return [math.fsum(values[a:b]) for a, b in zip(lo.tolist(), hi.tolist())]
-
-
-def _prefix_sums(col: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """The same sums as _slice_sums, bit for bit, from exact prefix sums;
-    None for a column fsum must sum (see the module docstring)."""
-    with np.errstate(all="ignore"):
-        mag = np.abs(col)
-        if not mag.sum() < ABS_SUM_LIMIT:
-            return None
+def _prefix_sums(col: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """csum(col[a:b]) of every window (a, b) in zip(lo, hi), bit for bit, from
+    exact prefix sums; inf or nan where fsum raises (see the module docstring)."""
+    mag = np.abs(col)
     top = mag.max(initial=0.0)
-    if top == 0:
-        return None
+    special = None
+    if not np.isfinite(top):
+        # prefix counts of inf, -inf and nan; the limbs sum the rest
+        kinds = np.stack([col == np.inf, col == -np.inf, np.isnan(col)])
+        special = np.concatenate([np.zeros((3, 1), np.int64), kinds.cumsum(axis=1)], axis=1)
+        col, mag = (np.where(kinds.any(axis=0), 0.0, a) for a in (col, mag))
+        top = mag.max(initial=0.0)
     # frexp's exponent grows with |x|: the smallest and largest nonzero
     # magnitudes give the column's exponent range
     emin = int(np.frexp(mag.min(where=mag > 0, initial=top))[1])
@@ -105,6 +95,9 @@ def _prefix_sums(col: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     for at in range(0, len(lo), PREFIX_BLOCK_ROWS):
         w = slice(at, at + PREFIX_BLOCK_ROWS)
         sums[w] = _round_limbs(prefix[:, edges[1, w]] - prefix[:, edges[0, w]], emin - 53)
+    if special is not None:
+        pos, neg, nan = special[:, hi] - special[:, lo] > 0
+        sums[pos], sums[neg], sums[nan | pos & neg] = np.inf, -np.inf, np.nan
     # an exact zero takes fsum's sign of zero, which varies by Python
     # version; a nonzero sum never rounds to 0, since one below 2**-1022
     # is a multiple of 2**-1074 and so a double
@@ -137,7 +130,8 @@ def _round_limbs(x: np.ndarray, scale: int) -> np.ndarray:
     exponent = 32 * (t - 3) - shift + scale
     high, mid, low, shift = (a.astype(np.uint64) for a in (high, mid, low, shift))
     top = (high << (shift + np.uint64(32))) | (mid << shift) | (low >> (np.uint64(32) - shift))
-    sums = np.ldexp((top | sticky).astype(np.float64), exponent)
+    with np.errstate(over="ignore"):  # a sum past the double range is inf
+        sums = np.ldexp((top | sticky).astype(np.float64), exponent)
     return np.negative(sums, out=sums, where=negative)
 
 
@@ -177,21 +171,10 @@ def windowed_sums(timestamps, centers, width: float, summands) -> tuple:
 
     summands are arrays aligned with the sorted timestamps; column i of
     the sums holds the window sums of summands[i], one row per window
-    with a non-zero count, in window order. Where csum would raise (its
-    partials overflow, or inf meets -inf), the window gets the plain
-    float sum, inf or nan, so the caller can report which one overflowed.
+    with a non-zero count, in window order. Where csum would raise, the
+    window gets inf, -inf or nan (see the module docstring), so the caller
+    can report which sum overflowed.
     """
     starts, counts = window_bounds(timestamps, centers, width)
     full = counts > 0
-    try:
-        return counts, window_sums(summands, starts[full], counts[full])
-    except (OverflowError, ValueError):
-        return counts, np.array([[_fsum_or_sum(s[lo:lo + n].tolist()) for s in summands]
-                                 for lo, n in zip(starts[full], counts[full])])
-
-
-def _fsum_or_sum(values: list) -> float:
-    try:
-        return math.fsum(values)
-    except (OverflowError, ValueError):
-        return sum(values)
+    return counts, window_sums(summands, starts[full], counts[full])

@@ -38,6 +38,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_trades < 1:
             raise ValueError(f"n_trades must be >= 1, got {self.n_trades}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.arrival_rate > 0:
             raise ValueError(f"arrival_rate must be positive, got {self.arrival_rate}")
         if self.sigma_step < 0:

@@ -279,6 +279,16 @@ class TestCharFun:
              "--grid", "0:5:2", "--testfn", str(testfn)], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_testfn_value_exits_3(self, value, three_trade_file, tmp_path, capsys):
+        testfn = tmp_path / "x.txt"
+        testfn.write_text(f"0.5\n{value}\n")
+        got = run_cli(
+            ["charfun", "--input", three_trade_file, "--window", "1",
+             "--grid", "0:5:2", "--testfn", str(testfn)], capsys)
+        assert got == (3, "", f"error: test-function file {testfn}: values must be finite, "
+                              f"got '{value}'\n")
+
     def test_three_point_grid_matches_frozen_oracle_fixture(self, capsys):
         # expected values in charfun_expected.json were generated by the
         # nested-loop oracle in naive_ref (see that file's docstring)
@@ -663,6 +673,8 @@ class TestErrorLines:
          "lag 10 >= series length 3; no records possible"),
         (["simulate", "--n-trades", "0"], 2, "n_trades must be >= 1, got 0"),
         (["simulate", "--seed", "1", "--rate", "nan"], 2, "arrival_rate must be positive, got nan"),
+        (["simulate", "--seed", "-1"], 2, "seed must be >= 0, got -1"),
+        (["identity-check", "--seed", "-1"], 2, "seed must be >= 0, got -1"),
         ([*CHARFUN, "--window", "3", "--grid", "0:1:2"], 4,
          "windows at t=0.0 and t=1.0 (width 3.0) are distinct but not disjoint; "
          "no combination set is defined there"),
@@ -684,7 +696,8 @@ class TestErrorLines:
         (["moments", "--input", "{late}", "--window", "1e308"], 2,
          "window center inf overflows the double range (last trade at t=1.75e+308); "
          "rescale the input units"),
-    ], ids=["lag_too_large", "simulate_n_trades", "simulate_rate", "charfun_overlap",
+    ], ids=["lag_too_large", "simulate_n_trades", "simulate_rate", "simulate_negative_seed",
+            "identity_check_negative_seed", "charfun_overlap",
             "malformed_line", "invalid_trade", "unwritable_output", "infinite_window",
             "infinite_stride", "charfun_infinite_window", "charfun_infinite_grid",
             "overflowing_center"])

@@ -3,10 +3,9 @@
 window_sums must return exactly csum of every window's slice: same bits,
 for ties, empty and one-element windows, overlapping windows, powers 1-8,
 magnitudes 1e-8..1e8 and exponent spans from one limb to past 60. Every
-finite column with a nonzero value and an absolute sum below
-ABS_SUM_LIMIT is summed from exact limb prefix sums, in blocks of the
-default size and of 3 rows (so block edges fall inside windows); the
-other columns, and exact-zero windows, are summed by fsum.
+column is summed from exact limb prefix sums, in blocks of the default
+size and of 3 rows (so block edges fall inside windows). Where fsum
+raises, a window gets inf, -inf or nan, as windowed_sums reports it.
 """
 
 import math
@@ -54,12 +53,6 @@ def _assert_matches_csum(cols, starts, lengths):
             for c in range(cols.shape[1]):
                 want = csum(cols[lo:lo + n, c])
                 assert _bits(got[w, c]) == _bits(want), (path, w, c, got[w, c], want)
-
-
-def _prefix_takes(col):
-    """Whether the exact path sums this column (else fsum does)."""
-    col = np.asarray(col, dtype=np.float64)
-    return sums._prefix_sums(col, np.array([0]), np.array([len(col)])) is not None
 
 
 _magnitude = st.floats(min_value=1e-8, max_value=1e8)
@@ -157,10 +150,11 @@ class TestWindowSums:
 
     def test_non_finite_follows_fsum(self):
         values = np.array([np.inf, 1.0, 1e308, 1e308])
+        with pytest.raises(OverflowError):
+            csum(values[2:])
         for path in PATHS:
-            assert _forced(path, values, np.array([0]), np.array([2]))[0] == math.inf
-            with pytest.raises(OverflowError):
-                _forced(path, values, np.array([2]), np.array([2]))
+            got = _forced(path, values, np.array([0, 2]), np.array([2, 2]))
+            assert _bits(got) == _bits([math.inf, math.inf])
 
     def test_windows_in_the_middle_of_the_array(self):
         # the covered span [3, 9) is a strict middle part of the 14 rows
@@ -191,6 +185,29 @@ class TestWindowedSums:
                 assert members == list(range(members[0], members[0] + n))
                 assert next(rows) == [csum(values[members]), csum(values[members] ** 2)]
         assert next(rows, None) is None
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_non_finite_windows_get_fsum_values(self, path):
+        # one row a second; width-2 windows hold 2 or 3 rows: finite ones,
+        # and ones with inf, -inf, both infinities, nan, or nan and -inf
+        values = np.array([1.5, 2.0 ** -60, -3.0, np.inf, 4.0, -np.inf, 1e10, np.nan, -2.5,
+                           7.0, 1e-3, 0.25])
+        ts = np.arange(len(values), dtype=np.float64)
+        centers = np.array([1.0, 2.5, 3.0, 4.0, 5.5, 6.0, 7.0, 10.0, 20.0])
+        with mock.patch.multiple(sums, **PATHS[path]):
+            counts, got = windowed_sums(ts, centers, 2.0, [values])
+        starts, lengths = window_bounds(ts, centers, 2.0)
+        assert counts.tolist() == lengths.tolist() == [3, 2, 3, 3, 2, 3, 3, 3, 0]
+        want = []
+        for lo, n in zip(starts[:-1].tolist(), lengths[:-1].tolist()):
+            try:
+                want.append(csum(values[lo:lo + n]))
+            except ValueError:  # fsum's "-inf + inf"
+                want.append(math.nan)
+        got, want = got[:, 0], np.array(want)
+        assert np.isnan(got).tolist() == np.isnan(want).tolist() == [
+            False, False, False, True, False, True, True, False]
+        assert _bits(got[~np.isnan(got)]) == _bits(want[~np.isnan(want)])
 
 
 def _limbs(col):
@@ -228,9 +245,8 @@ _CARRY_CHAIN = [(2.0 ** 53 - 1) * 2.0 ** (e - 53) for e in range(200, -70, -53)]
 
 
 class TestPrefixPath:
-    """The exact path on every finite column with a nonzero value and an
-    absolute sum below ABS_SUM_LIMIT, and fsum on the other columns; both
-    must give csum's bits."""
+    """The exact path on every column: csum's bits, and inf, -inf or nan
+    where fsum raises."""
 
     @given(_spread(), st.data())
     @settings(max_examples=200, deadline=None)
@@ -239,8 +255,6 @@ class TestPrefixPath:
                                              max_size=12)))
         lengths = np.array([data.draw(st.integers(0, len(values) - lo)) for lo in starts])
         _assert_matches_csum(values[:, None], starts, lengths)
-        if values.any():
-            assert _prefix_takes(values)
 
     def test_subnormals_and_the_limb_cap(self):
         cols = {
@@ -250,7 +264,6 @@ class TestPrefixPath:
             "subnormal to 1e300": [5e-324, 1e300, -1e300, 1e-310],
         }
         assert [_limbs(col) for col in cols.values()][1:] == [8, 9, 67]
-        assert all(_prefix_takes(col) for col in cols.values())
         for col in cols.values():
             values = np.array(col)
             n = len(values)
@@ -278,42 +291,42 @@ class TestPrefixPath:
     ], ids=["tie, third limb", "tie", "odd tie", "negative tie", "carry", "negative carry",
             "negative sums", "subnormal results", "one-unit sums", "67 limbs"])
     def test_rounding_edge_cases_match_csum(self, col):
-        assert _prefix_takes(col)
         _assert_matches_csum(np.array(col)[:, None], *_every_window(len(col)))
 
     def test_signed_cancellation_is_exact(self):
         # large terms that cancel leave a small remainder, or an exact 0
         values = np.array([2.0 ** 100, 3.0, -(2.0 ** 100), 2.0 ** -60, -3.0, -(2.0 ** -60),
                            1e16, -1e16])
-        assert _prefix_takes(values)
         _assert_matches_csum(values[:, None], np.array([0, 0, 0, 1, 2, 6, 0]),
                              np.array([3, 4, 6, 5, 4, 2, 8]))
 
     def test_absolute_sum_guard(self):
         inside = np.array([2.0 ** 999, -(2.0 ** 998), 2.0 ** 997, -(2.0 ** 946)])
-        assert _prefix_takes(inside)
         _assert_matches_csum(inside[:, None], np.array([0, 1, 0]), np.array([4, 3, 2]))
         outside = np.array([2.0 ** 999, 2.0 ** 999, -(2.0 ** 999)])
-        assert not _prefix_takes(outside)
         _assert_matches_csum(outside[:, None], np.array([0, 1, 0]), np.array([2, 2, 3]))
-        # fsum's partials overflow though the sum is finite: it raises
-        overflow = np.array([1e308, 1e308, -1e308])
-        assert not _prefix_takes(overflow)
+        # fsum's partials overflow, so it raises: a finite exact sum is
+        # rounded, and one past the double range is inf or -inf
+        overflow = np.array([1e308, 1e308, -1e308, -1e308, -1e308])
+        with pytest.raises(OverflowError):
+            csum(overflow[:3])
         for path in PATHS:
-            with pytest.raises(OverflowError):
-                _forced(path, overflow, np.array([0]), np.array([3]))
+            got = _forced(path, overflow, np.array([0, 0, 1, 2]), np.array([3, 2, 2, 3]))
+            assert _bits(got) == _bits([1e308, math.inf, 0.0, -math.inf])
 
     def test_non_finite_columns_follow_fsum(self):
         cases = [([1.0, np.inf, 2.0], math.inf), ([1.0, np.nan], math.nan),
                  ([-np.inf, 1.0], -math.inf)]
         for col, want in cases:
-            assert not _prefix_takes(col)
             for path in PATHS:
                 got = _forced(path, np.array(col), np.array([0]), np.array([len(col)]))
                 assert _bits(got) == _bits([want]) or (math.isnan(want) and math.isnan(got[0]))
+        # fsum raises on inf meeting -inf; the window gets nan
+        with pytest.raises(ValueError):
+            csum([np.inf, -np.inf])
         for path in PATHS:
-            with pytest.raises(ValueError):
-                _forced(path, np.array([np.inf, -np.inf]), np.array([0]), np.array([2]))
+            assert math.isnan(_forced(path, np.array([np.inf, -np.inf]), np.array([0]),
+                                      np.array([2]))[0])
 
     def test_zero_length_windows(self):
         values = np.array([1.5, -2.0 ** -60, 3e10])
@@ -329,21 +342,16 @@ class TestPrefixPath:
         values = np.array([-0.0, -0.0, 1.0, -1.0, -0.0, 0.0, 2.5, -0.0])
         starts = np.array([0, 0, 2, 0, 4, 1, 6, 7, 3])
         lengths = np.array([2, 1, 2, 4, 2, 0, 2, 1, 2])
-        assert _prefix_takes(values)
         _assert_matches_csum(values[:, None], starts, lengths)
         zeros = np.array([-0.0, -0.0, -0.0])
-        assert not _prefix_takes(zeros)
         _assert_matches_csum(zeros[:, None], np.array([0, 1, 0]), np.array([3, 1, 0]))
 
     @pytest.mark.parametrize("shape", ["moments-overlap", "pricevol-narrow",
                                        "returns-ndjson-wide", "identity-check", "C^8"])
-    def test_benchmark_grids_take_the_exact_path(self, shape, monkeypatch):
-        """Every column of the window grids of the benchmark workloads, on
-        simulated trades at about one per second, and C^8 of trades whose
-        C^8 spans more than 8 limbs, is summed from prefix sums."""
-        taken, exact = [], sums._prefix_sums
-        monkeypatch.setattr(sums, "_prefix_sums",
-                            lambda *args: taken.append(exact(*args)) or taken[-1])
+    def test_benchmark_grids_take_the_exact_path(self, shape):
+        """The exact path gives csum's bits on every column of the window
+        grids of the benchmark workloads, on simulated trades at about one
+        per second, and on C^8 of trades whose C^8 spans more than 8 limbs."""
         series = simulate_trades(SimConfig(n_trades=20000, seed=11))
         t0, t1 = series.span()
         width, stride = 200.0, 10.0
@@ -360,5 +368,10 @@ class TestPrefixPath:
         else:
             width, stride = (10.0, 5.0) if shape == "pricevol-narrow" else ((t1 - t0) / 16,) * 2
             summands = dispersion_summands(series)
-        windowed_sums(series.timestamps, window_centers(series, width, stride), width, summands)
-        assert len(taken) == len(summands) and all(sums is not None for sums in taken)
+        centers = window_centers(series, width, stride)
+        _, got = windowed_sums(series.timestamps, centers, width, summands)
+        starts, lengths = window_bounds(series.timestamps, centers, width)
+        full = lengths > 0
+        want = [[csum(s[lo:lo + n]) for s in summands]
+                for lo, n in zip(starts[full].tolist(), lengths[full].tolist())]
+        assert _bits(got) == _bits(want)
