@@ -34,7 +34,6 @@ from .trades import (
 from .moments import (
     DEFAULT_DEGREE_CAP,
     aggregate_degree,
-    collect_price_moments,
     price_moment,
     simple_average_price,
     vwap,
@@ -52,8 +51,6 @@ from .returns import (
     ReturnsSet,
     ReturnsVolatilityReport,
     build_returns,
-    mean_return,
-    records_in_window,
     returns_dispersion_stats,
     returns_moment,
     returns_volatility_closed,
@@ -69,7 +66,7 @@ from .charfun import (
     moment_provider,
     multi_time_moment,
 )
-from .ingest import IngestSchema, load_trades, render_trades, write_trades
+from .ingest import IngestSchema, load_trades, write_trades
 from .synth import SimConfig, simulate_trades
 
 __version__ = "0.1.0"
@@ -102,18 +99,14 @@ __all__ = [
     "build_returns",
     "charfun_derivative_check",
     "charfun_truncated",
-    "collect_price_moments",
     "dispersion_stats",
     "load_trades",
-    "mean_return",
     "moment_provider",
     "multi_time_moment",
     "price_moment",
     "price_volatility_closed",
     "price_volatility_direct",
     "price_volatility_report",
-    "records_in_window",
-    "render_trades",
     "returns_dispersion_stats",
     "returns_moment",
     "returns_volatility_closed",

@@ -20,9 +20,10 @@ be allocated, a value past the double range, such as C^8 of costs near
 NonFiniteError names the column and window center, or the charfun order,
 and nothing is written), 3 input error (a missing, unreadable, non-UTF-8
 or malformed input file, an invalid trade, an integer field past the
-double range), 4 unsupported configuration. Commands raise; main alone
-maps an exception to its code and prints its one "error:" line on
-stderr, with plain numbers.
+double range), 4 unsupported configuration. A command checks its flags
+before it reads a file (a bad flag exits 2 even with a bad input), the
+checks that need the data after. Commands raise; main alone maps an
+exception to its code and prints one "error:" line, with plain numbers.
 
 Every command that sums over windows, charfun included, runs in four
 array steps: the bounds of all windows from one searchsorted per edge
@@ -56,7 +57,8 @@ from .errors import (
     UnsupportedWindowOverlapError,
     ValidationError,
 )
-from .ingest import BLOCK_ROWS, IngestSchema, _format_block, load_trades, trade_blocks, write_trades
+from .ingest import (BLOCK_ROWS, SCHEMA_VARIANTS, TIMESTAMP_UNITS, IngestSchema, _format_block,
+                     load_trades, trade_blocks, write_trades)
 from .moments import DEFAULT_DEGREE_CAP, moment_sums, window_centers
 from .returns import build_returns, returns_summands, rform_from_sums
 from .sums import windowed_sums
@@ -204,16 +206,12 @@ def _load_input(args) -> TradeSeries:
     return series
 
 
-def _parse_degrees(text: str) -> list[int]:
+def _int_list(flag: str, text: str) -> list[int]:
+    """The distinct integers of a comma list flag, sorted."""
     try:
-        degrees = sorted({int(part) for part in text.split(",") if part.strip() != ""})
+        return sorted({int(part) for part in text.split(",") if part.strip()})
     except ValueError:
-        raise ConfigError(f"--degrees must be a comma list of integers, got {text!r}")
-    if not degrees:
-        raise ConfigError("--degrees must name at least one degree")
-    if degrees[0] < 1 or degrees[-1] > DEFAULT_DEGREE_CAP:
-        raise ConfigError(f"degrees must lie in [1, {DEFAULT_DEGREE_CAP}], got {text!r}")
-    return degrees
+        raise ConfigError(f"{flag} must be a comma list of integers, got {text!r}")
 
 
 def _positive(flag: str, value: float) -> float:
@@ -222,9 +220,12 @@ def _positive(flag: str, value: float) -> float:
     return value
 
 
-def _window_stride(args) -> tuple[float, float]:
-    width = _positive("--window", args.window)
-    return width, _positive("--stride", args.stride if args.stride is not None else width)
+def _window_stride(args) -> tuple:
+    """--window and --stride, each checked where given; the stride defaults
+    to the width (identity-check's width, when absent, to span/16)."""
+    width, stride = (value if value is None else _positive(flag, value)
+                     for flag, value in (("--window", args.window), ("--stride", args.stride)))
+    return width, stride or width
 
 
 def _check_windows(centers, counts, columns: dict, divisor: bool = False) -> None:
@@ -248,15 +249,6 @@ def _emit_windows(args, centers, count_key: str, counts, columns: dict) -> None:
     _emit(counts > 0, {"t": centers, count_key: counts, **columns}, args)
 
 
-def _windowed(args, prepare=lambda trades: trades) -> tuple:
-    """prepare(trades) of the --input trades (the stream a command sums),
-    the --window width and the window centers over the trades. Errors win
-    in that order: input, --window/--stride, prepare's, grid."""
-    series = _load_input(args)
-    width, stride = _window_stride(args)
-    return prepare(series), width, window_centers(series, width, stride)
-
-
 def _volatility_table(stream: PairSeries, centers, width: float) -> tuple:
     """Item counts of every window and, from the same windowed_sums call,
     the named columns of the stream's volatility table over the non-empty
@@ -267,20 +259,27 @@ def _volatility_table(stream: PairSeries, centers, width: float) -> tuple:
                                  (dispersion_summands if trades else returns_summands)(stream))
     sums = sums.T
     _check_windows(centers, counts, {f"{stream._labels[2]}^2": sums[3]}, divisor=True)
-    direct, closed, terms = volatility_forms(counts[counts > 0], *sums[:4])
+    nonempty = counts[counts > 0]
+    direct, closed, terms = volatility_forms(nonempty, *sums[:4])
     if trades:
         return counts, {"sigma2_direct": direct, "sigma2_closed": closed,
                         **dict(zip(["sigma_c2", "sigma_v2", "phi_c2", "phi_v2"], terms[4:])),
                         "negative_flag": direct < 0}
-    r11, r21, r22, rform = rform_from_sums(*sums[2:])
+    r11, r21, r22, rform = rform_from_sums(nonempty, *sums[2:])
     return counts, {"mean_return": sums[0] / sums[2] - 1.0, "sigma2_direct": direct,
                     "sigma2_rform": rform, "sigma2_closed": closed,
                     "r11": r11, "r21": r21, "r22": r22, "negative_flag": direct < 0}
 
 
 def cmd_moments(args) -> int:
-    (series, degrees), width, centers = _windowed(
-        args, lambda trades: (trades, _parse_degrees(args.degrees)))
+    width, stride = _window_stride(args)
+    degrees = _int_list("--degrees", args.degrees)
+    if not degrees:
+        raise ConfigError("--degrees must name at least one degree")
+    if degrees[0] < 1 or degrees[-1] > DEFAULT_DEGREE_CAP:
+        raise ConfigError(f"degrees must lie in [1, {DEFAULT_DEGREE_CAP}], got {args.degrees!r}")
+    series = _load_input(args)
+    centers = window_centers(series, width, stride)
     counts, sums = moment_sums(series, centers, width, degrees)
     columns = {}
     for i, n in enumerate(degrees):
@@ -291,18 +290,20 @@ def cmd_moments(args) -> int:
 
 
 def cmd_price_vol(args) -> int:
-    series, width, centers = _windowed(args)
+    width, stride = _window_stride(args)
+    series = _load_input(args)
+    centers = window_centers(series, width, stride)
     _emit_windows(args, centers, "n_trades", *_volatility_table(series, centers, width))
     return EXIT_OK
 
 
 def cmd_returns_vol(args) -> int:
-    def lag_records(trades):  # --lag is checked after --window/--stride
-        if args.lag < 1:
-            raise ConfigError(f"--lag must be >= 1, got {args.lag}")
-        return build_returns(trades, args.lag)
-
-    records, width, centers = _windowed(args, lag_records)
+    width, stride = _window_stride(args)
+    if args.lag < 1:
+        raise ConfigError(f"--lag must be >= 1, got {args.lag}")
+    series = _load_input(args)
+    records = build_returns(series, args.lag)
+    centers = window_centers(series, width, stride)
     _emit_windows(args, centers, "n_records", *_volatility_table(records, centers, width))
     return EXIT_OK
 
@@ -318,8 +319,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     return start, step, count
 
 
-def _load_testfn(path: str, count: int) -> list[float]:
-    with _input_errors(path), open(path, encoding="utf-8") as fh:
+def _load_testfn(path: str) -> list[float]:
+    with _input_errors(path), open(path, encoding="utf-8-sig") as fh:
         lines = [ln.strip() for ln in fh if ln.strip() and not ln.lstrip().startswith("#")]
     try:
         values = [float(ln) for ln in lines]
@@ -328,18 +329,17 @@ def _load_testfn(path: str, count: int) -> list[float]:
     for text, value in zip(lines, values):
         if not np.isfinite(value):
             raise ParseError(f"test-function file {path}: values must be finite, got {text!r}")
-    if len(values) != count:
-        raise ConfigError(
-            f"test-function file has {len(values)} values but the grid has {count} points"
-        )
     return values
 
 
 def cmd_charfun(args) -> int:
-    series = _load_input(args)
     width = _positive("--window", args.window)
     start, step, count = _parse_grid(args.grid)
-    xs = _load_testfn(args.testfn, count)
+    xs = _load_testfn(args.testfn)
+    series = _load_input(args)
+    if len(xs) != count:
+        raise ConfigError(
+            f"test-function file has {len(xs)} values but the grid has {count} points")
     grid = [start + k * step for k in range(count)]
     try:
         result = charfun_truncated(moment_provider(series, width), grid, xs, step, args.nmax)
@@ -369,16 +369,10 @@ def cmd_charfun(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    config = SimConfig(
-        n_trades=args.n_trades,
-        seed=args.seed if args.seed is not None else int(np.random.SeedSequence().entropy % 2**31),
-        sigma_step=args.sigma_step,
-        start_price=args.start_price,
-        volume_mu=args.vol_mu,
-        volume_sigma=args.vol_sigma,
-        arrival_rate=args.rate,
-        start_time=args.start_time,
-    )
+    params = {k: v for k, v in vars(args).items() if k in SimConfig.__dataclass_fields__}
+    if args.seed is None:
+        params["seed"] = int(np.random.SeedSequence().entropy % 2**31)
+    config = SimConfig(**params)
     schema = IngestSchema(args.schema, args.ts_unit)
     try:  # parameters whose trades, or timestamps in nanoseconds, overflow
         series = simulate_trades(config)
@@ -421,25 +415,20 @@ def _identity_rows(series: TradeSeries, width: float, stride: float, lags: list[
 
 
 def cmd_identity_check(args) -> int:
+    width, stride = _window_stride(args)
+    lags = _int_list("--lags", args.lags)
+    if not lags or lags[0] < 1:
+        raise ConfigError(f"--lags must be integers >= 1, got {args.lags!r}")
     if args.input:
         series = _load_input(args)
     else:
         seed = args.seed if args.seed is not None else 0
         series = simulate_trades(SimConfig(n_trades=args.n_trades, seed=seed))
         print(f"seed: {seed}", file=sys.stderr)
-    if args.window is not None:
-        width, stride = _window_stride(args)
-    else:
+    if width is None:
         t0, t1 = series.span()
-        width = stride = (t1 - t0) / 16 if t1 > t0 else 1.0
-    try:
-        lags = sorted({int(p) for p in args.lags.split(",") if p.strip()})
-    except ValueError:
-        raise ConfigError(f"--lags must be a comma list of integers, got {args.lags!r}")
-    if not lags or lags[0] < 1:
-        raise ConfigError(f"--lags must be integers >= 1, got {args.lags!r}")
-
-    names, lag, windows, devs = zip(*_identity_rows(series, width, stride, lags))
+        width = (t1 - t0) / 16 if t1 > t0 else 1.0
+    names, lag, windows, devs = zip(*_identity_rows(series, width, stride or width, lags))
     status = ["PASS" if dev <= IDENTITY_TOLERANCE else "FAIL" for dev in devs]
     _emit(np.array([m is not None for m in lag]), {
         "identity": np.array(names),
@@ -454,11 +443,20 @@ def cmd_identity_check(args) -> int:
 
 def _add_io_flags(sub, input_required=True):
     sub.add_argument("--input", required=input_required, help="trade file (CSV or NDJSON)")
-    sub.add_argument("--schema", default="ts_cost_volume",
-                     choices=["ts_cost_volume", "ts_price_volume"],
+    _add_schema_flags(sub)
+
+
+def _add_schema_flags(sub):
+    sub.add_argument("--schema", default=SCHEMA_VARIANTS[0], choices=SCHEMA_VARIANTS,
                      help="row layout of the trade file")
-    sub.add_argument("--ts-unit", default="seconds", choices=["seconds", "nanoseconds"],
+    sub.add_argument("--ts-unit", default=TIMESTAMP_UNITS[0], choices=TIMESTAMP_UNITS,
                      help="timestamp unit in the trade file")
+
+
+def _add_window_flags(sub, required=True):
+    width = "averaging window width (seconds)" + ("" if required else " (default: span/16)")
+    sub.add_argument("--window", type=float, required=required, help=width)
+    sub.add_argument("--stride", type=float, help="window center step (default: window width)")
 
 
 def _add_output_flags(sub):
@@ -476,23 +474,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("moments", help="per-window degree-n cost/volume sums and price moments")
     _add_io_flags(sub)
-    sub.add_argument("--window", type=float, required=True, help="averaging window width (seconds)")
-    sub.add_argument("--stride", type=float, default=None, help="window center step (default: window width)")
+    _add_window_flags(sub)
     sub.add_argument("--degrees", default="1,2", help="comma list of degrees, e.g. 1,2,3")
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_moments)
 
     sub = subs.add_parser("price-vol", help="price volatility, direct and dispersion-decomposed forms")
     _add_io_flags(sub)
-    sub.add_argument("--window", type=float, required=True)
-    sub.add_argument("--stride", type=float, default=None)
+    _add_window_flags(sub)
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_price_vol)
 
     sub = subs.add_parser("returns-vol", help="lag-m returns volatility in three equivalent forms")
     _add_io_flags(sub)
-    sub.add_argument("--window", type=float, required=True)
-    sub.add_argument("--stride", type=float, default=None)
+    _add_window_flags(sub)
     sub.add_argument("--lag", type=int, default=1, help="returns lag m (index-based)")
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_returns_vol)
@@ -507,24 +502,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_charfun)
 
     sub = subs.add_parser("simulate", help="write a reproducible synthetic trade file")
-    sub.add_argument("--schema", default="ts_cost_volume",
-                     choices=["ts_cost_volume", "ts_price_volume"])
-    sub.add_argument("--ts-unit", default="seconds", choices=["seconds", "nanoseconds"])
+    _add_schema_flags(sub)
     sub.add_argument("--seed", type=int, default=None, help="RNG seed (default: fresh entropy, printed)")
     sub.add_argument("--n-trades", type=int, default=1000)
-    sub.add_argument("--sigma-step", type=float, default=0.02)
-    sub.add_argument("--start-price", type=float, default=100.0)
-    sub.add_argument("--vol-mu", type=float, default=0.0)
-    sub.add_argument("--vol-sigma", type=float, default=0.5)
-    sub.add_argument("--rate", type=float, default=1.0)
-    sub.add_argument("--start-time", type=float, default=0.0)
+    for flag, name in [("--sigma-step", "sigma_step"), ("--start-price", "start_price"),
+                       ("--vol-mu", "volume_mu"), ("--vol-sigma", "volume_sigma"),
+                       ("--rate", "arrival_rate"), ("--start-time", "start_time")]:
+        sub.add_argument(flag, dest=name, type=float, default=argparse.SUPPRESS)  # SimConfig's default
     sub.add_argument("--output", default=None, help="trade file path (default stdout)")
     sub.set_defaults(func=cmd_simulate, format="csv")
 
     sub = subs.add_parser("identity-check", help="verify the volatility identities on data or a simulation")
     _add_io_flags(sub, input_required=False)
-    sub.add_argument("--window", type=float, default=None, help="window width (default: span/16)")
-    sub.add_argument("--stride", type=float, default=None)
+    _add_window_flags(sub, required=False)
     sub.add_argument("--lags", default="1,2,10", help="comma list of returns lags")
     sub.add_argument("--seed", type=int, default=None, help="simulation seed when no --input is given")
     sub.add_argument("--n-trades", type=int, default=2000, help="simulation size when no --input is given")

@@ -7,8 +7,9 @@ Two row layouts are supported, named by their columns:
 
 Timestamps are decimal seconds, or integer nanoseconds converted to
 seconds at load (precision past microseconds is lost in the conversion).
-Files are UTF-8 text with '.' decimal separators; CSV carries an exact
-header line, NDJSON one object per line with the same field names.
+Files are UTF-8 text with '.' decimal separators (a leading byte-order
+mark is skipped); CSV carries an exact header line, NDJSON one object
+per line with the same field names.
 
 Files are read and written BLOCK_ROWS lines at a time, so memory beyond
 the loaded columns stays bounded. A block of CSV lines is split once
@@ -89,7 +90,7 @@ def load_trades(path: str | os.PathLike, schema: IngestSchema) -> TradeSeries:
     line number; invariant violations propagate from series validation.
     """
     columns = ([], [], [])
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         head = []
         for line in fh:
             head.append(line)

@@ -135,15 +135,18 @@ def returns_summands(records: ReturnsSet) -> list:
     return [*dispersion_summands(records), r_qv, r * qv ** 2, r_qv ** 2]
 
 
-def rform_from_sums(sum_qv, sum_qv2, sum_rqv, sum_rqv2, sum_rqv_sq) -> tuple:
+def rform_from_sums(count, sum_qv, sum_qv2, sum_rqv, sum_rqv2, sum_rqv_sq) -> tuple:
     """(r11, r21, r22, r22 - r11^2 + 2 (r21 - r11)) from window sums.
 
     Scalars or arrays with one entry per window, like volatility_forms.
+    With a single record the expression collapses to zero identically, so
+    a one-record window yields 0.0 rather than evaluation noise, which
+    grows with the record's return.
     """
     r11 = sum_rqv / sum_qv
     r21 = sum_rqv2 / sum_qv2
     r22 = sum_rqv_sq / sum_qv2
-    return r11, r21, r22, r22 - r11 * r11 + 2.0 * (r21 - r11)
+    return r11, r21, r22, np.where(count == 1, 0.0, r22 - r11 * r11 + 2.0 * (r21 - r11))
 
 
 def returns_volatility_rform(records: ReturnsSet) -> float:
@@ -151,14 +154,11 @@ def returns_volatility_rform(records: ReturnsSet) -> float:
 
     r22 - r11^2 + 2*(r21 - r11)
 
-    With a single record the expression collapses to zero identically, so
-    that case returns 0.0 exactly.
+    (0.0 exactly for a single record; see rform_from_sums).
     """
     n, *sums = item_sums(records, returns_summands)
-    if n == 1:
-        return 0.0
     nonzero_divisor(records, "r21", sums[3])
-    return finite(records, ["sigma2_rform"], [rform_from_sums(*sums[2:])[3]])[0]
+    return finite(records, ["sigma2_rform"], [rform_from_sums(n, *sums[2:])[3]])[0]
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ def returns_volatility_report(records: ReturnsSet) -> ReturnsVolatilityReport:
     direct, closed, terms = volatility_forms(n, *sums[:4])
     direct, closed, r11, r21, r22, rform, *terms = finite(
         records, ["sigma2_direct", "sigma2_closed", "r11", "r21", "r22", "sigma2_rform", *_TERMS],
-        [direct, closed, *rform_from_sums(*sums[2:]), *terms])
+        [direct, closed, *rform_from_sums(n, *sums[2:]), *terms])
     return ReturnsVolatilityReport(
         lag=records.lag,
         n_records=n,

@@ -279,6 +279,15 @@ class TestCharFun:
              "--grid", "0:5:2", "--testfn", str(testfn)], capsys)
         assert code == 2
 
+    def test_testfn_byte_order_mark_is_skipped(self, three_trade_file, tmp_path, capsys):
+        outs = []
+        for prefix in ["", "\ufeff"]:
+            testfn = tmp_path / "x.txt"
+            testfn.write_text(prefix + "0.5\n0.25\n", encoding="utf-8")
+            outs.append(run_cli(["charfun", "--input", three_trade_file, "--window", "1",
+                                 "--grid", "0:2:2", "--testfn", str(testfn)], capsys))
+        assert outs[0][0] == 0 and outs[1] == outs[0]
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_testfn_value_exits_3(self, value, three_trade_file, tmp_path, capsys):
         testfn = tmp_path / "x.txt"
@@ -445,6 +454,24 @@ class TestIdentityCheck:
         assert code == 0
         rows = parse_csv(out)
         assert all(row["status"] == "PASS" for row in rows)
+
+    def test_one_record_window_with_a_large_return_passes(self, tmp_path, capsys):
+        # its r form evaluated to -2.98e-08, not 0, and failed the lag-1 row
+        path = tmp_path / "one.csv"
+        path.write_text("ts,cost,volume\n0,0.00997448978057333,1.6836551106187538\n"
+                        "1,77.75506076860846,1.0256577204724062\n")
+        code, out, _ = run_cli(["identity-check", "--input", str(path), "--lags", "1"], capsys)
+        assert code == 0
+        assert [row["status"] for row in parse_csv(out)] == ["PASS", "PASS"]
+
+    def test_stride_without_window(self, capsys):
+        args = ["identity-check", "--seed", "11", "--n-trades", "400", "--lags", "1"]
+        windows = []
+        for extra in [[], ["--stride", "1"]]:
+            code, out, _ = run_cli(args + extra, capsys)
+            assert code == 0
+            windows.append([int(row["windows"]) for row in parse_csv(out)])
+        assert windows[0] == [17, 17] and windows[1][0] > 300
 
     def test_corrupt_input_exits_3(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
@@ -675,6 +702,8 @@ class TestErrorLines:
         (["simulate", "--seed", "1", "--rate", "nan"], 2, "arrival_rate must be positive, got nan"),
         (["simulate", "--seed", "-1"], 2, "seed must be >= 0, got -1"),
         (["identity-check", "--seed", "-1"], 2, "seed must be >= 0, got -1"),
+        (["identity-check", "--input", "{three}", "--stride", "-1"], 2,
+         "--stride must be positive and finite, got -1.0"),
         ([*CHARFUN, "--window", "3", "--grid", "0:1:2"], 4,
          "windows at t=0.0 and t=1.0 (width 3.0) are distinct but not disjoint; "
          "no combination set is defined there"),
@@ -697,7 +726,7 @@ class TestErrorLines:
          "window center inf overflows the double range (last trade at t=1.75e+308); "
          "rescale the input units"),
     ], ids=["lag_too_large", "simulate_n_trades", "simulate_rate", "simulate_negative_seed",
-            "identity_check_negative_seed", "charfun_overlap",
+            "identity_check_negative_seed", "identity_check_negative_stride", "charfun_overlap",
             "malformed_line", "invalid_trade", "unwritable_output", "infinite_window",
             "infinite_stride", "charfun_infinite_window", "charfun_infinite_grid",
             "overflowing_center"])
@@ -708,6 +737,18 @@ class TestErrorLines:
             (tmp_path / name).write_text(text)
         got = run_cli([arg.format(**paths) for arg in args], capsys)
         assert got == (code, "", f"error: {message.format(**paths)}\n")
+
+    @pytest.mark.parametrize("args, message", [
+        (["moments", "--window", "1", "--degrees", "9"], "degrees must lie in [1, 8], got '9'"),
+        (["price-vol", "--window", "-1"], "--window must be positive and finite, got -1.0"),
+        (["returns-vol", "--window", "1", "--lag", "0"], "--lag must be >= 1, got 0"),
+        (["charfun", "--window", "1", "--grid", "0:inf:2", "--testfn", "/nonexistent.txt"],
+         "--grid needs count >= 1, step > 0 and finite points, got '0:inf:2'"),
+        (["identity-check", "--lags", "0"], "--lags must be integers >= 1, got '0'"),
+    ], ids=["moments", "price-vol", "returns-vol", "charfun", "identity-check"])
+    def test_flags_are_checked_before_the_input(self, args, message, capsys):
+        got = run_cli([args[0], "--input", "/nonexistent.csv", *args[1:]], capsys)
+        assert got == (2, "", f"error: {message}\n")
 
 
 class TestFileErrors:
@@ -852,10 +893,10 @@ class TestOverflow:
         (["returns-vol", "--lag", "1"], ""),
     ], ids=["identity-check", "returns-vol"])
     @pytest.mark.parametrize("rows, message", [
-        # one record of return 1e300: the direct form of a one-record window
-        # is 0 exactly, but (r qv)^2, so r22, is inf
+        # one record of return 1e300: the direct and r forms of a one-record
+        # window are 0 exactly, but qc^2 (as (r qv)^2, so r22) is inf
         ("0,1e-150,1\n1,1e150,1\n",
-         "{prefix}sigma2_rform overflows the double range in the window at t=2.5"),
+         "{prefix}sigma2_closed overflows the double range in the window at t=2.5"),
         # volume ratio 1e-308: its square underflows to 0
         ("0,1,1e154\n1,1,1e-154\n",
          "the sum of volume ratio^2 underflows to 0 in the window at t=2.5"),

@@ -19,11 +19,11 @@ from tickvol import (
     TradeSeries,
     ValidationError,
     load_trades,
-    render_trades,
     simulate_trades,
     validate_series,
     write_trades,
 )
+from tickvol.ingest import render_trades
 
 COST_SCHEMA = IngestSchema("ts_cost_volume")
 PRICE_SCHEMA = IngestSchema("ts_price_volume")
@@ -155,6 +155,17 @@ class TestLoadNdjson:
         path = tmp_path / "t.ndjson"
         path.write_text('{"ts": 1.0, "cost": 10.0, "volume": 2.0}\n\n\n')
         assert len(load_trades(path, COST_SCHEMA)) == 1
+
+
+@pytest.mark.parametrize("text", [
+    "ts,cost,volume\n1.0,10.0,2.0\n",
+    '{"ts": 1.0, "cost": 10.0, "volume": 2.0}\n',
+], ids=["csv", "ndjson"])
+def test_byte_order_mark_is_skipped(tmp_path, text):
+    path = tmp_path / "bom.txt"
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    series = load_trades(path, COST_SCHEMA)
+    assert (series.timestamps.tolist(), series.costs.tolist()) == ([1.0], [10.0])
 
 
 class TestRoundTrip:

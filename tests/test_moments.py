@@ -20,7 +20,6 @@ from tickvol import (
     SimConfig,
     WindowSpec,
     aggregate_degree,
-    collect_price_moments,
     dispersion_stats,
     price_moment,
     price_volatility_closed,
@@ -39,7 +38,7 @@ from tickvol import (
     vwap,
     window_centers,
 )
-from tickvol.moments import moment_sums
+from tickvol.moments import collect_price_moments, moment_sums
 
 
 def _view(rows, center=None, width=None):

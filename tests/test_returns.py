@@ -19,11 +19,9 @@ from tickvol import (
     aggregate_degree,
     build_returns,
     dispersion_stats,
-    mean_return,
     price_moment,
     price_volatility_closed,
     price_volatility_direct,
-    records_in_window,
     returns_dispersion_stats,
     returns_moment,
     returns_volatility_closed,
@@ -34,7 +32,7 @@ from tickvol import (
     simulate_trades,
     validate_series,
 )
-from tickvol.returns import returns_summands, rform_from_sums
+from tickvol.returns import mean_return, records_in_window, returns_summands, rform_from_sums
 from tickvol.sums import windowed_sums
 from tickvol.volatility import volatility_forms
 
@@ -197,6 +195,20 @@ class TestVolatilityForms:
         assert returns_volatility_rform(recs) == 0.0
         assert returns_volatility_closed(returns_dispersion_stats(recs)) == 0.0
 
+    @pytest.mark.parametrize("rows", [
+        [(0.0, 4.0, 2.0), (1.0, 6.0, 4.0)],
+        # price ratios of 10 and near 5e3: r22 - r11^2 + 2 (r21 - r11)
+        # evaluates to -1.4e-14 and -2.98e-08, not 0, in floating point
+        [(0.0, 0.013, 1.3), (1.0, 0.11, 1.1)],
+        [(0.0, 0.00997448978057333, 1.6836551106187538),
+         (1.0, 77.75506076860846, 1.0256577204724062)],
+    ])
+    def test_single_record_report_matches_rform(self, rows):
+        recs = build_returns(validate_series(rows), 1)
+        report = returns_volatility_report(recs)
+        assert report.sigma_q2_rform == returns_volatility_rform(recs) == 0.0
+        assert report.sigma_q2_direct == report.sigma_q2_closed == 0.0
+
     def test_report_fields(self, three_trade_series):
         recs = build_returns(three_trade_series, 1)
         rep = returns_volatility_report(recs)
@@ -324,7 +336,7 @@ def test_all_windows_path_matches_per_window_reports():
     summands = returns_summands(records)
     counts, sums = windowed_sums(records.timestamps, centers, width, summands)
     direct, closed, _ = volatility_forms(counts[counts > 0], *sums.T[:4])
-    r11, _, _, rform = rform_from_sums(*sums.T[2:])
+    r11, _, _, rform = rform_from_sums(counts[counts > 0], *sums.T[2:])
     reports = [returns_volatility_report(records_in_window(records, WindowSpec(c, width)))
                for c, n in zip(centers.tolist(), counts.tolist()) if n]
     assert direct.tolist() == [r.sigma_q2_direct for r in reports]
