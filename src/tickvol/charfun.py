@@ -174,6 +174,17 @@ def _truncated_convolve(acc: list[float], other: list[float], n_max: int) -> lis
     return out
 
 
+def check_truncation_order(n_max: int) -> None:
+    """Raise TruncationOrderOutOfRangeError unless n_max is an integer in
+    [1, DEFAULT_DEGREE_CAP]."""
+    if not isinstance(n_max, (int, np.integer)) or isinstance(n_max, bool) or n_max < 1:
+        raise TruncationOrderOutOfRangeError(f"truncation order must be an integer >= 1, got {n_max!r}")
+    if n_max > DEFAULT_DEGREE_CAP:
+        raise TruncationOrderOutOfRangeError(
+            f"truncation order {n_max} exceeds degree cap {DEFAULT_DEGREE_CAP}"
+        )
+
+
 def charfun_truncated(
     provider: MomentProvider,
     grid: Sequence[float],
@@ -198,12 +209,7 @@ def charfun_truncated(
         raise ValueError(f"{len(xs)} test-function values for {len(grid)} grid points")
     if not step > 0:
         raise ValueError("step must be positive")
-    if not isinstance(n_max, (int, np.integer)) or isinstance(n_max, bool) or n_max < 1:
-        raise TruncationOrderOutOfRangeError(f"truncation order must be an integer >= 1, got {n_max!r}")
-    if n_max > DEFAULT_DEGREE_CAP:
-        raise TruncationOrderOutOfRangeError(
-            f"truncation order {n_max} exceeds degree cap {DEFAULT_DEGREE_CAP}"
-        )
+    check_truncation_order(n_max)
     for t_prev, t_next in zip(grid, grid[1:]):
         if not t_next > t_prev:
             raise ValueError("grid must be strictly increasing")

@@ -24,6 +24,8 @@ double range), 4 unsupported configuration. A command checks its flags
 before it reads a file (a bad flag exits 2 even with a bad input), the
 checks that need the data after. Commands raise; main alone maps an
 exception to its code and prints one "error:" line, with plain numbers.
+An unwritable stderr drops that line and the "seed:" lines (_diagnostic)
+and changes no exit code.
 
 Every command that sums over windows, charfun included, runs in four
 array steps: the bounds of all windows from one searchsorted per edge
@@ -48,7 +50,7 @@ import sys
 
 import numpy as np
 
-from .charfun import charfun_truncated, moment_provider
+from .charfun import charfun_truncated, check_truncation_order, moment_provider
 from .errors import (
     ConfigError,
     NonFiniteError,
@@ -173,6 +175,18 @@ def _output(args):
         except OSError:  # a closed pipe: the flush at exit must not fail again
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
             raise
+
+
+def _diagnostic(text: str) -> None:
+    """Print one line to stderr. An unwritable stderr drops it, and fd 2 then
+    points at /dev/null, as _output does for stdout: the flush at exit would
+    fail again and turn any exit code into 120."""
+    if sys.stderr is None:  # fd 2 was closed when the process started
+        return
+    try:
+        print(text, file=sys.stderr, flush=True)
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
 
 
 @contextlib.contextmanager
@@ -335,6 +349,7 @@ def _load_testfn(path: str) -> list[float]:
 def cmd_charfun(args) -> int:
     width = _positive("--window", args.window)
     start, step, count = _parse_grid(args.grid)
+    check_truncation_order(args.nmax)
     xs = _load_testfn(args.testfn)
     series = _load_input(args)
     if len(xs) != count:
@@ -384,7 +399,7 @@ def cmd_simulate(args) -> int:
                 out.writelines(trade_blocks(series, schema, "csv"))
     except (ValidationError, NonFiniteError) as exc:
         raise ConfigError(f"simulated {exc}")
-    print(f"seed: {config.seed}", file=sys.stderr)
+    _diagnostic(f"seed: {config.seed}")
     return EXIT_OK
 
 
@@ -424,7 +439,7 @@ def cmd_identity_check(args) -> int:
     else:
         seed = args.seed if args.seed is not None else 0
         series = simulate_trades(SimConfig(n_trades=args.n_trades, seed=seed))
-        print(f"seed: {seed}", file=sys.stderr)
+        _diagnostic(f"seed: {seed}")
     if width is None:
         t0, t1 = series.span()
         width = (t1 - t0) / 16 if t1 > t0 else 1.0
@@ -533,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
         with np.errstate(all="ignore"):
             return args.func(args)
     except (TickvolError, ValueError, MemoryError) as exc:
-        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
+        _diagnostic(f"error: {str(exc) or 'out of memory'}")
         if isinstance(exc, (ParseError, ValidationError)):
             return EXIT_INPUT
         return EXIT_UNSUPPORTED if isinstance(exc, UnsupportedWindowOverlapError) else EXIT_CONFIG

@@ -14,12 +14,16 @@ per line with the same field names.
 Files are read and written BLOCK_ROWS lines at a time, so memory beyond
 the loaded columns stays bounded. A block of CSV lines is split once
 into three field columns, a block of NDJSON lines is parsed by one
-json.loads, and every number goes through Python's own float and int,
-so the syntax accepted is the line parser's by construction. A block
-the bulk path refuses is parsed again line by line (_csv_lines,
-_ndjson_lines), which either accepts it or raises the ParseError that
-names the first bad line. Series validation runs once every block has
-parsed, so a parse error anywhere wins over an invalid row.
+json.loads, and each column becomes one np.array(values, dtype=float64).
+numpy converts a Python str, int or float as float() does (raising where
+it raises), and integer timestamps go through int() first, so the
+syntax accepted is the line parser's. A block the bulk path refuses is
+parsed again line by line (_csv_lines, _ndjson_lines), which either
+accepts it or raises the ParseError that names the first bad line.
+Series validation runs once every block has parsed, so a parse error
+anywhere wins over an invalid row. The cyclic garbage collector is
+paused while a file is read: the parsed rows hold no cycles, and its
+collections would scan every dict and list json.loads builds.
 
 write_trades + load_trades round-trip a series bit-exactly in both
 layouts: a block is one % over its rows (_format_block), where %r gives
@@ -29,6 +33,7 @@ that price*volume reproduces the stored cost (_price_for_exact_cost).
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import os
@@ -90,23 +95,29 @@ def load_trades(path: str | os.PathLike, schema: IngestSchema) -> TradeSeries:
     line number; invariant violations propagate from series validation.
     """
     columns = ([], [], [])
-    with open(path, encoding="utf-8-sig") as fh:
-        head = []
-        for line in fh:
-            head.append(line)
-            if not line.isspace():
-                break
-        lines = itertools.chain(head, fh)
-        if head and head[-1].lstrip().startswith("{"):
-            bulk, by_line, lineno = _ndjson_block, _ndjson_lines, 1
-        else:
-            _check_header(next(lines, None), schema)
-            bulk, by_line, lineno = _csv_block, _csv_lines, 2
-        while block := list(itertools.islice(lines, BLOCK_ROWS)):
-            parsed = bulk(block, schema) or by_line(block, schema, lineno)
-            for column, values in zip(columns, parsed):
-                column.append(np.array(values, dtype=np.float64))
-            lineno += len(block)
+    gc_enabled = gc.isenabled()
+    gc.disable()  # the parsed rows hold no cycles, so collections would find nothing
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            head = []
+            for line in fh:
+                head.append(line)
+                if not line.isspace():
+                    break
+            lines = itertools.chain(head, fh)
+            if head and head[-1].lstrip().startswith("{"):
+                bulk, by_line, lineno = _ndjson_block, _ndjson_lines, 1
+            else:
+                _check_header(next(lines, None), schema)
+                bulk, by_line, lineno = _csv_block, _csv_lines, 2
+            while block := list(itertools.islice(lines, BLOCK_ROWS)):
+                parsed = bulk(block, schema) or by_line(block, schema, lineno)
+                for column, values in zip(columns, parsed):
+                    column.append(np.asarray(values, dtype=np.float64))
+                lineno += len(block)
+    finally:
+        if gc_enabled:
+            gc.enable()
     ts, mid, vol = (np.concatenate(column) if column else np.empty(0) for column in columns)
     if schema.nanoseconds:
         ts /= 1e9
@@ -136,9 +147,9 @@ def _csv_block(lines: list[str], schema: IngestSchema):
     if set(map(str.count, lines, itertools.repeat(","))) != {2}:
         return None
     fields = ",".join(lines).translate(_SEPARATORS).split(",")
-    ts = map(int, fields[0::3]) if schema.nanoseconds else fields[0::3]
     try:
-        return tuple(list(map(float, col)) for col in (ts, fields[1::3], fields[2::3]))
+        ts = list(map(int, fields[0::3])) if schema.nanoseconds else fields[0::3]
+        return tuple(np.array(col, dtype=np.float64) for col in (ts, fields[1::3], fields[2::3]))
     except (ValueError, OverflowError):
         return None
 
@@ -206,14 +217,14 @@ def _ndjson_block(lines: list[str], schema: IngestSchema):
     if len(objs) != len(rows) or set(map(type, objs)) != {dict} or set(map(len, objs)) != {3}:
         return None
     try:
-        ts, mid, vol = (list(map(itemgetter(name), objs)) for name in schema.fields)
+        ts, mid, vol = zip(*map(itemgetter(*schema.fields), objs))
     except KeyError:
         return None
     if not (set(map(type, ts)) <= ({int} if schema.nanoseconds else {int, float})
             and set(map(type, mid)) | set(map(type, vol)) <= {int, float}):
         return None
     try:
-        return tuple(list(map(float, col)) for col in (ts, mid, vol))
+        return tuple(np.array(col, dtype=np.float64) for col in (ts, mid, vol))
     except OverflowError:
         return None
 

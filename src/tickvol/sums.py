@@ -8,7 +8,9 @@ window_sums() computes the csum of many windows at once, a column at a
 time, over the rows some window covers. Every finite value is an integer
 multiple of 2**(emin - 53), emin the column's smallest exponent, so the
 column's exact prefix sums are int64 cumsums of 32-bit limbs (after R. M.
-Neal's superaccumulators, arXiv:1505.05571). A window's exact sum is the
+Neal's superaccumulators, arXiv:1505.05571), built a limb at a time from
+shifts of the values' integer mantissas and kept only at the window
+edges, which are found once for all columns. A window's exact sum is the
 difference of two of them, rounded for all windows at once in numpy to
 the nearest double, half to even, as fsum rounds, so the bits are csum's.
 The cost grows with the covered rows plus the windows, whatever the
@@ -48,20 +50,27 @@ def window_sums(columns, starts, lengths) -> np.ndarray:
     # rows some window covers, from a difference array of window starts
     # and ends; rank maps a row index to its index among covered rows
     size = int(ends.max(initial=0)) + 1
-    edges = np.bincount(starts, minlength=size) - np.bincount(ends, minlength=size)
-    covered = np.cumsum(edges[:-1]) > 0
+    delta = np.bincount(starts, minlength=size) - np.bincount(ends, minlength=size)
+    covered = np.cumsum(delta[:-1]) > 0
     rank = np.concatenate([[0], np.cumsum(covered)])
     lo, hi = rank[starts], rank[ends]
+    # the distinct window edges, and each window's two among them: the
+    # prefix sums every column keeps
+    need, inverse = np.unique(np.concatenate([lo, hi]), return_inverse=True)
+    edges = inverse.reshape(2, -1)
     out = np.empty((len(lo), len(columns)))
     for c, column in enumerate(columns):
         col = np.asarray(column, dtype=np.float64)[:len(covered)][covered]
-        out[:, c] = _prefix_sums(col, lo, hi)
+        out[:, c] = _prefix_sums(col, lo, hi, need, edges)
     return out
 
 
-def _prefix_sums(col: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _prefix_sums(col: np.ndarray, lo: np.ndarray, hi: np.ndarray, need: np.ndarray,
+                 edges: np.ndarray) -> np.ndarray:
     """csum(col[a:b]) of every window (a, b) in zip(lo, hi), bit for bit, from
-    exact prefix sums; inf or nan where fsum raises (see the module docstring)."""
+    exact prefix sums; inf or nan where fsum raises (see the module docstring).
+    need holds the distinct window edges, ascending, and edges[0] and
+    edges[1] the indices in need of lo and hi."""
     mag = np.abs(col)
     top = mag.max(initial=0.0)
     special = None
@@ -80,7 +89,6 @@ def _prefix_sums(col: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     # block of rows at a time; int64 holds a limb, a sum of pieces below
     # 2**32, for up to 2**31 rows. Zero limbs, two below and one above,
     # are room for _round_limbs.
-    need, inverse = np.unique(np.concatenate([lo, hi]), return_inverse=True)
     prefix = np.zeros((limbs + 3, len(need)), dtype=np.int64)
     total = np.zeros((limbs, 1), dtype=np.int64)
     for at in range(0, len(col), PREFIX_BLOCK_ROWS):
@@ -90,7 +98,6 @@ def _prefix_sums(col: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         first, stop = np.searchsorted(need, [at + 1, at + table.shape[1] + 1])
         prefix[2:-1, first:stop] = table[:, need[first:stop] - at - 1]
         total = table[:, -1:]
-    edges = inverse.reshape(2, -1)
     sums = np.empty(len(lo))
     for at in range(0, len(lo), PREFIX_BLOCK_ROWS):
         w = slice(at, at + PREFIX_BLOCK_ROWS)
@@ -144,26 +151,22 @@ def _carry(x: np.ndarray) -> None:
 def _limb_table(block: np.ndarray, emin: int, limbs: int) -> np.ndarray:
     """One column of 32-bit limbs per value, for values that are all
     integer multiples of 2**(emin - 53): x = mant * 2**(exp - 53) with
-    |mant| < 2**53, so |mant| shifted left by exp - emin is cut into three
-    pieces at limbs q, q + 1 and q + 2 of its column, with the value's sign."""
+    |mant| < 2**53, so limb k holds bits 32k to 32k + 31 of |mant| shifted
+    left by exp - emin, with the value's sign."""
     frac, exp = np.frexp(block)
     mant = np.ldexp(frac, 53).astype(np.int64)
-    mag = np.abs(mant).astype(np.uint64)
     shift = np.where(mant != 0, exp - emin, 0)
-    q, r = shift >> 5, (shift & 31).astype(np.uint64)
-    pieces = ((mag << r) & np.uint64(_LIMB),
-              (mag >> (np.uint64(32) - r)) & np.uint64(_LIMB),
-              (mag >> np.uint64(32)) >> (np.uint64(32) - r))
-    table = np.zeros((limbs, len(block)), dtype=np.int64)
-    values = np.arange(len(block))
-    negative = mant < 0
-    # a value's top bit lies in limb q + 1 or q + 2, so a third piece past
-    # the last limb is 0: it is written first, clipped onto limb q + 1,
-    # and the second piece overwrites it
-    for k in (2, 1, 0):
-        piece = pieces[k].astype(np.int64)
-        table[np.minimum(q + k, limbs - 1), values] = np.where(negative, -piece, piece)
-    return table
+    mag = np.abs(mant).view(np.uint64)
+    table = np.empty((limbs, len(block)), dtype=np.int64)
+    # a limb at a time, so the arrays stay small: limb k is |mant| shifted
+    # left by s = shift - 32k (right by -s when s < 0), cut to 32 bits; a
+    # shift by 63 either way leaves none of its 53 bits in those 32
+    for k, limb in enumerate(table.view(np.uint64)):
+        s = shift - 32 * k
+        np.left_shift(mag, np.clip(s, 0, 63).astype(np.uint64), out=limb)
+        limb >>= np.clip(-s, 0, 63).astype(np.uint64)
+    table &= _LIMB
+    return np.negative(table, out=table, where=mant < 0)
 
 
 def windowed_sums(timestamps, centers, width: float, summands) -> tuple:

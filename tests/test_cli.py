@@ -745,7 +745,12 @@ class TestErrorLines:
         (["charfun", "--window", "1", "--grid", "0:inf:2", "--testfn", "/nonexistent.txt"],
          "--grid needs count >= 1, step > 0 and finite points, got '0:inf:2'"),
         (["identity-check", "--lags", "0"], "--lags must be integers >= 1, got '0'"),
-    ], ids=["moments", "price-vol", "returns-vol", "charfun", "identity-check"])
+        (["charfun", "--window", "10", "--grid", "0:1:1", "--testfn", "/nonexistent.txt",
+          "--nmax", "0"], "truncation order must be an integer >= 1, got 0"),
+        (["charfun", "--window", "10", "--grid", "0:1:1", "--testfn", "/nonexistent.txt",
+          "--nmax", "9"], "truncation order 9 exceeds degree cap 8"),
+    ], ids=["moments", "price-vol", "returns-vol", "charfun", "identity-check", "charfun_nmax_0",
+            "charfun_nmax_9"])
     def test_flags_are_checked_before_the_input(self, args, message, capsys):
         got = run_cli([args[0], "--input", "/nonexistent.csv", *args[1:]], capsys)
         assert got == (2, "", f"error: {message}\n")
@@ -971,6 +976,30 @@ class TestEntryPoint:
         proc = subprocess.run(["sh", "-c", 'exec "$0" -m tickvol "$@" >&-', sys.executable,
                                *command], capture_output=True, env=_env())
         assert (proc.returncode, proc.stderr) == (2, b"error: cannot write stdout\n")
+
+    @pytest.mark.parametrize("closed", [False, True], ids=["full", "closed"])
+    @pytest.mark.parametrize("command, code", [
+        (["price-vol", "--input", "{tmp}/missing.csv", "--window", "1"], 3),
+        (["simulate", "--seed", "1", "--n-trades", "2", "--output", "{tmp}/x.csv"], 0),
+        (["identity-check", "--n-trades", "50", "--seed", "1"], 0),
+    ], ids=["price-vol", "simulate", "identity-check"])
+    def test_unwritable_stderr_keeps_the_exit_code(self, command, code, closed, tmp_path):
+        # `tickvol ... 2>/dev/full`, or `2>&-`: the error and seed: lines are dropped
+        command = [arg.format(tmp=tmp_path) for arg in command]
+        if closed:
+            proc = subprocess.run(["sh", "-c", 'exec "$0" -m tickvol "$@" 2>&-', sys.executable,
+                                   *command], stdout=subprocess.PIPE, env=_env())
+        else:
+            with open("/dev/full", "w") as full:
+                proc = subprocess.run([sys.executable, "-m", "tickvol", *command],
+                                      stdout=subprocess.PIPE, stderr=full, env=_env())
+        assert proc.returncode == code
+        if command[0] == "identity-check":
+            assert proc.stdout.startswith(b"identity,lag,windows")
+        else:  # with fd 2 closed, print(file=sys.stderr) would write to stdout
+            assert proc.stdout == b""
+        if command[0] == "simulate":
+            assert (tmp_path / "x.csv").read_text().startswith("ts,cost,volume\n")
 
     @pytest.mark.parametrize("command", [
         ["simulate", "--seed", "1", "--n-trades", "20000"],

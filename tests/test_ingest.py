@@ -2,6 +2,7 @@
 parser, and the synthetic generator."""
 
 import contextlib
+import gc
 import re
 import warnings
 from unittest import mock
@@ -276,9 +277,9 @@ SCHEMAS = [IngestSchema(variant, unit) for variant in ("ts_cost_volume", "ts_pri
 BIG = [str(2 ** 63 + 1), "9" * 400]  # past int64; past the double range
 
 # field texts the bulk path must judge exactly as the line parser does
-_CSV_ODD = st.sampled_from([" 1.5", "2.5 ", " 7 ", "1_000", "nan", "inf", "-inf", "", "  ",
-                            "1e400", "-2", "0", "true", "0x10", "1.5.2", "+3", "\t4",
-                            "\x1c5\u2003", "\u0661\u0662", *BIG])
+_CSV_ODD_TEXTS = [" 1.5", "2.5 ", " 7 ", "1_000", "nan", "inf", "-inf", "", "  ", "1e400", "-2",
+                  "0", "true", "0x10", "1.5.2", "+3", "\t4", "\x1c5\u2003", "\u0661\u0662", *BIG]
+_CSV_ODD = st.sampled_from(_CSV_ODD_TEXTS)
 _JSON_ODD = st.sampled_from(["true", "false", '"1.5"', "null", "[1]", "{}", "1e400", "NaN",
                              "-Infinity", "-2", "0", "1.0", *BIG, "9" * 5000])
 
@@ -446,6 +447,80 @@ class TestBulkPath:
         for got, want in ((back.timestamps, series.timestamps), (back.a, series.a),
                           (back.b, series.b)):
             np.testing.assert_array_equal(got, want)
+
+
+def _float_or_error(convert, value):
+    """The bits convert(value) gives, or the type of the exception it raises."""
+    try:
+        return np.float64(convert(value)).view(np.int64).item()
+    except (ValueError, OverflowError) as exc:
+        return type(exc)
+
+
+class TestNumpyConversion:
+    """The bulk parsers convert a column with one np.array(col, dtype=float64)
+    and rely on numpy converting each Python str, int and float as float()."""
+
+    @pytest.mark.parametrize("value", [*_CSV_ODD_TEXTS, "\x005", "5\x00", *map(int, BIG),
+                                       -2 ** 70, 2 ** 53 + 1, 10 ** 400, 0.1, 7])
+    def test_np_array_converts_as_float_does(self, value):
+        want = _float_or_error(float, value)
+        for column in ([value], [value, 2.5]):
+            got = _float_or_error(lambda v: np.array(column, dtype=np.float64)[0], value)
+            assert got == want
+
+
+class TestGcPause:
+    """load_trades pauses the cyclic garbage collector and leaves it as it found it."""
+
+    @pytest.fixture
+    def collector(self):
+        enabled = gc.isenabled()
+        yield
+        (gc.enable if enabled else gc.disable)()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("suffix", [".csv", ".ndjson"])
+    def test_state_is_restored(self, tmp_path, collector, enabled, suffix):
+        path = tmp_path / f"t{suffix}"
+        write_trades(validate_series([(0.0, 1.0, 2.0), (1.0, 3.0, 4.0)]), path, COST_SCHEMA)
+        seen = []
+        name = "_csv_block" if suffix == ".csv" else "_ndjson_block"
+
+        def spy(*args, _parse=getattr(ingest, name)):
+            seen.append(gc.isenabled())
+            return _parse(*args)
+        (gc.enable if enabled else gc.disable)()
+        with mock.patch.object(ingest, name, spy):
+            load_trades(path, COST_SCHEMA)
+        assert seen == [False]
+        assert gc.isenabled() is enabled
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_state_is_restored_after_a_parse_error(self, tmp_path, collector, enabled):
+        series = validate_series([(float(i), 1.0, 2.0) for i in range(ingest.BLOCK_ROWS + 3)])
+        path = tmp_path / "t.ndjson"
+        write_trades(series, path, COST_SCHEMA)
+        path.write_text(path.read_text() + "{broken\n")
+        (gc.enable if enabled else gc.disable)()
+        with pytest.raises(ParseError, match=f"^line {ingest.BLOCK_ROWS + 4}: "):
+            load_trades(path, COST_SCHEMA)
+        assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("schema", SCHEMAS,
+                         ids=lambda schema: f"{schema.variant}-{schema.timestamp_unit}")
+@pytest.mark.parametrize("suffix", [".csv", ".ndjson"])
+def test_written_files_take_the_bulk_path_only(tmp_path, schema, suffix):
+    series = simulate_trades(SimConfig(n_trades=ingest.BLOCK_ROWS + 7, seed=4))
+    path = tmp_path / f"t{suffix}"
+    write_trades(series, path, schema)
+    refuse = mock.Mock(side_effect=AssertionError("the line parser ran"))
+    with mock.patch.object(ingest, "_csv_lines", refuse), \
+            mock.patch.object(ingest, "_ndjson_lines", refuse):
+        back = load_trades(path, schema)
+    refuse.assert_not_called()
+    assert len(back) == len(series)
 
 
 def _reference_price(cost, volume):
