@@ -59,8 +59,8 @@ from .errors import (
     UnsupportedWindowOverlapError,
     ValidationError,
 )
-from .ingest import (BLOCK_ROWS, SCHEMA_VARIANTS, TIMESTAMP_UNITS, IngestSchema, _format_block,
-                     load_trades, trade_blocks, write_trades)
+from .ingest import (BLOCK_ROWS, SCHEMA_VARIANTS, TIMESTAMP_UNITS, IngestSchema, _blockwise,
+                     _format_block, load_trades, trade_blocks, write_trades)
 from .moments import DEFAULT_DEGREE_CAP, moment_sums, window_centers
 from .returns import build_returns, returns_summands, rform_from_sums
 from .sums import windowed_sums
@@ -127,7 +127,8 @@ def _table_blocks(present: np.ndarray, columns: dict, is_json: bool, pad: str = 
     else:
         full, empty = (",".join(cells) + "\n" for cells in (convs, gaps))
         yield ",".join(columns) + "\n"
-    for lo in range(0, n, BLOCK_ROWS):
+
+    def block_text(lo):
         hi = min(lo + BLOCK_ROWS, n)
         block = []
         for column in values:
@@ -137,7 +138,8 @@ def _table_blocks(present: np.ndarray, columns: dict, is_json: bool, pad: str = 
                 cells[present[lo:hi]] = column[rank[lo]:rank[hi]]
             block.append(cells.tolist())
         text = _format_block("".join(map((empty, full).__getitem__, present[lo:hi].tolist())), block)
-        yield text[1:] if is_json and not lo else text
+        return text[1:] if is_json and not lo else text
+    yield from _blockwise(block_text, range(0, n, BLOCK_ROWS), n)
     if is_json:
         yield f"\n{pad}]" if n else "]"
 

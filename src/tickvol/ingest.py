@@ -12,7 +12,11 @@ mark is skipped); CSV carries an exact header line, NDJSON one object
 per line with the same field names.
 
 Files are read and written BLOCK_ROWS lines at a time, so memory beyond
-the loaded columns stays bounded. A block of CSV lines is split once
+the loaded columns stays bounded, at about two blocks of text. A file or
+table of more than one block, in a process allowed two or more CPUs, is
+parsed or formatted half in one forked child (_blockwise): it takes every
+other block, the results come back in order, and errors and bytes are
+those of the one-process path. A block of CSV lines is split once
 into three field columns, a block of NDJSON lines is parsed by one
 json.loads, and each column becomes one np.array(values, dtype=float64).
 numpy converts a Python str, int or float as float() does (raising where
@@ -33,10 +37,13 @@ that price*volume reproduces the stored cost (_price_for_exact_cost).
 
 from __future__ import annotations
 
+import contextlib
 import gc
 import itertools
 import json
 import os
+import pickle
+import warnings
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -52,6 +59,7 @@ from .trades import validate_series  # noqa: F401
 SCHEMA_VARIANTS = ("ts_cost_volume", "ts_price_volume")
 TIMESTAMP_UNITS = ("seconds", "nanoseconds")
 BLOCK_ROWS = 1 << 15  # lines read, parsed, formatted and written at a time
+_FORK_ROWS = 1 << 15  # _blockwise forks only for jobs of more rows than a default block
 
 _FIELDS = {
     "ts_cost_volume": ("ts", "cost", "volume"),
@@ -110,11 +118,20 @@ def load_trades(path: str | os.PathLike, schema: IngestSchema) -> TradeSeries:
             else:
                 _check_header(next(lines, None), schema)
                 bulk, by_line, lineno = _csv_block, _csv_lines, 2
-            while block := list(itertools.islice(lines, BLOCK_ROWS)):
+
+            def parse(item):
+                lineno, block = item
+                if isinstance(block, Exception):  # the read of this block failed
+                    raise block
                 parsed = bulk(block, schema) or by_line(block, schema, lineno)
+                return [np.asarray(values, dtype=np.float64) for values in parsed]
+
+            first = list(itertools.islice(lines, _FORK_ROWS + 1))  # enough to choose
+            rows, blocks = len(first), _line_blocks(itertools.chain(first, lines), lineno)
+            del first  # so each block's lines are freed with it
+            for parsed in _blockwise(parse, blocks, rows):
                 for column, values in zip(columns, parsed):
-                    column.append(np.asarray(values, dtype=np.float64))
-                lineno += len(block)
+                    column.append(values)
     finally:
         if gc_enabled:
             gc.enable()
@@ -124,6 +141,18 @@ def load_trades(path: str | os.PathLike, schema: IngestSchema) -> TradeSeries:
     with np.errstate(over="ignore", invalid="ignore"):  # validation reports inf and nan
         cost = mid * vol if schema.variant == "ts_price_volume" else mid
     return TradeSeries(ts, cost, vol)
+
+
+def _line_blocks(lines, lineno: int):
+    """(number of its first line, its lines) of each block of BLOCK_ROWS
+    lines. A read that fails ends them with (lineno, the exception): a
+    block read ahead for the child of _blockwise fails in its turn."""
+    try:
+        while block := list(itertools.islice(lines, BLOCK_ROWS)):
+            yield lineno, block
+            lineno += len(block)
+    except Exception as exc:
+        yield lineno, exc
 
 
 def _check_header(header: str | None, schema: IngestSchema) -> None:
@@ -316,12 +345,14 @@ def trade_blocks(series: TradeSeries, schema: IngestSchema, fmt: str):
         row = "%r,%r,%r\n"
     else:
         row = '{"%s": %%r, "%s": %%r, "%s": %%r}\n' % schema.fields
-    for lo in range(0, len(series), BLOCK_ROWS):
+
+    def block_text(lo):
         t, cost, vol = (col[lo:lo + BLOCK_ROWS] for col in (series.timestamps, series.a, series.b))
         mid = _price_for_exact_cost(cost, vol) if schema.variant == "ts_price_volume" else cost
         # %r of a float is its shortest round-trip repr
         ts = map(round, (t * 1e9).tolist()) if schema.nanoseconds else t.tolist()
-        yield _format_block(row * len(t), (ts, mid.tolist(), vol.tolist()))
+        return _format_block(row * len(t), (ts, mid.tolist(), vol.tolist()))
+    yield from _blockwise(block_text, range(0, len(series), BLOCK_ROWS), len(series))
 
 
 def render_trades(series: TradeSeries, schema: IngestSchema, fmt: str) -> str:
@@ -340,7 +371,72 @@ def write_trades(series: TradeSeries, path: str | os.PathLike, schema: IngestSch
     if fmt is None:
         suffix = os.path.splitext(os.fspath(path))[1].lower()
         fmt = "ndjson" if suffix in (".ndjson", ".jsonl") else "csv"
-    blocks = trade_blocks(series, schema, fmt)
-    first = next(blocks, "")  # trade_blocks checks the series before the file opens
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(itertools.chain([first], blocks))
+    with contextlib.closing(trade_blocks(series, schema, fmt)) as blocks:
+        first = next(blocks, "")  # trade_blocks checks the series before the file opens
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(itertools.chain([first], blocks))
+
+
+def _blockwise(func, items, rows: int):
+    """map(func, items) over the blocks of a job of `rows` rows.
+
+    A job of more than _FORK_ROWS rows, with two CPUs to run on, forks one
+    child that maps every other item, sent to it and its result sent back
+    pickled over a pipe, one block ahead of the parent. If the child fails
+    (an exception, EOF or death), the parent maps that item and every
+    later one, so errors are map's. The child writes to no stream and ends
+    in os._exit: it flushes no inherited buffer and runs no atexit handler.
+    The parent closes the pipes and reaps it on every way out.
+    """
+    if rows <= _FORK_ROWS or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2:
+        yield from map(func, items)
+        return
+    (item_r, item_w), (result_r, result_w) = os.pipe(), os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # 3.12+ warns that a fork of a process with threads (numpy's BLAS
+            # ones here) may deadlock the child: this child calls no BLAS,
+            # starts no thread and ends in os._exit
+            warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                    DeprecationWarning)
+            pid = os.fork()
+    except OSError:  # no process to spare: the parent maps every item
+        pid = None
+    if pid == 0:
+        try:
+            os.close(item_w)
+            os.close(result_r)
+            warnings.simplefilter("error")  # a warning fails the item: the parent maps it
+            inbox, outbox = open(item_r, "rb"), open(result_w, "wb")
+            while True:  # until EOF: the parent has closed its end
+                pickle.dump(func(pickle.load(inbox)), outbox, pickle.HIGHEST_PROTOCOL)
+                outbox.flush()
+        finally:
+            os._exit(0)
+    os.close(item_r)
+    os.close(result_w)
+    inbox, outbox = open(result_r, "rb"), open(item_w, "wb")
+    items, end, alive, pending = iter(items), object(), pid is not None, []
+    try:
+        for mine, theirs in itertools.zip_longest(items, items, fillvalue=end):
+            try:
+                if alive and theirs is not end:
+                    outbox.write(pickle.dumps(theirs, pickle.HIGHEST_PROTOCOL))
+                    outbox.flush()
+            except Exception:  # the child is gone, or the item does not pickle
+                alive = False
+            yield from pending
+            yield func(mine)
+            try:
+                pending = [pickle.load(inbox)] if alive and theirs is not end else []
+            except Exception:  # EOF or a truncated result: the child is gone
+                alive, pending = False, []
+            if theirs is not end and not pending:
+                pending = [func(theirs)]
+        yield from pending
+    finally:
+        for pipe in (inbox, outbox):
+            with contextlib.suppress(OSError):
+                pipe.close()
+        if pid:
+            os.waitpid(pid, 0)

@@ -311,11 +311,11 @@ def _csv_file(draw, ns):
         kind = draw(st.sampled_from(["field", "field", "drop", "add", "shift", "blank"]))
         if kind == "field" and rows[i]:
             rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(_CSV_ODD)
-        elif kind == "drop":
+        elif kind == "drop" and rows[i]:
             rows[i].pop()
         elif kind == "add":
             rows[i].append(draw(_good(ns)))
-        elif kind == "shift" and i + 1 < len(rows):  # a line break one field early
+        elif kind == "shift" and i + 1 < len(rows) and rows[i]:  # a line break one field early
             rows[i + 1].insert(0, rows[i].pop())
         elif kind == "blank":
             rows.insert(i, [draw(st.sampled_from(["", "  "]))])
