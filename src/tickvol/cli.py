@@ -16,16 +16,16 @@ Exit codes: 0 success/pass, 1 identity-check fail, 2 config error
 unwritable --output path or stdout, a grid of more than MAX_WINDOWS
 windows, simulator parameters whose trades overflow, memory that cannot
 be allocated, a value past the double range, such as C^8 of costs near
-1e40, and a volatility divisor sum(b^2) that underflows to 0: the
-NonFiniteError names the column and window center, or the charfun order,
-and nothing is written), 3 input error (a missing, unreadable, non-UTF-8
-or malformed input file, an invalid trade, an integer field past the
-double range), 4 unsupported configuration. A command checks its flags
-before it reads a file (a bad flag exits 2 even with a bad input), the
-checks that need the data after. Commands raise; main alone maps an
-exception to its code and prints one "error:" line, with plain numbers.
-An unwritable stderr drops that line and the "seed:" lines (_diagnostic)
-and changes no exit code.
+1e40, and a divisor sum that underflows to 0, moments' V^n or sum(b^2)
+of a volatility: the NonFiniteError names the column and window center,
+or the charfun order, and nothing is written), 3 input error (a missing,
+unreadable, non-UTF-8 or malformed input file, an invalid trade, an
+integer field past the double range), 4 unsupported configuration. A
+command checks its flags before it reads a file (a bad flag exits 2 even
+with a bad input), the checks that need the data after. Commands raise;
+main alone maps an exception to its code and prints one "error:" line,
+with plain numbers. An unwritable stderr drops that line and the "seed:"
+lines (_diagnostic) and changes no exit code.
 
 Every command that sums over windows, charfun included, runs in four
 array steps: the bounds of all windows from one searchsorted per edge
@@ -139,7 +139,7 @@ def _table_blocks(present: np.ndarray, columns: dict, is_json: bool, pad: str = 
             block.append(cells.tolist())
         text = _format_block("".join(map((empty, full).__getitem__, present[lo:hi].tolist())), block)
         return text[1:] if is_json and not lo else text
-    yield from _blockwise(block_text, range(0, n, BLOCK_ROWS), n)
+    yield from _blockwise(block_text, range(0, n, BLOCK_ROWS))
     if is_json:
         yield f"\n{pad}]" if n else "]"
 
@@ -297,9 +297,10 @@ def cmd_moments(args) -> int:
     series = _load_input(args)
     centers = window_centers(series, width, stride)
     counts, sums = moment_sums(series, centers, width, degrees)
+    c_sums, v_sums = np.split(sums, 2, axis=1)
+    _check_windows(centers, counts, {f"V{n}": v for n, v in zip(degrees, v_sums.T)}, divisor=True)
     columns = {}
-    for i, n in enumerate(degrees):
-        c, v = sums[:, i], sums[:, len(degrees) + i]
+    for n, c, v in zip(degrees, c_sums.T, v_sums.T):
         columns.update({f"C{n}": c, f"V{n}": v, f"p{n}": c / v})
     _emit_windows(args, centers, "n_trades", counts, columns)
     return EXIT_OK

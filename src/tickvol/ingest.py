@@ -13,7 +13,7 @@ per line with the same field names.
 
 Files are read and written BLOCK_ROWS lines at a time, so memory beyond
 the loaded columns stays bounded, at about two blocks of text. A file or
-table of more than one block, in a process allowed two or more CPUs, is
+table of two or more blocks, in a process allowed two or more CPUs, is
 parsed or formatted half in one forked child (_blockwise): it takes every
 other block, the results come back in order, and errors and bytes are
 those of the one-process path. A block of CSV lines is split once
@@ -59,7 +59,6 @@ from .trades import validate_series  # noqa: F401
 SCHEMA_VARIANTS = ("ts_cost_volume", "ts_price_volume")
 TIMESTAMP_UNITS = ("seconds", "nanoseconds")
 BLOCK_ROWS = 1 << 15  # lines read, parsed, formatted and written at a time
-_FORK_ROWS = 1 << 15  # _blockwise forks only for jobs of more rows than a default block
 
 _FIELDS = {
     "ts_cost_volume": ("ts", "cost", "volume"),
@@ -126,10 +125,7 @@ def load_trades(path: str | os.PathLike, schema: IngestSchema) -> TradeSeries:
                 parsed = bulk(block, schema) or by_line(block, schema, lineno)
                 return [np.asarray(values, dtype=np.float64) for values in parsed]
 
-            first = list(itertools.islice(lines, _FORK_ROWS + 1))  # enough to choose
-            rows, blocks = len(first), _line_blocks(itertools.chain(first, lines), lineno)
-            del first  # so each block's lines are freed with it
-            for parsed in _blockwise(parse, blocks, rows):
+            for parsed in _blockwise(parse, _line_blocks(lines, lineno)):
                 for column, values in zip(columns, parsed):
                     column.append(values)
     finally:
@@ -352,7 +348,7 @@ def trade_blocks(series: TradeSeries, schema: IngestSchema, fmt: str):
         # %r of a float is its shortest round-trip repr
         ts = map(round, (t * 1e9).tolist()) if schema.nanoseconds else t.tolist()
         return _format_block(row * len(t), (ts, mid.tolist(), vol.tolist()))
-    yield from _blockwise(block_text, range(0, len(series), BLOCK_ROWS), len(series))
+    yield from _blockwise(block_text, range(0, len(series), BLOCK_ROWS))
 
 
 def render_trades(series: TradeSeries, schema: IngestSchema, fmt: str) -> str:
@@ -377,20 +373,23 @@ def write_trades(series: TradeSeries, path: str | os.PathLike, schema: IngestSch
             fh.writelines(itertools.chain([first], blocks))
 
 
-def _blockwise(func, items, rows: int):
-    """map(func, items) over the blocks of a job of `rows` rows.
+def _blockwise(func, items):
+    """map(func, items) over the blocks of a job.
 
-    A job of more than _FORK_ROWS rows, with two CPUs to run on, forks one
+    A job of two or more blocks, with two CPUs to run on, forks one
     child that maps every other item, sent to it and its result sent back
     pickled over a pipe, one block ahead of the parent. If the child fails
     (an exception, EOF or death), the parent maps that item and every
     later one, so errors are map's. The child writes to no stream and ends
     in os._exit: it flushes no inherited buffer and runs no atexit handler.
-    The parent closes the pipes and reaps it on every way out.
-    """
-    if rows <= _FORK_ROWS or len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2:
+    The parent closes the pipes and reaps it on every way out."""
+    items, cpus = iter(items), len(getattr(os, "sched_getaffinity", lambda pid: ())(0))
+    head = list(itertools.islice(items, 2 if cpus > 1 else 0))  # enough to choose
+    items = itertools.chain(iter(head), items)
+    if len(head) < 2:
         yield from map(func, items)
         return
+    del head  # iter(head) drops it once read, so each block is freed once mapped
     (item_r, item_w), (result_r, result_w) = os.pipe(), os.pipe()
     try:
         with warnings.catch_warnings():
@@ -416,7 +415,7 @@ def _blockwise(func, items, rows: int):
     os.close(item_r)
     os.close(result_w)
     inbox, outbox = open(result_r, "rb"), open(item_w, "wb")
-    items, end, alive, pending = iter(items), object(), pid is not None, []
+    end, alive, pending = object(), pid is not None, []
     try:
         for mine, theirs in itertools.zip_longest(items, items, fillvalue=end):
             try:

@@ -8,6 +8,7 @@ import pytest
 
 import naive_ref
 from tickvol import (
+    DegreeOutOfRangeError,
     EmptyWindowError,
     NonFiniteError,
     PairSeries,
@@ -34,6 +35,13 @@ def _pairs(rows):
 
 
 class TestMultiTimeMoment:
+    def test_needs_times_and_a_positive_width(self):
+        ps = _pairs(TWO_TRADES)
+        with pytest.raises(DegreeOutOfRangeError, match="^times tuple must not be empty$"):
+            multi_time_moment(ps, (), 2.0)
+        with pytest.raises(ValueError, match="^width must be positive$"):
+            multi_time_moment(ps, (0.5,), 0.0)
+
     def test_diagonal_matches_single_window(self):
         ps = _pairs(TWO_TRADES)
         mm = multi_time_moment(ps, (0.5, 0.5), 2.0)
@@ -147,6 +155,17 @@ class TestMultiTimeMoment:
 
 
 class TestCharFunTruncated:
+    @pytest.mark.parametrize("grid, x, step, message", [
+        ([], [], 0.5, "grid must not be empty"),
+        ([0.5], [1.0, 2.0], 0.5, "2 test-function values for 1 grid points"),
+        ([0.5], [1.0], 0.0, "step must be positive"),
+        ([10.25, 0.0], [1.0, 1.0], 0.5, "grid must be strictly increasing"),
+    ], ids=["empty_grid", "lengths_differ", "zero_step", "decreasing_grid"])
+    def test_refuses_a_bad_grid(self, grid, x, step, message):
+        provider = moment_provider(_pairs(DISJOINT), 2.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            charfun_truncated(provider, grid, x, step, 2)
+
     def test_zero_test_function_normalization(self):
         ps = _pairs(DISJOINT)
         provider = moment_provider(ps, 2.0)
@@ -282,6 +301,10 @@ class TestDerivativeCheck:
         # halving eps should cut the error about 4x
         assert errors[0] / errors[1] == pytest.approx(4.0, rel=0.05)
         assert errors[1] / errors[2] == pytest.approx(4.0, rel=0.05)
+
+    def test_needs_a_positive_eps(self):
+        with pytest.raises(ValueError, match="^eps must be positive$"):
+            charfun_derivative_check(_pairs(TWO_TRADES), 0.5, 0.0, 1.0, width=2.0)
 
     def test_needs_second_order(self):
         ps = _pairs(TWO_TRADES)

@@ -18,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 from tickvol import IngestSchema, WindowSpec, aggregate_degree, ingest, load_trades, select_window
 from tickvol.cli import main
 
+from test_ingest import _cpus
+
 TWO_TRADE_CSV = "ts,cost,volume\n0.0,10.0,2.0\n1.0,6.0,3.0\n"
 THREE_TRADE_CSV = "ts,cost,volume\n0.0,4.0,2.0\n1.0,6.0,2.0\n2.0,9.0,3.0\n"
 NEGATIVE_CSV = "ts,cost,volume\n0.0,2.0,1.0\n1.0,10.0,10.0\n"
@@ -615,7 +617,8 @@ class TestTableWriter:
                    for i, (kind, short) in enumerate(kinds)}
         pad = data.draw(st.sampled_from(["", "  "])) if is_json else ""  # charfun nests a table
         block_rows = data.draw(st.sampled_from([1, 2, 3, cli.BLOCK_ROWS]))
-        with mock.patch.object(cli, "BLOCK_ROWS", block_rows):
+        with (mock.patch.object(cli, "BLOCK_ROWS", block_rows),
+              mock.patch.object(os, "sched_getaffinity", _cpus(data))):
             got = "".join(cli._table_blocks(present, columns, is_json, pad))
         assert got == _reference_table(present, columns, is_json, pad)
 
@@ -692,7 +695,9 @@ class TestErrorLines:
     FILES = {"three": THREE_TRADE_CSV, "testfn": "0.5\n0.5\n",
              "malformed": "ts,cost,volume\n0.0,4.0,2.0\n1.0,oops,2.0\n",
              "invalid": "ts,cost,volume\n0.0,1.0,1.0\n1.0,inf,1.0\n",
-             "late": "ts,cost,volume\n1.7e308,1.0,1.0\n1.75e308,1.0,1.0\n"}
+             "late": "ts,cost,volume\n1.7e308,1.0,1.0\n1.75e308,1.0,1.0\n",
+             "empty": "", "bad_ts": "ts,cost,volume\n0.0,4.0,2.0\nx,6.0,2.0\n",
+             "bad_testfn": "0.5\nabc\n"}
     CHARFUN = ["charfun", "--input", "{three}", "--testfn", "{testfn}"]
 
     @pytest.mark.parametrize("args, code, message", [
@@ -725,11 +730,17 @@ class TestErrorLines:
         (["moments", "--input", "{late}", "--window", "1e308"], 2,
          "window center inf overflows the double range (last trade at t=1.75e+308); "
          "rescale the input units"),
+        (["moments", "--input", "{empty}", "--window", "5"], 3, "empty file: missing header"),
+        (["moments", "--input", "{bad_ts}", "--window", "5"], 3,
+         "line 3: timestamp must be a decimal number, got 'x'"),
+        (["charfun", "--input", "{three}", "--testfn", "{bad_testfn}", "--window", "0.5",
+          "--grid", "0:1:2"], 3,
+         "test-function file {bad_testfn}: could not convert string to float: 'abc'"),
     ], ids=["lag_too_large", "simulate_n_trades", "simulate_rate", "simulate_negative_seed",
             "identity_check_negative_seed", "identity_check_negative_stride", "charfun_overlap",
             "malformed_line", "invalid_trade", "unwritable_output", "infinite_window",
             "infinite_stride", "charfun_infinite_window", "charfun_infinite_grid",
-            "overflowing_center"])
+            "overflowing_center", "empty_file", "malformed_timestamp", "malformed_testfn"])
     def test_error_line_and_code(self, args, code, message, tmp_path, capsys):
         paths = {"tmp": str(tmp_path)}
         for name, text in self.FILES.items():
@@ -749,8 +760,14 @@ class TestErrorLines:
           "--nmax", "0"], "truncation order must be an integer >= 1, got 0"),
         (["charfun", "--window", "10", "--grid", "0:1:1", "--testfn", "/nonexistent.txt",
           "--nmax", "9"], "truncation order 9 exceeds degree cap 8"),
+        (["moments", "--window", "1", "--degrees", ","], "--degrees must name at least one degree"),
+        (["charfun", "--window", "1", "--grid", "1:2", "--testfn", "/nonexistent.txt"],
+         "--grid must be start:step:count, got '1:2'"),
+        (["charfun", "--window", "1", "--grid", "a:1:2", "--testfn", "/nonexistent.txt"],
+         "--grid must be start:step:count, got 'a:1:2'"),
     ], ids=["moments", "price-vol", "returns-vol", "charfun", "identity-check", "charfun_nmax_0",
-            "charfun_nmax_9"])
+            "charfun_nmax_9", "moments_no_degree", "charfun_grid_two_fields",
+            "charfun_grid_not_a_number"])
     def test_flags_are_checked_before_the_input(self, args, message, capsys):
         got = run_cli([args[0], "--input", "/nonexistent.csv", *args[1:]], capsys)
         assert got == (2, "", f"error: {message}\n")
@@ -864,18 +881,21 @@ class TestOverflow:
         assert code == 2 and stdout == "" and not out.exists()
         assert err == f"error: {message}; rescale the input units\n"
 
-    @pytest.mark.parametrize("command", ["price-vol", "identity-check"])
-    def test_volume_square_sum_underflow_exits_2(self, command, tmp_path, capsys):
+    @pytest.mark.parametrize("command, column", [
+        (["price-vol"], "volume^2"), (["identity-check"], "volume^2"),
+        (["moments", "--degrees", "1,2"], "V2"),
+    ], ids=["price-vol", "identity-check", "moments"])
+    def test_volume_square_sum_underflow_exits_2(self, command, column, tmp_path, capsys):
         # sum(V^2) of two volumes of 1e-200 underflows to 0, which both
-        # volatility forms divide by: legal input, not corrupted stats
+        # volatility forms and p2 divide by: legal input, not corrupted stats
         path = tmp_path / "tiny.csv"
         path.write_text("ts,cost,volume\n0.0,1.0,1e-200\n1.0,1.0,1e-200\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, stdout, err = run_cli([command, "--input", str(path), "--window", "5",
+            code, stdout, err = run_cli([*command, "--input", str(path), "--window", "5",
                                          "--stride", "5"], capsys)
         assert code == 2 and stdout == ""
-        assert err == ("error: the sum of volume^2 underflows to 0 in the window at t=2.5; "
+        assert err == (f"error: the sum of {column} underflows to 0 in the window at t=2.5; "
                        "rescale the input units\n")
 
     @pytest.mark.parametrize("command", ["price-vol", "identity-check"])

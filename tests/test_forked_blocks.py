@@ -1,5 +1,5 @@
 """The two-CPU path of the block loops: ingest._blockwise forks one child for
-a job of more than one block, and every output byte, error text and exit
+a job of two or more blocks, and every output byte, error text and exit
 code is that of the in-process path."""
 
 import os
@@ -156,6 +156,44 @@ def test_a_read_error_after_a_parse_error_comes_second(tmp_path, monkeypatch, fo
         load_trades(path, COST_SCHEMA)
 
 
+def test_a_failed_fork_leaves_every_block_to_the_parent(tmp_path, monkeypatch, forks, trades,
+                                                        in_process):
+    def no_process():
+        raise OSError("no process to spare")
+    monkeypatch.setattr(os, "fork", no_process)
+    assert run(tmp_path, commands(trades)) == in_process
+    assert forks == []
+
+
+def non_utf8_in_block_1(path, parse_error):
+    """A CSV whose data line 2^15 + 1, the first of block 1, opens with a
+    non-UTF-8 byte at the start of a fresh 8 KiB chunk of the file, so the
+    lines before it decode; with parse_error, line 3 is `x,1,1`."""
+    rows = [b"%d,1,1\n" % i for i in range(2 ** 15)]
+    if parse_error:
+        rows[1] = b"x,1,1\n"
+    pad = -len(b"ts,cost,volume\n" + b"".join(rows)) % 8192  # spaces that end block 0
+    rows[-1] = rows[-1][:-1] + b" " * pad + b"\n"
+    path.write_bytes(b"ts,cost,volume\n" + b"".join(rows) + b"\xff,1,1\n")
+
+
+@pytest.mark.parametrize("parse_error, error, match", [
+    (True, ParseError, "^line 3: timestamp must be a decimal number, got 'x'$"),
+    (False, UnicodeDecodeError, "can't decode byte 0xff in position 0"),
+], ids=["parse error in block 0", "read error alone"])
+def test_a_read_error_in_block_1_comes_in_its_turn(tmp_path, monkeypatch, forks, parse_error,
+                                                   error, match):
+    # deciding to fork reads block 1, but its read error is raised after block 0 is parsed
+    path = tmp_path / "t.csv"
+    non_utf8_in_block_1(path, parse_error)
+    with pytest.raises(error, match=match):
+        load_trades(path, COST_SCHEMA)
+    assert len(forks) == 1
+    one_cpu(monkeypatch)
+    with pytest.raises(error, match=match):
+        load_trades(path, COST_SCHEMA)
+
+
 @pytest.mark.parametrize("rows, forked", [(2 ** 15, False), (2 ** 15 + 1, True)])
 def test_a_job_of_one_block_runs_in_process(tmp_path, forks, rows, forked):
     path = tmp_path / "t.csv"
@@ -178,13 +216,13 @@ def test_the_child_is_reaped_on_every_way_out(forks, error):
         if item == 3 and os.getpid() != parent:
             raise error("failed")
         return item
-    blocks = ingest._blockwise(in_parent, range(7), 2 ** 16)
+    blocks = ingest._blockwise(in_parent, range(7))
     assert [next(blocks), next(blocks)] == [0, 1]
     blocks.close()  # the consumer stops early
     with pytest.raises(error):
-        list(ingest._blockwise(in_parent, range(7), 2 ** 16))
+        list(ingest._blockwise(in_parent, range(7)))
     # the parent maps the item the child failed on, and every later one
-    assert list(ingest._blockwise(in_child, range(7), 2 ** 16)) == [*range(7)]
+    assert list(ingest._blockwise(in_child, range(7))) == [*range(7)]
     assert len(forks) == 3
 
 

@@ -3,6 +3,7 @@ parser, and the synthetic generator."""
 
 import contextlib
 import gc
+import os
 import re
 import warnings
 from unittest import mock
@@ -227,6 +228,11 @@ class TestRoundTrip:
                 next(ingest.trade_blocks(series, schema, fmt))
         assert not path.exists()
 
+    def test_unknown_format_refused_before_any_text(self):
+        series = validate_series([(0.0, 1.0, 1.0)])
+        with pytest.raises(ValueError, match="^unknown trade file format 'xml'$"):
+            next(ingest.trade_blocks(series, COST_SCHEMA, "xml"))
+
 
 class TestSimulate:
     def test_seed_determinism(self):
@@ -282,6 +288,13 @@ _CSV_ODD_TEXTS = [" 1.5", "2.5 ", " 7 ", "1_000", "nan", "inf", "-inf", "", "  "
 _CSV_ODD = st.sampled_from(_CSV_ODD_TEXTS)
 _JSON_ODD = st.sampled_from(["true", "false", '"1.5"', "null", "[1]", "{}", "1e400", "NaN",
                              "-Infinity", "-2", "0", "1.0", *BIG, "9" * 5000])
+
+
+def _cpus(data):
+    """An os.sched_getaffinity of one or two CPUs: with two, a job of two or
+    more blocks runs forked."""
+    cpus = set(range(data.draw(st.sampled_from([1, 2]), label="cpus")))
+    return lambda pid: cpus
 
 
 def _load(path, schema, lines_only=False):
@@ -368,18 +381,19 @@ class TestBulkPath:
         path = tmp_path_factory.mktemp("bulk") / "trades.txt"
         path.write_bytes(text.encode())
         block_rows = data.draw(st.sampled_from([1, 2, 3, ingest.BLOCK_ROWS]))
-        with mock.patch.object(ingest, "BLOCK_ROWS", block_rows):
+        with (mock.patch.object(ingest, "BLOCK_ROWS", block_rows),
+              mock.patch.object(os, "sched_getaffinity", _cpus(data))):
             want = _load(path, schema, lines_only=True)
-            fallbacks = []
+            fallbacks = path.with_name("fallbacks")  # a file: the forked child's calls count
             for name in ("_csv_lines", "_ndjson_lines"):
                 def spy(*args, _parse=getattr(ingest, name)):
-                    fallbacks.append(args[2])
+                    fallbacks.touch()
                     return _parse(*args)
                 with mock.patch.object(ingest, name, spy):
                     got = _load(path, schema)
                 assert got == want
         if isinstance(want, list) or want[0] is ValidationError:
-            assert fallbacks == [], "the bulk path refused a block the line parser accepts"
+            assert not fallbacks.exists(), "the bulk path refused a block the line parser accepts"
 
     @pytest.mark.parametrize("text, message", [
         # a line break one field early keeps 3 fields a line on average
@@ -589,7 +603,8 @@ class TestBlockWriter:
         rows = data.draw(st.lists(st.tuples(ts, _POSITIVE, _POSITIVE), max_size=8))
         series = TradeSeries(*(zip(*rows) if rows else ([], [], [])))
         block_rows = data.draw(st.sampled_from([1, 2, 3, ingest.BLOCK_ROWS]))
-        with mock.patch.object(ingest, "BLOCK_ROWS", block_rows):
+        with (mock.patch.object(ingest, "BLOCK_ROWS", block_rows),
+              mock.patch.object(os, "sched_getaffinity", _cpus(data))):
             got = "".join(ingest.trade_blocks(series, schema, fmt))
         assert got == _reference_trade_file(series, schema, fmt)
 

@@ -168,6 +168,16 @@ class TestRollingMoments:
             assert entries == {n: (c, v, c / v) for n, c, v in zip(degrees, row, row[4:])}
         assert next(rows, None) is None
 
+    def test_no_centers_for_an_empty_series(self):
+        assert window_centers(validate_series([]), 1.0, 1.0).shape == (0,)
+
+    @pytest.mark.parametrize("t1, count", [(4.3, 44), (1.7, 17)], ids=["up", "down"])
+    def test_boundary_step_fuzz(self, t1, count):
+        # 4.3 / 0.1 is 42.99999999999999, but 43 * 0.1 <= 4.3: one more
+        # center; 1.7 / 0.1 is 17.0, but 17 * 0.1 > 1.7: one fewer
+        series = validate_series([(0.0, 1.0, 1.0), (t1, 1.0, 1.0)])
+        assert len(window_centers(series, 1.0, 0.1)) == count
+
     def test_centers_anchor_to_first_trade(self):
         series = validate_series([(7.0, 1.0, 1.0), (9.0, 2.0, 1.0)])
         centers = window_centers(series, width=1.0, stride=0.5)
