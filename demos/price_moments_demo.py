@@ -19,7 +19,7 @@ from tickvol import (
     vwap,
     window_centers,
 )
-from tickvol.moments import moment_sums
+from tickvol.moments import moment_table
 
 series = simulate_trades(SimConfig(n_trades=2000, seed=7, sigma_step=0.01,
                                    volume_sigma=1.0, arrival_rate=2.0))
@@ -27,16 +27,16 @@ t0, t1 = series.span()
 print(f"simulated {len(series)} trades over [{t0:.1f}, {t1:.1f}] seconds")
 
 # All windows at once, as `tickvol moments` computes them: the trade count
-# of every window, and one row of sums C^n..., V^n... per non-empty window.
+# of every window, and the columns C{n}, V{n}, p{n} = C{n}/V{n} of each
+# degree over the non-empty windows.
 width = 100.0
 degrees = [1, 2, 3]
 centers = window_centers(series, width=width, stride=width)
-counts, sums = moment_sums(series, centers, width, degrees)
-moments = sums[:, :3] / sums[:, 3:]  # p(n) = sum(C^n) / sum(V^n)
+counts, table = moment_table(series, centers, width, degrees)
 
 print(f"\nrolling windows (width {width:.0f}s):")
 print(f"{'center':>8} {'N':>5} {'p1 (=VWAP)':>12} {'p2':>12} {'p3':>14}")
-rows = iter(moments.tolist())
+rows = zip(*(table[f"p{n}"].tolist() for n in degrees))
 for center, count in zip(centers.tolist(), counts.tolist()):
     if count == 0:
         print(f"{center:>8.1f} {0:>5}")

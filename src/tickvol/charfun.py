@@ -53,9 +53,8 @@ from .errors import (
     TruncationOrderOutOfRangeError,
     UnsupportedWindowOverlapError,
 )
-from .moments import DEFAULT_DEGREE_CAP, check_degree, item_sums, power_summands
+from .moments import DEFAULT_DEGREE_CAP, check_degree, item_sums, moment_table, power_summands
 from .sums import csum  # noqa: F401  (bench/tracer.py wraps charfun.csum)
-from .sums import windowed_sums
 from .trades import PairSeries, WindowSpec, select_window
 
 _I_POW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)  # i^n for n % 4 = 0,1,2,3
@@ -99,7 +98,7 @@ def multi_time_moment(series: PairSeries, times: Sequence[float], width: float) 
 
     Raises UnsupportedWindowOverlapError for distinct-but-overlapping
     windows, EmptyWindowError when any involved window has no data and
-    NonFiniteError when a sum or the moment overflows the double range.
+    NonFiniteError when a sum or the moment overflows, or b_sum underflows to 0.
     """
     if not width > 0:
         raise ValueError("width must be positive")
@@ -122,7 +121,8 @@ def multi_time_moment(series: PairSeries, times: Sequence[float], width: float) 
         b_sum *= b_w
         combos *= count
     if not (math.isfinite(a_sum) and 0.0 < b_sum < math.inf and math.isfinite(a_sum / b_sum)):
-        raise NonFiniteError(f"the degree-{n} moment at times {times} overflows the double range")
+        what = "divides by a sum that underflows to 0" if b_sum == 0 else "overflows the double range"
+        raise NonFiniteError(f"the degree-{n} moment at times {times} {what}")
     return MultiTimeMoment(
         times=times,
         width=width,
@@ -198,8 +198,8 @@ def charfun_truncated(
     than the provider's window width (so every required multi-time moment
     is well defined); x holds the test-function values on the grid and
     step is the quadrature step h of the left-point Riemann rule.
-    Raises NonFiniteError at the lowest order whose term, or a diagonal
-    sum under it, overflows the double range, or when the value does.
+    Raises NonFiniteError at the lowest order whose term or diagonal sums
+    overflow or whose V^n sum underflows to 0, or when the value overflows.
     """
     grid = [float(t) for t in grid]
     xs = [float(v) for v in x]
@@ -216,14 +216,11 @@ def charfun_truncated(
     _check_disjoint([(t, 1) for t in grid], provider.width)
 
     # diagonal profiles [p(1;t_g), ..., p(n_max;t_g)] of every grid point
-    series, width = provider.series, provider.width
-    with np.errstate(all="ignore"):  # inf and nan are reported below
-        summands = power_summands(series, range(1, n_max + 1))
-        counts, sums = windowed_sums(series.timestamps, np.array(grid), width, summands)
-        if not counts.all():
-            t = grid[int(np.argmin(counts))]
-            raise EmptyWindowError(f"window at t={t} (width {width}) is empty")
-        profiles = (sums[:, :n_max] / sums[:, n_max:]).tolist()
+    width, orders = provider.width, range(1, n_max + 1)
+    counts, table = moment_table(provider.series, np.array(grid), width, orders)
+    if not counts.all():
+        raise EmptyWindowError(f"window at t={grid[np.argmin(counts)]} (width {width}) is empty")
+    profiles = zip(*(table[f"p{m}"].tolist() for m in orders))
 
     # per-point series: coeff[m] = p(m;t_g) * (x_g h)^m / m!
     coeffs = [1.0] + [0.0] * n_max
@@ -237,9 +234,12 @@ def charfun_truncated(
         coeffs = _truncated_convolve(coeffs, point, n_max)
 
     terms = tuple(_I_POW[n % 4] * coeffs[n] for n in range(1, n_max + 1))
-    finite_sums = np.isfinite(sums).all(axis=0).tolist()
     for n, term in enumerate(terms, start=1):
-        if not (finite_sums[n - 1] and finite_sums[n_max + n - 1] and cmath.isfinite(term)):
+        v = table[f"V{n}"]
+        if not v.all():
+            raise NonFiniteError(f"the sum of V{n} underflows to 0 in the window at "
+                                 f"t={grid[np.argmin(v != 0)]}")
+        if not (np.isfinite([table[f"C{n}"], v]).all() and cmath.isfinite(term)):
             raise NonFiniteError(f"the order-{n} term overflows the double range")
     value = sum(terms, 1.0 + 0.0j)
     if not cmath.isfinite(value):

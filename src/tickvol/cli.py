@@ -16,8 +16,8 @@ Exit codes: 0 success/pass, 1 identity-check fail, 2 config error
 unwritable --output path or stdout, a grid of more than MAX_WINDOWS
 windows, simulator parameters whose trades overflow, memory that cannot
 be allocated, a value past the double range, such as C^8 of costs near
-1e40, and a divisor sum that underflows to 0, moments' V^n or sum(b^2)
-of a volatility: the NonFiniteError names the column and window center,
+1e40, and a divisor sum that underflows to 0, V^n (moments, charfun) or
+sum(b^2) (volatilities): the error names the column and window center,
 or the charfun order, and nothing is written), 3 input error (a missing,
 unreadable, non-UTF-8 or malformed input file, an invalid trade, an
 integer field past the double range), 4 unsupported configuration. A
@@ -34,10 +34,10 @@ array steps: the bounds of all windows from one searchsorted per edge
 the table of all windows (for charfun, one polynomial per grid point).
 The kernel rounds exact integer prefix sums as math.fsum rounds, so
 tables carry exactly the csum values of the per-window library API,
-which stays the test oracle. One builder (_volatility_table) makes the
-volatility table of a PairSeries, the trades or a lag-m ReturnsSet:
-price-vol and returns-vol write it, and identity-check compares its
-sigma2_ columns.
+which stays the test oracle. moment_table makes the C{n}, V{n} and p{n}
+columns that moments writes and charfun reads, _volatility_table the
+volatility table of a PairSeries (trades or lag-m ReturnsSet) that
+price-vol and returns-vol write and identity-check compares.
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .errors import (
 )
 from .ingest import (BLOCK_ROWS, SCHEMA_VARIANTS, TIMESTAMP_UNITS, IngestSchema, _blockwise,
                      _format_block, load_trades, trade_blocks, write_trades)
-from .moments import DEFAULT_DEGREE_CAP, moment_sums, window_centers
+from .moments import DEFAULT_DEGREE_CAP, moment_table, window_centers
 from .returns import build_returns, returns_summands, rform_from_sums
 from .sums import windowed_sums
 from .synth import SimConfig, simulate_trades
@@ -296,12 +296,8 @@ def cmd_moments(args) -> int:
         raise ConfigError(f"degrees must lie in [1, {DEFAULT_DEGREE_CAP}], got {args.degrees!r}")
     series = _load_input(args)
     centers = window_centers(series, width, stride)
-    counts, sums = moment_sums(series, centers, width, degrees)
-    c_sums, v_sums = np.split(sums, 2, axis=1)
-    _check_windows(centers, counts, {f"V{n}": v for n, v in zip(degrees, v_sums.T)}, divisor=True)
-    columns = {}
-    for n, c, v in zip(degrees, c_sums.T, v_sums.T):
-        columns.update({f"C{n}": c, f"V{n}": v, f"p{n}": c / v})
+    counts, columns = moment_table(series, centers, width, degrees)
+    _check_windows(centers, counts, {f"V{n}": columns[f"V{n}"] for n in degrees}, divisor=True)
     _emit_windows(args, centers, "n_trades", counts, columns)
     return EXIT_OK
 

@@ -16,9 +16,10 @@ q(n) = sum(cost_ratio^n) / sum(volume_ratio^n) (see returns). All sums
 are exact compensated sums in ascending index order, so results are
 deterministic and independent of any parallel window schedule.
 
-Every per-window sum of the library, here and in volatility and returns,
-goes through item_sums, which alone raises EmptyWindowError for an empty
-window and NonFiniteError for a sum past the double range.
+Every per-window sum of the library goes through item_sums, which alone
+raises EmptyWindowError for an empty window and NonFiniteError for a sum
+past the double range; the C{n}, V{n} and p{n} columns of a window grid,
+for the moments command and charfun_truncated alike, through moment_table.
 """
 
 from __future__ import annotations
@@ -167,8 +168,14 @@ def window_centers(series: PairSeries, width: float, stride: float) -> np.ndarra
     return centers
 
 
-def moment_sums(series: PairSeries, centers, width: float, degrees) -> tuple:
-    """Trade counts of every window, and the power_summands sums of the
-    non-empty ones (columns C^n per degree, then V^n per degree)."""
-    return windowed_sums(series.timestamps, centers, width, power_summands(series, degrees))
+def moment_table(stream: PairSeries, centers, width: float, degrees) -> tuple:
+    """Item counts of every window and, for the non-empty ones, the columns C{n}, V{n}
+    and p{n} = C{n}/V{n} of each degree, unchecked: inf, nan and 0 are the caller's."""
+    with np.errstate(all="ignore"):
+        counts, sums = windowed_sums(stream.timestamps, centers, width,
+                                     power_summands(stream, degrees))
+        columns = {}
+        for n, c, v in zip(degrees, sums.T, sums.T[len(degrees):]):
+            columns.update({f"C{n}": c, f"V{n}": v, f"p{n}": c / v})
+    return counts, columns
 

@@ -262,6 +262,33 @@ class TestOverflow:
             with pytest.raises(NonFiniteError, match=f"^the order-{order} term overflows"):
                 charfun_truncated(provider, [0.0], [x], 1.0, n_max)
 
+    @pytest.mark.parametrize("rows, times", [
+        ([(0.0, 1.0, 1e-200), (0.5, 1.0, 1e-200)], (0.25, 0.25)),  # sum(V^2) is 0
+        ([(0.0, 1.0, 1e-200), (5.0, 1.0, 1e-200)], (0.0, 5.0)),    # the product is 0
+    ], ids=["diagonal", "disjoint"])
+    def test_multi_time_moment_divisor_underflow(self, rows, times):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError) as exc:
+                multi_time_moment(validate_series(rows), times, 1.0)
+        assert str(exc.value) == (f"the degree-2 moment at times {times} divides by a sum "
+                                  "that underflows to 0")
+
+    @pytest.mark.parametrize("rows, grid, t", [
+        ([(0.0, 1.0, 1e-200), (1.0, 1.0, 1e-200)], [0.5], 0.5),
+        ([(0.0, 1.0, 1.0), (1.0, 1.0, 1.0), (10.0, 1.0, 1e-200), (11.0, 1.0, 1e-200)],
+         [0.5, 10.5], 10.5),
+    ], ids=["one_point", "second_point"])
+    def test_charfun_truncated_divisor_underflow(self, rows, grid, t):
+        # sum(V^2) of two volumes of 1e-200 underflows to 0, while p(1) = 1e200
+        # and its order-1 term are finite
+        provider = moment_provider(_pairs(rows), 5.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError,
+                               match=f"^the sum of V2 underflows to 0 in the window at t={t}$"):
+                charfun_truncated(provider, grid, [1.0] * len(grid), 1.0, 2)
+
     def test_finite_near_the_limit(self):
         provider = moment_provider(_pairs([(0.0, 1e200, 1.0)]), 1.0)
         result = charfun_truncated(provider, [0.0], [1e-200], 1.0, 1)

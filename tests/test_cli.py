@@ -376,6 +376,10 @@ class TestSimulate:
              "--output", str(tmp_path / "x.csv")], capsys)
         assert code == 2
 
+    def test_negative_volume_sigma_exits_2(self, capsys):
+        code, out, err = run_cli(["simulate", "--vol-sigma", "-1", "--n-trades", "3"], capsys)
+        assert (code, out, err) == (2, "", "error: volume_sigma must be >= 0, got -1.0\n")
+
     def test_stdout_output(self, capsys):
         code, out, err = run_cli(["simulate", "--seed", "9", "--n-trades", "3"], capsys)
         assert code == 0
@@ -949,6 +953,21 @@ class TestOverflow:
                  "--testfn", str(testfn), "--nmax", "2"], capsys)
         assert code == 2 and stdout == ""
         assert err == ("error: the order-1 term overflows the double range; "
+                       "lower --nmax or rescale the input units\n")
+
+    def test_charfun_underflow_exits_2(self, tmp_path, capsys):
+        # sum(V^2) of two volumes of 1e-200 underflows to 0, which p(2) divides by
+        path = tmp_path / "tiny.csv"
+        path.write_text("ts,cost,volume\n0.0,1.0,1e-200\n1.0,1.0,1e-200\n")
+        testfn = tmp_path / "x.txt"
+        testfn.write_text("1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run_cli(
+                ["charfun", "--input", str(path), "--window", "5", "--grid", "0.5:1:1",
+                 "--testfn", str(testfn), "--nmax", "2"], capsys)
+        assert code == 2 and stdout == ""
+        assert err == ("error: the sum of V2 underflows to 0 in the window at t=0.5; "
                        "lower --nmax or rescale the input units\n")
 
 

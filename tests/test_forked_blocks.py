@@ -226,6 +226,19 @@ def test_the_child_is_reaped_on_every_way_out(forks, error):
     assert len(forks) == 3
 
 
+def test_a_send_to_a_dead_child_leaves_its_blocks_to_the_parent(forks):
+    # the child is killed, but not reaped, when the parent pulls item 3, the
+    # child's item of the second pair: writing it to the child's pipe fails
+    def items():
+        for item in range(7):
+            if item == 3:
+                os.kill(forks[-1], signal.SIGKILL)
+                os.waitid(os.P_PID, forks[-1], os.WEXITED | os.WNOWAIT)
+            yield item
+    assert list(ingest._blockwise(str, items())) == list(map(str, range(7)))
+    assert len(forks) == 1
+
+
 def test_unwritable_output_after_the_first_block(tmp_path, forks, capsys):
     # an NDJSON file has no header: its first block is formatted, in the
     # parent, with the child forked, before the file opens

@@ -38,7 +38,7 @@ from tickvol import (
     vwap,
     window_centers,
 )
-from tickvol.moments import collect_price_moments, moment_sums
+from tickvol.moments import collect_price_moments, moment_table
 
 
 def _view(rows, center=None, width=None):
@@ -51,9 +51,9 @@ def _view(rows, center=None, width=None):
 
 
 def _rolling(series, width, stride, degrees):
-    """Centers, trade counts and moment_sums rows of the rolling window grid."""
+    """Centers, trade counts and moment_table columns of the rolling window grid."""
     centers = window_centers(series, width, stride)
-    return (centers, *moment_sums(series, centers, width, degrees))
+    return (centers, *moment_table(series, centers, width, degrees))
 
 
 class TestAggregateDegree:
@@ -126,15 +126,15 @@ class TestSimpleAverage:
 
 
 class TestRollingMoments:
-    """The rolling window grid: window_centers, then moment_sums."""
+    """The rolling window grid: window_centers, then moment_table."""
 
     def test_three_trades_width2_stride1(self):
         series = validate_series([(0.0, 1.0, 1.0), (1.0, 2.0, 1.0), (2.0, 3.0, 1.0)])
-        centers, counts, sums = _rolling(series, 2.0, 1.0, [1])
+        centers, counts, table = _rolling(series, 2.0, 1.0, [1])
         assert centers.tolist() == [1.0, 2.0, 3.0]
         assert counts.tolist() == [3, 2, 1]
         # first window covers everything: p1 = 6/3
-        assert sums[0, 0] / sums[0, 1] == pytest.approx(2.0)
+        assert table["p1"][0] == pytest.approx(2.0)
 
     def test_stride_larger_than_span_single_record(self):
         series = validate_series([(0.0, 1.0, 1.0), (3.0, 2.0, 1.0)])
@@ -144,28 +144,29 @@ class TestRollingMoments:
 
     def test_single_trade_series(self):
         series = validate_series([(5.0, 8.0, 2.0)])
-        _, counts, sums = _rolling(series, 2.0, 1.0, [1, 2, 3])
+        _, counts, table = _rolling(series, 2.0, 1.0, [1, 2, 3])
         assert counts.tolist() == [1]
-        for i, n in enumerate((1, 2, 3)):
-            assert sums[0, i] / sums[0, 3 + i] == 4.0 ** n
+        for n in (1, 2, 3):
+            assert table[f"p{n}"].tolist() == [4.0 ** n]
 
     def test_empty_windows_flagged(self):
         # gap between trades leaves interior windows empty
         series = validate_series([(0.0, 1.0, 1.0), (10.0, 2.0, 1.0)])
-        _, counts, sums = _rolling(series, 1.0, 1.0, [1])
+        _, counts, table = _rolling(series, 1.0, 1.0, [1])
         assert (counts == 0).any()
-        # the sums have a row for each non-empty window only
-        assert sums.shape == (np.count_nonzero(counts), 2)
+        # the columns hold a value for each non-empty window only
+        assert [col.shape for col in table.values()] == [(np.count_nonzero(counts),)] * 3
 
     def test_matches_the_per_window_path(self):
         series = simulate_trades(SimConfig(n_trades=400, seed=3))
         degrees = [1, 2, 3, 8]
-        centers, counts, sums = _rolling(series, 30.0, 7.0, degrees)
-        rows = iter(sums.tolist())
+        centers, counts, table = _rolling(series, 30.0, 7.0, degrees)
+        assert list(table) == [f"{name}{n}" for n in degrees for name in "CVp"]
+        rows = zip(*(col.tolist() for col in table.values()))
         for center, count in zip(centers.tolist(), counts.tolist()):
             entries = collect_price_moments(select_window(series, WindowSpec(center, 30.0)), degrees)
-            row = next(rows) if count else []
-            assert entries == {n: (c, v, c / v) for n, c, v in zip(degrees, row, row[4:])}
+            row = next(rows) if count else ()
+            assert entries == {n: row[3 * i:3 * i + 3] for i, n in enumerate(degrees) if count}
         assert next(rows, None) is None
 
     def test_no_centers_for_an_empty_series(self):
@@ -297,16 +298,16 @@ class TestOracleEquivalence:
         rng = random.Random(99)
         trades = naive_ref.lognormal_trades(rng, 200, dt=0.35)
         series = validate_series(trades)
-        centers, counts, sums = _rolling(series, 5.0, 2.0, [1, 2])
+        centers, counts, table = _rolling(series, 5.0, 2.0, [1, 2])
         assert len(centers) > 10
-        rows = iter(sums.tolist())
+        rows = zip(table["p1"].tolist(), table["p2"].tolist())
         for center, count in zip(centers.tolist(), counts.tolist()):
             members = naive_ref.window_members(trades, center, 5.0)
             assert count == len(members)
             if members:
-                c1, c2, v1, v2 = next(rows)
-                assert c1 / v1 == pytest.approx(naive_ref.price_moment(members, 1), rel=1e-12)
-                assert c2 / v2 == pytest.approx(naive_ref.price_moment(members, 2), rel=1e-12)
+                p1, p2 = next(rows)
+                assert p1 == pytest.approx(naive_ref.price_moment(members, 1), rel=1e-12)
+                assert p2 == pytest.approx(naive_ref.price_moment(members, 2), rel=1e-12)
 
 
 def test_stored_moment_is_division_of_stored_sums(two_trade_view):

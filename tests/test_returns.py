@@ -32,6 +32,7 @@ from tickvol import (
     simulate_trades,
     validate_series,
 )
+from tickvol import cli
 from tickvol.returns import mean_return, records_in_window, returns_summands, rform_from_sums
 from tickvol.sums import windowed_sums
 from tickvol.volatility import volatility_forms
@@ -337,9 +338,20 @@ def test_all_windows_path_matches_per_window_reports():
     counts, sums = windowed_sums(records.timestamps, centers, width, summands)
     direct, closed, _ = volatility_forms(counts[counts > 0], *sums.T[:4])
     r11, _, _, rform = rform_from_sums(counts[counts > 0], *sums.T[2:])
-    reports = [returns_volatility_report(records_in_window(records, WindowSpec(c, width)))
+    windows = [records_in_window(records, WindowSpec(c, width))
                for c, n in zip(centers.tolist(), counts.tolist()) if n]
+    reports = [returns_volatility_report(window) for window in windows]
     assert direct.tolist() == [r.sigma_q2_direct for r in reports]
     assert rform.tolist() == [r.sigma_q2_rform for r in reports]
     assert closed.tolist() == [r.sigma_q2_closed for r in reports]
     assert r11.tolist() == [r.r11 for r in reports]
+    # the columns returns-vol prints, bit for bit
+    table_counts, table = cli._volatility_table(records, centers, width)
+    assert table_counts.tolist() == counts.tolist()
+    assert list(table) == ["mean_return", "sigma2_direct", "sigma2_rform", "sigma2_closed",
+                           "r11", "r21", "r22", "negative_flag"]
+    assert table["mean_return"].tolist() == [mean_return(window) for window in windows]
+    for column, field in [("sigma2_direct", "sigma_q2_direct"), ("sigma2_rform", "sigma_q2_rform"),
+                          ("sigma2_closed", "sigma_q2_closed"), ("r11", "r11"), ("r21", "r21"),
+                          ("r22", "r22"), ("negative_flag", "negative_flag")]:
+        assert table[column].tolist() == [getattr(r, field) for r in reports]

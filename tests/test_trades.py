@@ -58,6 +58,13 @@ class TestValidateSeries:
         # per timestamp, input order preserved
         assert list(s.costs) == [2.0, 4.0, 1.0, 3.0]
 
+    @pytest.mark.parametrize("rows", [[(0.0, 1.0)], [(0.0, 1.0, 1.0, 1.0)]],
+                             ids=["two_fields", "four_fields"])
+    def test_rows_must_be_triples(self, rows):
+        with pytest.raises(ValidationError,
+                           match=r"^each raw trade must be a \(timestamp, cost, volume\) triple$"):
+            validate_series(rows)
+
     def test_series_arrays_are_read_only(self):
         s = validate_series([(0.0, 1.0, 1.0)])
         with pytest.raises(ValueError):

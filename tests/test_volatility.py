@@ -23,6 +23,7 @@ from tickvol import (
     validate_series,
     window_centers,
 )
+from tickvol import cli
 from tickvol.sums import windowed_sums
 from tickvol.volatility import dispersion_summands, volatility_forms
 
@@ -211,3 +212,14 @@ def test_all_windows_path_matches_per_window_reports():
     assert closed.tolist() == [r.sigma_p2_closed for r in reports]
     assert [list(t) for t in zip(*(x.tolist() for x in terms))] == [
         list(astuple(r.stats))[1:] for r in reports]
+    # the columns price-vol prints, bit for bit
+    table_counts, table = cli._volatility_table(series, centers, width)
+    assert table_counts.tolist() == counts.tolist()
+    assert list(table) == ["sigma2_direct", "sigma2_closed", "sigma_c2", "sigma_v2", "phi_c2",
+                           "phi_v2", "negative_flag"]
+    assert table["sigma2_direct"].tolist() == [r.sigma_p2_direct for r in reports]
+    assert table["sigma2_closed"].tolist() == [r.sigma_p2_closed for r in reports]
+    for column, field in [("sigma_c2", "sigma_a2"), ("sigma_v2", "sigma_b2"),
+                          ("phi_c2", "phi_a2"), ("phi_v2", "phi_b2")]:
+        assert table[column].tolist() == [getattr(r.stats, field) for r in reports]
+    assert table["negative_flag"].tolist() == [r.negative_flag for r in reports]
