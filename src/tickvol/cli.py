@@ -6,7 +6,7 @@ significant digits, which round-trips doubles exactly, so CSV and JSON
 outputs of the same run carry identical values and diff cleanly.
 
 Every table goes through one writer (_emit over _table_blocks): each
-block of ingest.BLOCK_ROWS rows is one % over its row templates
+block of rows (ingest._cuts) is one % over its row templates
 (ingest._format_block; "%.17g" % x calls the float formatter that
 "{:.17g}".format(x) calls, so the bytes are the same), written before
 the next block is formatted: a whole table's text is never held.
@@ -59,7 +59,7 @@ from .errors import (
     UnsupportedWindowOverlapError,
     ValidationError,
 )
-from .ingest import (BLOCK_ROWS, SCHEMA_VARIANTS, TIMESTAMP_UNITS, IngestSchema, _blockwise,
+from .ingest import (SCHEMA_VARIANTS, TIMESTAMP_UNITS, IngestSchema, _blockwise, _cuts,
                      _format_block, load_trades, trade_blocks, write_trades)
 from .moments import DEFAULT_DEGREE_CAP, moment_table, window_centers
 from .returns import build_returns, returns_summands, rform_from_sums
@@ -107,7 +107,7 @@ def _json_object(keys, cells, pad: str) -> str:
 
 
 def _table_blocks(present: np.ndarray, columns: dict, is_json: bool, pad: str = ""):
-    """Text of a table, BLOCK_ROWS rows at a time: a CSV header and lines,
+    """Text of a table, a block of rows at a time: a CSV header and lines,
     or a JSON list of row objects (its items indented pad + 2 spaces).
 
     A column holds a value for every row, or, when it is shorter, for the
@@ -128,8 +128,8 @@ def _table_blocks(present: np.ndarray, columns: dict, is_json: bool, pad: str = 
         full, empty = (",".join(cells) + "\n" for cells in (convs, gaps))
         yield ",".join(columns) + "\n"
 
-    def block_text(lo):
-        hi = min(lo + BLOCK_ROWS, n)
+    def block_text(rows):
+        lo, hi = rows
         block = []
         for column in values:
             cells = column[lo:hi]
@@ -139,7 +139,7 @@ def _table_blocks(present: np.ndarray, columns: dict, is_json: bool, pad: str = 
             block.append(cells.tolist())
         text = _format_block("".join(map((empty, full).__getitem__, present[lo:hi].tolist())), block)
         return text[1:] if is_json and not lo else text
-    yield from _blockwise(block_text, range(0, n, BLOCK_ROWS))
+    yield from _blockwise(block_text, _cuts(n))
     if is_json:
         yield f"\n{pad}]" if n else "]"
 

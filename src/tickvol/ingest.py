@@ -12,20 +12,21 @@ mark is skipped); CSV carries an exact header line, NDJSON one object
 per line with the same field names.
 
 Files are read and written BLOCK_ROWS lines at a time, so memory beyond
-the loaded columns stays bounded, at about two blocks of text. A file or
-table of two or more blocks, in a process allowed two or more CPUs, is
-parsed or formatted half in one forked child (_blockwise): it takes every
-other block, the results come back in order, and errors and bytes are
-those of the one-process path. A block of CSV lines is split once
-into three field columns, a block of NDJSON lines is parsed by one
-json.loads, and each column becomes one np.array(values, dtype=float64).
-numpy converts a Python str, int or float as float() does (raising where
-it raises), and integer timestamps go through int() first, so the
-syntax accepted is the line parser's. A block the bulk path refuses is
-parsed again line by line (_csv_lines, _ndjson_lines), which either
-accepts it or raises the ParseError that names the first bad line.
-Series validation runs once every block has parsed, so a parse error
-anywhere wins over an invalid row. The cyclic garbage collector is
+the loaded columns stays bounded, at about two blocks of text. With two
+CPUs, a job past a quarter of a block runs half in one forked child
+(_blockwise), with one process's bytes and errors: a table or trade file
+is formatted in an even number of equal row blocks (_cuts), a regular
+trade file read in two halves of its bytes (_halves). A pipe, or a half
+UTF-8 or a bulk parser refuses, is read in one process. A block of CSV
+lines is split once into three field columns, a block of NDJSON lines is
+parsed by one json.loads, and each column becomes one np.array(values,
+dtype=float64). numpy converts a Python str, int or float as float()
+does (raising where it raises), and integer timestamps go through int()
+first, so the syntax accepted is the line parser's. A block the bulk
+path refuses is parsed again line by line (_csv_lines, _ndjson_lines),
+which either accepts it or raises the ParseError that names the first
+bad line. Series validation runs once every block has parsed, so a parse
+error anywhere wins over an invalid row. The cyclic garbage collector is
 paused while a file is read: the parsed rows hold no cycles, and its
 collections would scan every dict and list json.loads builds.
 
@@ -39,10 +40,12 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import io
 import itertools
 import json
 import os
 import pickle
+import stat
 import warnings
 from dataclasses import dataclass
 from operator import itemgetter
@@ -101,7 +104,6 @@ def load_trades(path: str | os.PathLike, schema: IngestSchema) -> TradeSeries:
     NDJSON, anything else CSV). Parse failures raise ParseError with the
     line number; invariant violations propagate from series validation.
     """
-    columns = ([], [], [])
     gc_enabled = gc.isenabled()
     gc.disable()  # the parsed rows hold no cycles, so collections would find nothing
     try:
@@ -118,20 +120,20 @@ def load_trades(path: str | os.PathLike, schema: IngestSchema) -> TradeSeries:
                 _check_header(next(lines, None), schema)
                 bulk, by_line, lineno = _csv_block, _csv_lines, 2
 
-            def parse(item):
-                lineno, block = item
-                if isinstance(block, Exception):  # the read of this block failed
-                    raise block
-                parsed = bulk(block, schema) or by_line(block, schema, lineno)
-                return [np.asarray(values, dtype=np.float64) for values in parsed]
-
-            for parsed in _blockwise(parse, _line_blocks(lines, lineno)):
-                for column, values in zip(columns, parsed):
-                    column.append(values)
+            def parse(half):  # its columns, or None where UTF-8 or the bulk parser refuses it
+                lo, hi = half
+                text = io.TextIOWrapper(_Range(fh.fileno(), lo, hi), "utf-8" if lo else "utf-8-sig")
+                try:  # the first half skips the CSV header
+                    return _parse(itertools.islice(text, 0 if lo else lineno - 1, None), schema, bulk)
+                except UnicodeDecodeError:
+                    return None
+            parsed = list(_blockwise(parse, _halves(fh.fileno(), csv=lineno == 2)))
+            if not parsed or None in parsed:  # one process, which raises its own errors
+                parsed = [_parse(lines, schema, bulk, by_line, lineno)]
     finally:
         if gc_enabled:
             gc.enable()
-    ts, mid, vol = (np.concatenate(column) if column else np.empty(0) for column in columns)
+    ts, mid, vol = map(np.concatenate, zip(*parsed))
     if schema.nanoseconds:
         ts /= 1e9
     with np.errstate(over="ignore", invalid="ignore"):  # validation reports inf and nan
@@ -139,16 +141,47 @@ def load_trades(path: str | os.PathLike, schema: IngestSchema) -> TradeSeries:
     return TradeSeries(ts, cost, vol)
 
 
-def _line_blocks(lines, lineno: int):
-    """(number of its first line, its lines) of each block of BLOCK_ROWS
-    lines. A read that fails ends them with (lineno, the exception): a
-    block read ahead for the child of _blockwise fails in its turn."""
-    try:
-        while block := list(itertools.islice(lines, BLOCK_ROWS)):
-            yield lineno, block
-            lineno += len(block)
-    except Exception as exc:
-        yield lineno, exc
+class _Range(io.RawIOBase):
+    """Bytes lo:hi of an open file, read with os.pread: its offset stays."""
+
+    def __init__(self, fd: int, lo: int, hi: int):
+        self.fd, self.lo, self.hi = fd, lo, hi
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        size = os.preadv(self.fd, [memoryview(buffer)[:self.hi - self.lo]], self.lo)
+        self.lo += size
+        return size
+
+
+def _halves(fd: int, csv: bool) -> list:
+    """Byte ranges of a regular file's halves, cut at the first newline at or
+    after the midpoint of its data bytes, if any and if _cuts splits its lines."""
+    info = os.fstat(fd)
+    if not stat.S_ISREG(info.st_mode):
+        return []
+    data = io.BufferedReader(_Range(fd, 0, info.st_size))
+    cut = ((len(data.readline()) if csv else 0) + info.st_size) // 2
+    if len(_cuts(sum(1 for _ in itertools.islice(data, BLOCK_ROWS)))) < 2:
+        return []
+    cut += len(io.BufferedReader(_Range(fd, cut, info.st_size)).readline())
+    return [(0, cut), (cut, info.st_size)] if cut < info.st_size else []
+
+
+def _parse(lines, schema: IngestSchema, bulk, by_line=None, lineno: int = 0):
+    """The (ts, mid, volume) columns of lines, BLOCK_ROWS at a time. A block
+    the bulk parser refuses goes to by_line, or else makes the result None."""
+    columns = ([], [], [])
+    while block := list(itertools.islice(lines, BLOCK_ROWS)):
+        parsed = bulk(block, schema) or by_line and by_line(block, schema, lineno)
+        if parsed is None:
+            return None
+        for column, values in zip(columns, parsed):
+            column.append(np.asarray(values, dtype=np.float64))
+        lineno += len(block)
+    return [np.concatenate(column) if column else np.empty(0) for column in columns]
 
 
 def _check_header(header: str | None, schema: IngestSchema) -> None:
@@ -330,7 +363,7 @@ def _format_block(template: str, columns) -> str:
 
 
 def trade_blocks(series: TradeSeries, schema: IngestSchema, fmt: str):
-    """Text of a trade file, BLOCK_ROWS rows at a time, checked before the first."""
+    """Text of a trade file, a block of rows (_cuts) at a time, checked before the first."""
     if fmt not in ("csv", "ndjson"):
         raise ValueError(f"unknown trade file format {fmt!r}")
     edge = max(series.span(), key=abs) if len(series) else 0.0  # timestamps are sorted
@@ -342,13 +375,13 @@ def trade_blocks(series: TradeSeries, schema: IngestSchema, fmt: str):
     else:
         row = '{"%s": %%r, "%s": %%r, "%s": %%r}\n' % schema.fields
 
-    def block_text(lo):
-        t, cost, vol = (col[lo:lo + BLOCK_ROWS] for col in (series.timestamps, series.a, series.b))
+    def block_text(rows):
+        t, cost, vol = (col[slice(*rows)] for col in (series.timestamps, series.a, series.b))
         mid = _price_for_exact_cost(cost, vol) if schema.variant == "ts_price_volume" else cost
         # %r of a float is its shortest round-trip repr
         ts = map(round, (t * 1e9).tolist()) if schema.nanoseconds else t.tolist()
         return _format_block(row * len(t), (ts, mid.tolist(), vol.tolist()))
-    yield from _blockwise(block_text, range(0, len(series), BLOCK_ROWS))
+    yield from _blockwise(block_text, _cuts(len(series)))
 
 
 def render_trades(series: TradeSeries, schema: IngestSchema, fmt: str) -> str:
@@ -363,7 +396,7 @@ def render_trades(series: TradeSeries, schema: IngestSchema, fmt: str) -> str:
 def write_trades(series: TradeSeries, path: str | os.PathLike, schema: IngestSchema,
                  fmt: str | None = None) -> None:
     """Write a series as CSV (default) or NDJSON ('.ndjson'/'.jsonl' paths),
-    BLOCK_ROWS rows at a time."""
+    a block of rows at a time."""
     if fmt is None:
         suffix = os.path.splitext(os.fspath(path))[1].lower()
         fmt = "ndjson" if suffix in (".ndjson", ".jsonl") else "csv"
@@ -373,8 +406,16 @@ def write_trades(series: TradeSeries, path: str | os.PathLike, schema: IngestSch
             fh.writelines(itertools.chain([first], blocks))
 
 
+def _cuts(rows: int) -> list[tuple[int, int]]:
+    """(lo, hi) of each block of a job: one up to BLOCK_ROWS // 4 rows (two CPUs
+    win from about 4k), else an even number of equal blocks of <= BLOCK_ROWS."""
+    blocks = 2 * -(-rows // (2 * BLOCK_ROWS)) if rows > BLOCK_ROWS // 4 else 1
+    edges = [rows * i // blocks for i in range(blocks + 1)]
+    return list(zip(edges, edges[1:]))
+
+
 def _blockwise(func, items):
-    """map(func, items) over the blocks of a job.
+    """map(func, items) over the blocks of a job: row or byte ranges.
 
     A job of two or more blocks, with two CPUs to run on, forks one
     child that maps every other item, sent to it and its result sent back
@@ -385,11 +426,10 @@ def _blockwise(func, items):
     The parent closes the pipes and reaps it on every way out."""
     items, cpus = iter(items), len(getattr(os, "sched_getaffinity", lambda pid: ())(0))
     head = list(itertools.islice(items, 2 if cpus > 1 else 0))  # enough to choose
-    items = itertools.chain(iter(head), items)
+    items = itertools.chain(head, items)
     if len(head) < 2:
         yield from map(func, items)
         return
-    del head  # iter(head) drops it once read, so each block is freed once mapped
     (item_r, item_w), (result_r, result_w) = os.pipe(), os.pipe()
     try:
         with warnings.catch_warnings():

@@ -527,13 +527,15 @@ class TestEmission:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_windows_on_a_block_edge(self, fmt, capsys):
-        from tickvol.cli import BLOCK_ROWS, _emit
+        from tickvol.cli import _emit
+        from tickvol.ingest import BLOCK_ROWS, _cuts
 
         n = BLOCK_ROWS + 3
+        edge = _cuts(n)[0][1]  # the end of the first block
         rng = np.random.default_rng(5)
         centers = rng.uniform(-1e6, 1e6, n)
         counts = rng.integers(1, 9, n)
-        counts[[0, BLOCK_ROWS - 1, BLOCK_ROWS, n - 1]] = 0
+        counts[[0, edge - 1, edge, n - 1]] = 0
         full = counts > 0
         sigma = rng.normal(0.0, 1e-3, full.sum())
         _emit(full, {"t": centers, "n_trades": counts, "sigma2": sigma, "negative_flag": sigma < 0},
@@ -620,8 +622,8 @@ class TestTableWriter:
         columns = {f"c{i}": data.draw(_COLUMN_KINDS[kind](sizes[short]))
                    for i, (kind, short) in enumerate(kinds)}
         pad = data.draw(st.sampled_from(["", "  "])) if is_json else ""  # charfun nests a table
-        block_rows = data.draw(st.sampled_from([1, 2, 3, cli.BLOCK_ROWS]))
-        with (mock.patch.object(cli, "BLOCK_ROWS", block_rows),
+        block_rows = data.draw(st.sampled_from([1, 2, 3, ingest.BLOCK_ROWS]))
+        with (mock.patch.object(ingest, "BLOCK_ROWS", block_rows),
               mock.patch.object(os, "sched_getaffinity", _cpus(data))):
             got = "".join(cli._table_blocks(present, columns, is_json, pad))
         assert got == _reference_table(present, columns, is_json, pad)

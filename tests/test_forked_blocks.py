@@ -1,13 +1,18 @@
 """The two-CPU path of the block loops: ingest._blockwise forks one child for
-a job of two or more blocks, and every output byte, error text and exit
+a job of two or more blocks (a table or trade file of more than a quarter
+of BLOCK_ROWS rows, cut by ingest._cuts, or a trade file cut in two halves
+of its bytes by ingest._halves), and every output byte, error text and exit
 code is that of the in-process path."""
 
+import argparse
 import os
 import pathlib
 import signal
 import subprocess
 import sys
+import threading
 
+import numpy as np
 import pytest
 
 from tickvol import IngestSchema, ParseError, ValidationError, cli, ingest, load_trades
@@ -17,7 +22,8 @@ from test_cli import _env
 
 COST_SCHEMA = IngestSchema("ts_cost_volume")
 
-N = 2 * 2 ** 15 + 7  # three blocks: the child maps the middle one
+N = 2 * 2 ** 15 + 7  # four blocks: the child maps the second and fourth
+FLOOR = ingest.BLOCK_ROWS // 4  # the most rows a job runs in one block
 SIMULATE = ["simulate", "--seed", "11", "--n-trades", str(N)]
 
 
@@ -81,7 +87,8 @@ def commands(trades):
         ([*SIMULATE, "--schema", "ts_price_volume"], ".csv"),
         ([*SIMULATE, "--ts-unit", "nanoseconds"], ".ndjson"),
         (["price-vol", "--input", trades[".csv"], "--window", "2", "--stride", "1.9"], ".csv"),
-        (["moments", "--input", trades[".csv"], "--window", "3", "--stride", "1.9",
+        # 21,860 windows: between the floor and BLOCK_ROWS
+        (["moments", "--input", trades[".csv"], "--window", "3", "--stride", "3",
           "--degrees", "1", "--format", "json"], ".json"),
     ]
 
@@ -118,7 +125,7 @@ def test_a_killed_child_leaves_its_blocks_to_the_parent(tmp_path, monkeypatch, f
     assert len(killed) == len(forks) == 3
 
 
-@pytest.mark.parametrize("suffix, line", [(".csv", 2 ** 15 + 100), (".ndjson", 2 ** 15 + 100),
+@pytest.mark.parametrize("suffix, line", [(".csv", 3 * 2 ** 14), (".ndjson", 3 * 2 ** 14),
                                           (".csv", N + 1)],
                          ids=["child's block-csv", "child's block-ndjson", "last block-csv"])
 def test_a_bad_line_gives_the_in_process_error(tmp_path, monkeypatch, forks, trades, suffix,
@@ -142,7 +149,7 @@ def test_a_bad_line_gives_the_in_process_error(tmp_path, monkeypatch, forks, tra
 
 
 def test_a_read_error_after_a_parse_error_comes_second(tmp_path, monkeypatch, forks, trades):
-    # the child's block is read before the parent parses block 0
+    # the child's half, with the bad byte, is read while the parent parses its own
     data = pathlib.Path(trades[".csv"]).read_bytes().split(b"\n")
     data[5] = b"x"
     data[2 ** 15 + 2000] = b"\xff"
@@ -183,7 +190,7 @@ def non_utf8_in_block_1(path, parse_error):
 ], ids=["parse error in block 0", "read error alone"])
 def test_a_read_error_in_block_1_comes_in_its_turn(tmp_path, monkeypatch, forks, parse_error,
                                                    error, match):
-    # deciding to fork reads block 1, but its read error is raised after block 0 is parsed
+    # the bad byte is in the child's half, but its read error is raised after block 0 is parsed
     path = tmp_path / "t.csv"
     non_utf8_in_block_1(path, parse_error)
     with pytest.raises(error, match=match):
@@ -194,7 +201,7 @@ def test_a_read_error_in_block_1_comes_in_its_turn(tmp_path, monkeypatch, forks,
         load_trades(path, COST_SCHEMA)
 
 
-@pytest.mark.parametrize("rows, forked", [(2 ** 15, False), (2 ** 15 + 1, True)])
+@pytest.mark.parametrize("rows, forked", [(FLOOR, False), (FLOOR + 1, True)])
 def test_a_job_of_one_block_runs_in_process(tmp_path, forks, rows, forked):
     path = tmp_path / "t.csv"
     assert main(["simulate", "--seed", "1", "--n-trades", str(rows), "--output", str(path)]) == 0
@@ -258,3 +265,183 @@ def test_closed_stdout_exits_2():
     proc.stderr.close()
     assert proc.wait() == 2
     assert err == b"error: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_table_under_one_full_block_forks_once(tmp_path, monkeypatch, forks, fmt):
+    n = 20_000  # between the floor and BLOCK_ROWS: two blocks of 10,000 rows
+    assert FLOOR < n < ingest.BLOCK_ROWS and ingest._cuts(n) == [(0, n // 2), (n // 2, n)]
+    rng = np.random.default_rng(7)
+    counts = rng.integers(1, 9, n)
+    counts[[0, n // 2 - 1, n // 2, n - 1]] = 0  # empty windows on both sides of the edge
+    present = counts > 0
+    columns = {"t": rng.uniform(-1e6, 1e6, n), "n_trades": counts,
+               "sigma2": rng.normal(0.0, 1e-3, present.sum())}
+    got = []
+    for forked in (True, False):
+        if not forked:
+            one_cpu(monkeypatch)
+        path = tmp_path / f"{forked}.{fmt}"
+        cli._emit(present, columns, argparse.Namespace(format=fmt, output=str(path)))
+        got.append(path.read_bytes())
+    assert got[0] == got[1]
+    assert len(forks) == 1
+
+
+def test_cuts_are_an_even_number_of_equal_blocks():
+    for rows in [*range(20 * FLOOR), 2 * ingest.BLOCK_ROWS + 1, 10 ** 6 + 3]:
+        cuts = ingest._cuts(rows)
+        sizes = [hi - lo for lo, hi in cuts]
+        assert [lo for lo, _ in cuts] == [0, *(hi for _, hi in cuts[:-1])], rows
+        assert cuts[-1][1] == rows, rows
+        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= ingest.BLOCK_ROWS, rows
+        assert len(cuts) == 1 if rows <= FLOOR else len(cuts) % 2 == 0, rows
+
+
+def halves_file(path, lines, newline=b"\n", bom=b"", pad=0, midpoint=None):
+    """A CSV of lines data rows (row i is `i,1,1`) ending in newline, the
+    last row padded with spaces. With midpoint, the first pad (from 0) for
+    which the byte at the data bytes' midpoint is midpoint."""
+    header = bom + b"ts,cost,volume" + newline
+    for pad in range(pad, pad + 64):
+        data = b"".join(b"%d,1,1" % i + newline for i in range(lines - 1))
+        data += b"%d,1,1" % (lines - 1) + b" " * pad + newline
+        middle = len(header) + len(data) // 2
+        if midpoint is None or (header + data)[middle:middle + 1] == midpoint:
+            path.write_bytes(header + data)
+            return
+    raise AssertionError("no pad puts the midpoint there")
+
+
+@pytest.fixture
+def one_process(monkeypatch):
+    """The number of loads that parsed the file in one process, with line
+    numbers, as a pipe, a small file, or a file a forked half refused, is."""
+    loads, parse = [], ingest._parse
+
+    def spy(lines, schema, bulk, by_line=None, lineno=0):
+        if by_line:
+            loads.append(lineno)
+        return parse(lines, schema, bulk, by_line, lineno)
+    monkeypatch.setattr(ingest, "_parse", spy)
+    return loads
+
+
+def load_both(path, monkeypatch):
+    """load_trades' columns or error, forked, then with one CPU."""
+    got = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        try:
+            series = load_trades(path, COST_SCHEMA)
+        except (ParseError, UnicodeDecodeError) as exc:
+            got.append((type(exc), str(exc), getattr(exc, "line", None)))
+        else:
+            got.append([col.tolist() for col in (series.timestamps, series.a, series.b)])
+    return got
+
+
+@pytest.mark.parametrize("newline, bom, midpoint", [
+    (b"\r\n", b"", b"\r"), (b"\r\n", b"", b"\n"), (b"\n", b"\xef\xbb\xbf", None),
+], ids=["midpoint on a CR of CRLF", "midpoint on a LF of CRLF", "byte-order mark"])
+def test_halves_end_after_a_newline(tmp_path, monkeypatch, forks, one_process, newline, bom,
+                                    midpoint):
+    path = tmp_path / "t.csv"
+    halves_file(path, FLOOR + 1, newline, bom, midpoint=midpoint)
+    data = path.read_bytes()
+    with open(path, "rb") as fh:
+        (_, cut), (cut2, size) = ingest._halves(fh.fileno(), True)
+    assert cut == cut2 and size == len(data)
+    assert data[:cut].endswith(newline) and not data[cut:].startswith(b"\n")
+    forked, in_process = load_both(path, monkeypatch)
+    assert forked == in_process and forked[0] == list(map(float, range(FLOOR + 1)))
+    assert len(forks) == 1 and one_process == []
+
+
+def test_halves_after_lone_cr_lines(tmp_path, monkeypatch, forks, one_process):
+    # the first 100 data lines end in a lone CR, which text mode reads as a line end
+    path = tmp_path / "t.csv"
+    halves_file(path, FLOOR + 200)
+    data = path.read_bytes().replace(b",1,1\n", b",1,1\r", 100)
+    path.write_bytes(data)
+    forked, in_process = load_both(path, monkeypatch)
+    assert forked == in_process and len(forked[0]) == FLOOR + 200
+    assert one_process == []
+    # a bad line in the child's half is numbered across the CR lines
+    path.write_bytes(data.replace(b"\n%d,1,1" % (FLOOR - 5), b"\n%d;1,1" % (FLOOR - 5)))
+    forked, in_process = load_both(path, monkeypatch)
+    assert forked == in_process and forked[2] == FLOOR - 3
+    assert len(forks) == 2
+
+
+def test_a_byte_order_mark_opening_the_second_half_is_a_character(tmp_path, monkeypatch, forks):
+    # only the file's first bytes can be a byte-order mark: elsewhere U+FEFF
+    # opens a bad timestamp
+    path = tmp_path / "t.csv"
+    halves_file(path, FLOOR + 1)
+    data = path.read_bytes()
+    with open(path, "rb") as fh:
+        (_, cut), _ = ingest._halves(fh.fileno(), True)
+    path.write_bytes(data[:cut] + "\ufeff".encode() + data[cut:])
+    with open(path, "rb") as fh:
+        assert ingest._halves(fh.fileno(), True)[1][0] == cut
+    forked, in_process = load_both(path, monkeypatch)
+    assert forked == in_process and forked[0] is ParseError
+    assert len(forks) == 1
+
+
+def test_a_midpoint_in_the_last_line_leaves_one_half(tmp_path, monkeypatch, forks, one_process):
+    path = tmp_path / "t.csv"
+    halves_file(path, FLOOR + 1, pad=2 * 8 * FLOOR)
+    with open(path, "rb") as fh:
+        assert ingest._halves(fh.fileno(), True) == []
+    forked, in_process = load_both(path, monkeypatch)
+    assert forked == in_process and len(forked[0]) == FLOOR + 1
+    assert forks == [] and one_process == [2, 2]
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".ndjson"])
+def test_a_pipe_loads_in_process(trades, forks, one_process, suffix):
+    data = pathlib.Path(trades[suffix]).read_bytes()
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with open(write_end, "wb") as fh:
+            fh.write(data)
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        piped = load_trades(f"/dev/fd/{read_end}", COST_SCHEMA)
+    finally:
+        feeder.join(timeout=60)
+        os.close(read_end)
+    assert not feeder.is_alive()
+    assert forks == [] and len(one_process) == 1
+    regular = load_trades(trades[suffix], COST_SCHEMA)
+    assert len(forks) == 1 and len(one_process) == 1
+    for got, want in zip((piped.timestamps, piped.a, piped.b),
+                         (regular.timestamps, regular.a, regular.b)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("first, second", [
+    (None, b"x"), (None, b"\xff"), (b"x", b"x"), (b"x", b"\xff"),
+], ids=["parse error in the second half", "non-UTF-8 byte in the second half",
+        "parse errors in both halves", "first-half parse error, second-half non-UTF-8 byte"])
+def test_errors_in_the_halves_are_the_one_cpu_errors(tmp_path, monkeypatch, forks, first,
+                                                     second):
+    # line 100 is in the first of the one-CPU path's blocks, line 3 * 2^14 in the second
+    path = tmp_path / "t.csv"
+    halves_file(path, N)
+    lines = path.read_bytes().split(b"\n")
+    for line, bad in ((100, first), (3 * 2 ** 14, second)):  # line numbers, header first
+        if bad:
+            lines[line - 1] = bad + lines[line - 1][lines[line - 1].index(b","):]
+    path.write_bytes(b"\n".join(lines))
+    forked, in_process = load_both(path, monkeypatch)
+    assert forked == in_process
+    want = ((ParseError, "line 100: timestamp must be a decimal number, got 'x'", 100) if first
+            else (ParseError, f"line {3 * 2 ** 14}: timestamp must be a decimal number, got 'x'",
+                  3 * 2 ** 14) if second == b"x" else UnicodeDecodeError)
+    assert forked == want or forked[0] is want
+    assert len(forks) == 1
