@@ -24,8 +24,9 @@ integer field past the double range), 4 unsupported configuration. A
 command checks its flags before it reads a file (a bad flag exits 2 even
 with a bad input), the checks that need the data after. Commands raise;
 main alone maps an exception to its code and prints one "error:" line,
-with plain numbers. An unwritable stderr drops that line and the "seed:"
-lines (_diagnostic) and changes no exit code.
+with plain numbers, and returns the code for __main__ to exit with. An
+unwritable stderr drops that line and the "seed:" lines (_diagnostic)
+and changes no exit code.
 
 Every command that sums over windows, charfun included, runs in four
 array steps: the bounds of all windows from one searchsorted per edge
@@ -551,7 +552,3 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(exc, (ParseError, ValidationError)):
             return EXIT_INPUT
         return EXIT_UNSUPPORTED if isinstance(exc, UnsupportedWindowOverlapError) else EXIT_CONFIG
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -13,22 +13,23 @@ per line with the same field names.
 
 Files are read and written BLOCK_ROWS lines at a time, so memory beyond
 the loaded columns stays bounded, at about two blocks of text. With two
-CPUs, a job past a quarter of a block runs half in one forked child
+CPUs, a job past _floor() rows runs half in one forked child
 (_blockwise), with one process's bytes and errors: a table or trade file
 is formatted in an even number of equal row blocks (_cuts), a regular
-trade file read in two halves of its bytes (_halves). A pipe, or a half
-UTF-8 or a bulk parser refuses, is read in one process. A block of CSV
-lines is split once into three field columns, a block of NDJSON lines is
-parsed by one json.loads, and each column becomes one np.array(values,
-dtype=float64). numpy converts a Python str, int or float as float()
-does (raising where it raises), and integer timestamps go through int()
-first, so the syntax accepted is the line parser's. A block the bulk
-path refuses is parsed again line by line (_csv_lines, _ndjson_lines),
-which either accepts it or raises the ParseError that names the first
-bad line. Series validation runs once every block has parsed, so a parse
-error anywhere wins over an invalid row. The cyclic garbage collector is
-paused while a file is read: the parsed rows hold no cycles, and its
-collections would scan every dict and list json.loads builds.
+trade file read in two halves of its bytes (_halves), window sums in two
+groups of columns (sums.window_sums). A pipe, or a half UTF-8 or a bulk
+parser refuses, is read in one process. A block of CSV lines is split
+once into three field columns, a block of NDJSON lines is parsed by one
+json.loads, and each column becomes one np.array(values, dtype=float64).
+numpy converts a Python str, int or float as float() does (raising where
+it raises), and integer timestamps go through int() first, so the syntax
+accepted is the line parser's. A block the bulk path refuses is parsed
+again line by line (_csv_lines, _ndjson_lines), which either accepts it
+or raises the ParseError that names the first bad line. Series
+validation runs once every block has parsed, so a parse error anywhere
+wins over an invalid row. The cyclic garbage collector is paused while a
+file is read: the parsed rows hold no cycles, and its collections would
+scan every dict and list json.loads builds.
 
 write_trades + load_trades round-trip a series bit-exactly in both
 layouts: a block is one % over its rows (_format_block), where %r gives
@@ -61,7 +62,7 @@ from .trades import validate_series  # noqa: F401
 
 SCHEMA_VARIANTS = ("ts_cost_volume", "ts_price_volume")
 TIMESTAMP_UNITS = ("seconds", "nanoseconds")
-BLOCK_ROWS = 1 << 15  # lines read, parsed, formatted and written at a time
+BLOCK_ROWS = 1 << 12  # lines read, parsed, formatted and written at a time
 
 _FIELDS = {
     "ts_cost_volume": ("ts", "cost", "volume"),
@@ -158,13 +159,13 @@ class _Range(io.RawIOBase):
 
 def _halves(fd: int, csv: bool) -> list:
     """Byte ranges of a regular file's halves, cut at the first newline at or
-    after the midpoint of its data bytes, if any and if _cuts splits its lines."""
+    after the midpoint of its data bytes, if any and if it has over _floor() data lines."""
     info = os.fstat(fd)
     if not stat.S_ISREG(info.st_mode):
         return []
     data = io.BufferedReader(_Range(fd, 0, info.st_size))
     cut = ((len(data.readline()) if csv else 0) + info.st_size) // 2
-    if len(_cuts(sum(1 for _ in itertools.islice(data, BLOCK_ROWS)))) < 2:
+    if next(itertools.islice(data, _floor(), None), None) is None:
         return []
     cut += len(io.BufferedReader(_Range(fd, cut, info.st_size)).readline())
     return [(0, cut), (cut, info.st_size)] if cut < info.st_size else []
@@ -406,16 +407,21 @@ def write_trades(series: TradeSeries, path: str | os.PathLike, schema: IngestSch
             fh.writelines(itertools.chain([first], blocks))
 
 
+def _floor() -> int:
+    """The most rows a job runs in one process: two CPUs win from about 4k."""
+    return 2 * BLOCK_ROWS
+
+
 def _cuts(rows: int) -> list[tuple[int, int]]:
-    """(lo, hi) of each block of a job: one up to BLOCK_ROWS // 4 rows (two CPUs
-    win from about 4k), else an even number of equal blocks of <= BLOCK_ROWS."""
-    blocks = 2 * -(-rows // (2 * BLOCK_ROWS)) if rows > BLOCK_ROWS // 4 else 1
+    """(lo, hi) of each block of a job: one up to _floor() rows, else an
+    even number of equal blocks of <= BLOCK_ROWS."""
+    blocks = 2 * -(-rows // (2 * BLOCK_ROWS)) if rows > _floor() else 1
     edges = [rows * i // blocks for i in range(blocks + 1)]
     return list(zip(edges, edges[1:]))
 
 
 def _blockwise(func, items):
-    """map(func, items) over the blocks of a job: row or byte ranges.
+    """map(func, items) over the blocks of a job: row or byte ranges, column groups.
 
     A job of two or more blocks, with two CPUs to run on, forks one
     child that maps every other item, sent to it and its result sent back

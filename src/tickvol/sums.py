@@ -18,12 +18,17 @@ overlap. Every column takes this path: a window holding inf, -inf or
 nan gets fsum's value, or nan for both infinities (fsum's ValueError);
 a sum past the double range rounds to inf or -inf (fsum's
 OverflowError); an exact-zero window takes fsum's sign of zero.
+
+Past ingest._floor() covered rows, the even and the odd columns are two
+blocks of ingest._blockwise: with two CPUs, a forked child, which holds
+the columns, gets indices and sends back their window sums.
 """
 
 import math
 
 import numpy as np
 
+from .ingest import _blockwise, _floor
 from .trades import window_bounds
 
 # Rows made limbs and prefix-summed, and windows rounded, at a time.
@@ -58,11 +63,16 @@ def window_sums(columns, starts, lengths) -> np.ndarray:
     # prefix sums every column keeps
     need, inverse = np.unique(np.concatenate([lo, hi]), return_inverse=True)
     edges = inverse.reshape(2, -1)
-    out = np.empty((len(lo), len(columns)))
-    for c, column in enumerate(columns):
-        col = np.asarray(column, dtype=np.float64)[:len(covered)][covered]
-        out[:, c] = _prefix_sums(col, lo, hi, need, edges)
-    return out
+
+    def group(indices):  # the window sums of these columns, one row each
+        return [_prefix_sums(np.asarray(columns[c], dtype=np.float64)[:len(covered)][covered],
+                             lo, hi, need, edges) for c in indices]
+    every = range(len(columns))
+    groups = [every[0::2], every[1::2]] if rank[-1] > _floor() and len(every) > 1 else [every]
+    out = np.empty((len(columns), len(lo)))
+    for indices, sums in zip(groups, _blockwise(group, groups)):
+        out[indices] = sums
+    return out.T
 
 
 def _prefix_sums(col: np.ndarray, lo: np.ndarray, hi: np.ndarray, need: np.ndarray,

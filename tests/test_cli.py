@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -528,9 +529,9 @@ class TestEmission:
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_empty_windows_on_a_block_edge(self, fmt, capsys):
         from tickvol.cli import _emit
-        from tickvol.ingest import BLOCK_ROWS, _cuts
+        from tickvol.ingest import _cuts, _floor
 
-        n = BLOCK_ROWS + 3
+        n = _floor() + 3
         edge = _cuts(n)[0][1]  # the end of the first block
         rng = np.random.default_rng(5)
         centers = rng.uniform(-1e6, 1e6, n)
@@ -1062,3 +1063,33 @@ class TestEntryPoint:
         proc.stderr.close()
         assert proc.wait() == 2
         assert err == b"error: cannot write stdout: Broken pipe\n"
+
+    def test_a_multi_block_table_to_a_pipe_is_the_in_process_table(self, tmp_path):
+        # the process ends in os._exit once stdout is flushed: no row is lost
+        path, table = tmp_path / "t.csv", tmp_path / "pv.csv"
+        assert main(["simulate", "--seed", "2", "--n-trades", "20000",
+                     "--output", str(path)]) == 0
+        command = ["price-vol", "--input", str(path), "--window", "10", "--stride", "1"]
+        assert main([*command, "--output", str(table)]) == 0
+        proc = subprocess.run([sys.executable, "-m", "tickvol", *command], capture_output=True,
+                              env=_env())
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == table.read_bytes()
+        assert len(ingest._cuts(proc.stdout.count(b"\n") - 1)) > 2
+
+    @pytest.mark.parametrize("launcher", [
+        "import runpy; runpy.run_module('tickvol', run_name='__main__', alter_sys=True)",
+        "from {script} import {name}; sys.exit({name}())",
+    ], ids=["python -m tickvol", "tickvol script"])
+    def test_an_identity_fail_exits_1(self, launcher, monkeypatch, capsys):
+        # identities hold for valid input: a zero tolerance makes them fail
+        import tickvol.cli as cli_mod
+
+        pyproject = pathlib.Path(SRC).parent / "pyproject.toml"
+        script, name = re.search(r'^tickvol = "(.+):(.+)"$', pyproject.read_text(), re.M).groups()
+        command = ["identity-check", "--seed", "11", "--n-trades", "400"]
+        proc = run_python(["-c", "import sys, tickvol.cli; tickvol.cli.IDENTITY_TOLERANCE = 0.0; "
+                           + launcher.format(script=script, name=name), *command])
+        monkeypatch.setattr(cli_mod, "IDENTITY_TOLERANCE", 0.0)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, *run_cli(command, capsys)[1:])
+        assert "FAIL" in proc.stdout

@@ -1,8 +1,10 @@
 """The two-CPU path of the block loops: ingest._blockwise forks one child for
-a job of two or more blocks (a table or trade file of more than a quarter
-of BLOCK_ROWS rows, cut by ingest._cuts, or a trade file cut in two halves
-of its bytes by ingest._halves), and every output byte, error text and exit
-code is that of the in-process path."""
+a job of two or more blocks (a table or trade file of more than
+ingest._floor() rows, cut by ingest._cuts, a trade file cut in two halves
+of its bytes by ingest._halves, or the window sums of more covered rows
+than that, cut into even and odd columns by sums.window_sums), and every
+output byte, sum bit, error text and exit code is that of the in-process
+path."""
 
 import argparse
 import os
@@ -15,15 +17,15 @@ import threading
 import numpy as np
 import pytest
 
-from tickvol import IngestSchema, ParseError, ValidationError, cli, ingest, load_trades
+from tickvol import IngestSchema, ParseError, ValidationError, cli, ingest, load_trades, sums
 from tickvol.cli import main
 
 from test_cli import _env
 
 COST_SCHEMA = IngestSchema("ts_cost_volume")
 
-N = 2 * 2 ** 15 + 7  # four blocks: the child maps the second and fourth
-FLOOR = ingest.BLOCK_ROWS // 4  # the most rows a job runs in one block
+N = 2 * 2 ** 15 + 7  # 18 blocks of a table or trade file: the child maps every other
+FLOOR = ingest._floor()  # the most rows a job runs in one block
 SIMULATE = ["simulate", "--seed", "11", "--n-trades", str(N)]
 
 
@@ -87,7 +89,7 @@ def commands(trades):
         ([*SIMULATE, "--schema", "ts_price_volume"], ".csv"),
         ([*SIMULATE, "--ts-unit", "nanoseconds"], ".ndjson"),
         (["price-vol", "--input", trades[".csv"], "--window", "2", "--stride", "1.9"], ".csv"),
-        # 21,860 windows: between the floor and BLOCK_ROWS
+        # 21,860 windows: 6 blocks
         (["moments", "--input", trades[".csv"], "--window", "3", "--stride", "3",
           "--degrees", "1", "--format", "json"], ".json"),
     ]
@@ -112,17 +114,17 @@ def in_process(tmp_path_factory, trades):
 
 def test_forked_output_is_the_in_process_output(tmp_path, forks, trades, in_process):
     assert run(tmp_path, commands(trades)) == in_process
-    # 2 simulations, and a load and a table for each of the 2 others
-    assert len(forks) == 6
+    # 2 simulations, and a load, the window sums and a table for each of the 2 others
+    assert len(forks) == 8
 
 
 def test_a_killed_child_leaves_its_blocks_to_the_parent(tmp_path, monkeypatch, forks, trades,
                                                         in_process):
-    # the children of a simulation, and of price-vol's load and table
+    # the children of a simulation, and of price-vol's load, window sums and table
     killed = kill_children(monkeypatch, forks, (ingest, "_format_block"), (ingest, "_csv_block"),
-                           (cli, "_format_block"))
+                           (sums, "_prefix_sums"), (cli, "_format_block"))
     assert run(tmp_path, commands(trades)[::2]) == in_process[::2]
-    assert len(killed) == len(forks) == 3
+    assert len(killed) == len(forks) == 4
 
 
 @pytest.mark.parametrize("suffix, line", [(".csv", 3 * 2 ** 14), (".ndjson", 3 * 2 ** 14),
@@ -173,9 +175,9 @@ def test_a_failed_fork_leaves_every_block_to_the_parent(tmp_path, monkeypatch, f
 
 
 def non_utf8_in_block_1(path, parse_error):
-    """A CSV whose data line 2^15 + 1, the first of block 1, opens with a
-    non-UTF-8 byte at the start of a fresh 8 KiB chunk of the file, so the
-    lines before it decode; with parse_error, line 3 is `x,1,1`."""
+    """A CSV whose last data line, 2^15 + 1, in the second half (block 1),
+    opens with a non-UTF-8 byte at the start of a fresh 8 KiB chunk of the
+    file, so the lines before it decode; with parse_error, line 3 is `x,1,1`."""
     rows = [b"%d,1,1\n" % i for i in range(2 ** 15)]
     if parse_error:
         rows[1] = b"x,1,1\n"
@@ -269,11 +271,12 @@ def test_closed_stdout_exits_2():
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_table_under_one_full_block_forks_once(tmp_path, monkeypatch, forks, fmt):
-    n = 20_000  # between the floor and BLOCK_ROWS: two blocks of 10,000 rows
-    assert FLOOR < n < ingest.BLOCK_ROWS and ingest._cuts(n) == [(0, n // 2), (n // 2, n)]
+    n = 10_000  # between the floor and twice the floor: four blocks of 2,500 rows
+    assert FLOOR < n < 2 * FLOOR and ingest._cuts(n) == [(i, i + n // 4) for i in range(0, n, n // 4)]
     rng = np.random.default_rng(7)
     counts = rng.integers(1, 9, n)
-    counts[[0, n // 2 - 1, n // 2, n - 1]] = 0  # empty windows on both sides of the edge
+    edges = np.arange(0, n + 1, n // 4)
+    counts[[*edges[:-1], *(edges[1:] - 1)]] = 0  # empty windows on both sides of every edge
     present = counts > 0
     columns = {"t": rng.uniform(-1e6, 1e6, n), "n_trades": counts,
                "sigma2": rng.normal(0.0, 1e-3, present.sum())}
@@ -294,8 +297,9 @@ def test_cuts_are_an_even_number_of_equal_blocks():
         sizes = [hi - lo for lo, hi in cuts]
         assert [lo for lo, _ in cuts] == [0, *(hi for _, hi in cuts[:-1])], rows
         assert cuts[-1][1] == rows, rows
-        assert max(sizes) - min(sizes) <= 1 and max(sizes) <= ingest.BLOCK_ROWS, rows
+        assert max(sizes) - min(sizes) <= 1, rows
         assert len(cuts) == 1 if rows <= FLOOR else len(cuts) % 2 == 0, rows
+        assert max(sizes) <= (FLOOR if len(cuts) == 1 else ingest.BLOCK_ROWS), rows
 
 
 def halves_file(path, lines, newline=b"\n", bom=b"", pad=0, midpoint=None):
@@ -430,7 +434,7 @@ def test_a_pipe_loads_in_process(trades, forks, one_process, suffix):
         "parse errors in both halves", "first-half parse error, second-half non-UTF-8 byte"])
 def test_errors_in_the_halves_are_the_one_cpu_errors(tmp_path, monkeypatch, forks, first,
                                                      second):
-    # line 100 is in the first of the one-CPU path's blocks, line 3 * 2^14 in the second
+    # line 100 is in the first of the one-CPU path's blocks, line 3 * 2^14 in the second half
     path = tmp_path / "t.csv"
     halves_file(path, N)
     lines = path.read_bytes().split(b"\n")
@@ -445,3 +449,60 @@ def test_errors_in_the_halves_are_the_one_cpu_errors(tmp_path, monkeypatch, fork
                   3 * 2 ** 14) if second == b"x" else UnicodeDecodeError)
     assert forked == want or forked[0] is want
     assert len(forks) == 1
+
+
+def kernel_job(rows):
+    """Five columns of rows + 100 values and windows over all but 100 of
+    them (rows covered rows): windows with inf, -inf, nan, inf and -inf
+    together, a -0.0 and an exact zero of nonzero values among them."""
+    rng = np.random.default_rng(rows)
+    n = rows + 100
+    columns = [rng.normal(0.0, 1.0, n) * 10.0 ** rng.integers(-30, 30, n) for _ in range(5)]
+    columns[0][10], columns[1][20], columns[2][30] = np.inf, -np.inf, np.nan
+    columns[3][40:42] = np.inf, -np.inf
+    columns[4][50:54] = -0.0, -0.0, 2.5, -2.5
+    # windows of 1 to 9 rows that tile rows 0 to 999 and 1100 to n, and
+    # three more over the zeros of column 4
+    tiles = []
+    for lo, hi in ((0, 1000), (1100, n)):
+        edges = lo + np.cumsum(rng.integers(1, 10, hi - lo))
+        tiles.append(np.r_[lo, edges[edges < hi], hi])
+    starts = np.r_[tiles[0][:-1], tiles[1][:-1], 50, 52, 50]
+    lengths = np.r_[np.diff(tiles[0]), np.diff(tiles[1]), 2, 2, 4]
+    return columns, starts, lengths
+
+
+def sum_bits(job, monkeypatch):
+    """window_sums' bits forked, then with one CPU."""
+    got = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        got.append(sums.window_sums(*job).view(np.int64))
+    return got
+
+
+@pytest.mark.parametrize("rows, forked", [(FLOOR, False), (FLOOR + 1, True)])
+def test_window_sums_past_the_floor_fork_with_the_same_bits(monkeypatch, forks, rows, forked):
+    columns, starts, lengths = job = kernel_job(rows)
+    covered = np.zeros(rows + 100, bool)
+    for start, length in zip(starts, lengths):
+        covered[start:start + length] = True
+    assert covered.sum() == rows and not covered[1000:1100].any()
+    forked_bits, in_process = sum_bits(job, monkeypatch)
+    np.testing.assert_array_equal(forked_bits, in_process)
+    want = in_process.view(np.float64)
+    assert np.isposinf(want[:, 0]).any() and np.isneginf(want[:, 1]).any()
+    assert np.isnan(want[:, 2]).any() and np.isnan(want[:, 3]).any()
+    assert (want[-3:, 4] == 0).all()
+    assert len(forks) == forked
+    # one column is one block
+    sum_bits(([columns[0]], starts, lengths), monkeypatch)
+    assert len(forks) == forked
+
+
+def test_a_killed_kernel_child_leaves_its_columns_to_the_parent(monkeypatch, forks):
+    job = kernel_job(FLOOR + 1)
+    killed = kill_children(monkeypatch, forks, (sums, "_prefix_sums"))
+    forked_bits, in_process = sum_bits(job, monkeypatch)
+    np.testing.assert_array_equal(forked_bits, in_process)
+    assert len(killed) == len(forks) == 1
