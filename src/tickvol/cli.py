@@ -35,10 +35,11 @@ array steps: the bounds of all windows from one searchsorted per edge
 the table of all windows (for charfun, one polynomial per grid point).
 The kernel rounds exact integer prefix sums as math.fsum rounds, so
 tables carry exactly the csum values of the per-window library API,
-which stays the test oracle. moment_table makes the C{n}, V{n} and p{n}
-columns that moments writes and charfun reads, _volatility_table the
-volatility table of a PairSeries (trades or lag-m ReturnsSet) that
-price-vol and returns-vol write and identity-check compares.
+which stays the test oracle. moment_table makes every window table: the
+C{n}, V{n} and p{n} columns that moments writes and charfun reads, and
+the sums of _volatility_table, the volatility table of a PairSeries
+(trades or lag-m ReturnsSet) that price-vol and returns-vol write and
+identity-check compares.
 """
 
 from __future__ import annotations
@@ -64,10 +65,9 @@ from .ingest import (SCHEMA_VARIANTS, TIMESTAMP_UNITS, IngestSchema, _blockwise,
                      _format_block, load_trades, trade_blocks, write_trades)
 from .moments import DEFAULT_DEGREE_CAP, moment_table, window_centers
 from .returns import build_returns, returns_summands, rform_from_sums
-from .sums import windowed_sums
 from .synth import SimConfig, simulate_trades
 from .trades import PairSeries, TradeSeries
-from .volatility import dispersion_summands, volatility_forms
+from .volatility import volatility_forms
 
 # Entry points the commands no longer call. They stay importable from
 # this module, where bench/tracer.py wraps them by name.
@@ -267,25 +267,25 @@ def _emit_windows(args, centers, count_key: str, counts, columns: dict) -> None:
 
 
 def _volatility_table(stream: PairSeries, centers, width: float) -> tuple:
-    """Item counts of every window and, from the same windowed_sums call,
-    the named columns of the stream's volatility table over the non-empty
-    ones: price-vol's for trades, returns-vol's for lag-m records. A sum of
-    b^2 that underflows to 0 (volumes near 1e-200) fails: both forms divide by it."""
-    trades = isinstance(stream, TradeSeries)
-    counts, sums = windowed_sums(stream.timestamps, centers, width,
-                                 (dispersion_summands if trades else returns_summands)(stream))
-    sums = sums.T
-    _check_windows(centers, counts, {f"{stream._labels[2]}^2": sums[3]}, divisor=True)
+    """Item counts of every window, the named columns of the stream's
+    volatility table over the non-empty ones (price-vol's for trades,
+    returns-vol's for lag-m records) and its p2 column, from one moment_table.
+    A sum of b^2 that underflows to 0 (volumes near 1e-200) fails: both forms divide by it."""
+    extras = {} if isinstance(stream, TradeSeries) else returns_summands(stream)
+    counts, t = moment_table(stream, centers, width, [1, 2], **extras)
+    _check_windows(centers, counts, {f"{stream._labels[2]}^2": t["V2"]}, divisor=True)
     nonempty = counts[counts > 0]
-    direct, closed, terms = volatility_forms(nonempty, *sums[:4])
-    if trades:
-        return counts, {"sigma2_direct": direct, "sigma2_closed": closed,
-                        **dict(zip(["sigma_c2", "sigma_v2", "phi_c2", "phi_v2"], terms[4:])),
-                        "negative_flag": direct < 0}
-    r11, r21, r22, rform = rform_from_sums(nonempty, *sums[2:])
-    return counts, {"mean_return": sums[0] / sums[2] - 1.0, "sigma2_direct": direct,
-                    "sigma2_rform": rform, "sigma2_closed": closed,
-                    "r11": r11, "r21": r21, "r22": r22, "negative_flag": direct < 0}
+    direct, closed, terms = volatility_forms(nonempty, t["C1"], t["C2"], t["V1"], t["V2"])
+    if not extras:
+        columns = {"sigma2_direct": direct, "sigma2_closed": closed,
+                   **dict(zip(["sigma_c2", "sigma_v2", "phi_c2", "phi_v2"], terms[4:])),
+                   "negative_flag": direct < 0}
+    else:
+        r11, r21, r22, rform = rform_from_sums(nonempty, t["V1"], t["V2"], *map(t.get, extras))
+        columns = {"mean_return": t["p1"] - 1.0, "sigma2_direct": direct,
+                   "sigma2_rform": rform, "sigma2_closed": closed,
+                   "r11": r11, "r21": r21, "r22": r22, "negative_flag": direct < 0}
+    return counts, columns, t["p2"]
 
 
 def cmd_moments(args) -> int:
@@ -307,7 +307,7 @@ def cmd_price_vol(args) -> int:
     width, stride = _window_stride(args)
     series = _load_input(args)
     centers = window_centers(series, width, stride)
-    _emit_windows(args, centers, "n_trades", *_volatility_table(series, centers, width))
+    _emit_windows(args, centers, "n_trades", *_volatility_table(series, centers, width)[:2])
     return EXIT_OK
 
 
@@ -318,7 +318,7 @@ def cmd_returns_vol(args) -> int:
     series = _load_input(args)
     records = build_returns(series, args.lag)
     centers = window_centers(series, width, stride)
-    _emit_windows(args, centers, "n_records", *_volatility_table(records, centers, width))
+    _emit_windows(args, centers, "n_records", *_volatility_table(records, centers, width)[:2])
     return EXIT_OK
 
 
@@ -403,10 +403,12 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _max_rel_dev(*forms) -> float:
-    """Largest pairwise |x - y| / max(1, |first form|) among the forms, over
-    all windows (0.0 when there are none)."""
-    scale = np.maximum(1.0, np.abs(forms[0]))
+def _max_rel_dev(p2, *forms) -> float:
+    """Largest pairwise |x - y| / p2 among the forms, over all windows (0.0
+    when there are none): each form is a difference of terms about p(2) in
+    size. A p2 below the smallest normal double, 0 included, counts as that
+    double (doubles lose relative precision there), so equal forms read 0."""
+    scale = np.maximum(p2, np.finfo(np.float64).tiny)
     devs = [np.abs(x - y) / scale for x, y in itertools.combinations(forms, 2)]
     return float(np.max(devs, initial=0.0))
 
@@ -421,11 +423,11 @@ def _identity_rows(series: TradeSeries, width: float, stride: float, lags: list[
             rows.append(("returns_vol_three_way", m, 0, 0.0))
             continue
         stream, prefix = (build_returns(series, m), f"lag-{m} ") if m else (series, "")
-        counts, table = _volatility_table(stream, centers, width)
+        counts, table, p2 = _volatility_table(stream, centers, width)
         forms = {prefix + name: v for name, v in table.items() if name.startswith("sigma2_")}
         _check_windows(centers, counts, forms)
         rows.append(("returns_vol_three_way" if m else "price_vol_direct_vs_closed", m or None,
-                     int(np.count_nonzero(counts)), _max_rel_dev(*forms.values())))
+                     int(np.count_nonzero(counts)), _max_rel_dev(p2, *forms.values())))
     return rows
 
 

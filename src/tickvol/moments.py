@@ -16,10 +16,11 @@ q(n) = sum(cost_ratio^n) / sum(volume_ratio^n) (see returns). All sums
 are exact compensated sums in ascending index order, so results are
 deterministic and independent of any parallel window schedule.
 
-Every per-window sum of the library goes through item_sums, which alone
+Summands are recipes, zero-argument callables that return a column. Every
+per-window sum of the library goes through item_sums, which alone
 raises EmptyWindowError for an empty window and NonFiniteError for a sum
-past the double range; the C{n}, V{n} and p{n} columns of a window grid,
-for the moments command and charfun_truncated alike, through moment_table.
+past the double range; every window table, for each table command and
+charfun_truncated alike, through moment_table.
 """
 
 from __future__ import annotations
@@ -55,22 +56,21 @@ def check_degree(n: int) -> None:
 
 
 def power_summands(stream, degrees) -> list:
-    """a^n, then b^n, for each degree: the moment summands of a stream or window."""
-    a, b = stream.a, stream.b
-    return [a if n == 1 else a ** n for n in degrees] + [b if n == 1 else b ** n for n in degrees]
+    """Recipes of a^n, then b^n, for each degree: the moment summands of a stream or window."""
+    return [lambda x=x, n=n: x if n == 1 else x ** n for x in (stream.a, stream.b) for n in degrees]
 
 
 def item_sums(window, summands, *args) -> tuple:
-    """(n, csum of each array of summands(window, *args)) of a window or stream.
+    """(n, csum of each recipe's array in summands(window, *args)) of a window or stream.
 
-    EmptyWindowError for an empty window; summands run with numpy's
+    EmptyWindowError for an empty window; recipes run with numpy's
     warnings off, so a power or sum past the double range first shows as
     NonFiniteError."""
     n = len(window)
     if n == 0:
         raise EmptyWindowError(f"{window!r} is empty")
     with np.errstate(all="ignore"):
-        columns = summands(window, *args)
+        columns = [recipe() for recipe in summands(window, *args)]
     try:
         sums = [csum(x) for x in columns]
     except (OverflowError, ValueError):  # fsum's partials overflow, or inf meets -inf
@@ -114,7 +114,7 @@ def simple_average_price(view: PairSeries) -> float:
     Weights every trade equally, unlike VWAP; the two coincide only when
     all volumes are equal.
     """
-    n, total = item_sums(view, lambda w: [w.a / w.b])
+    n, total = item_sums(view, lambda w: [lambda: w.a / w.b])
     return total / n
 
 
@@ -168,14 +168,15 @@ def window_centers(series: PairSeries, width: float, stride: float) -> np.ndarra
     return centers
 
 
-def moment_table(stream: PairSeries, centers, width: float, degrees) -> tuple:
+def moment_table(stream: PairSeries, centers, width: float, degrees, **extras) -> tuple:
     """Item counts of every window and, for the non-empty ones, the columns C{n}, V{n}
-    and p{n} = C{n}/V{n} of each degree, unchecked: inf, nan and 0 are the caller's."""
+    and p{n} = C{n}/V{n} of each degree, then the sums of each extra recipe by its
+    name, from one kernel call and unchecked: inf, nan and 0 are the caller's."""
     with np.errstate(all="ignore"):
         counts, sums = windowed_sums(stream.timestamps, centers, width,
-                                     power_summands(stream, degrees))
+                                     [*power_summands(stream, degrees), *extras.values()])
         columns = {}
         for n, c, v in zip(degrees, sums.T, sums.T[len(degrees):]):
             columns.update({f"C{n}": c, f"V{n}": v, f"p{n}": c / v})
-    return counts, columns
+    return counts, {**columns, **dict(zip(extras, sums.T[2 * len(degrees):]))}
 

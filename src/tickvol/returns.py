@@ -39,14 +39,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LagTooLargeError
-from .moments import item_sums, nonzero_divisor, price_moment
+from .moments import item_sums, nonzero_divisor, power_summands, price_moment
 from .sums import csum  # noqa: F401  (bench/tracer.py wraps returns.csum)
 from .trades import PairSeries, TradeSeries, select_window
 from .volatility import (
     _TERMS,
     DispersionStats,
     dispersion_stats,
-    dispersion_summands,
     finite,
     price_volatility_closed,
     price_volatility_direct,
@@ -124,15 +123,15 @@ def mean_return(records: ReturnsSet) -> float:
     return returns_moment(records, 1) - 1.0
 
 
-def returns_summands(records: ReturnsSet) -> list:
-    """Values whose window sums feed every returns volatility form:
-
-    qc, qc^2, qv, qv^2 (the dispersion summands) and r qv, r qv^2,
-    (r qv)^2 (the weighted return means).
-    """
+def returns_summands(records: ReturnsSet) -> dict:
+    """Recipes (see moments.power_summands) of r qv, r qv^2 and (r qv)^2, by
+    name: what the weighted return means add to the degree-1 and 2 sums."""
     r, qv = records.simple_return, records.volume_ratio
-    r_qv = r * qv
-    return [*dispersion_summands(records), r_qv, r * qv ** 2, r_qv ** 2]
+    return dict(r_qv=lambda: r * qv, r_qv2=lambda: r * qv ** 2, r_qv_sq=lambda: (r * qv) ** 2)
+
+
+def _record_summands(records: ReturnsSet) -> list:
+    return [*power_summands(records, [1, 2]), *returns_summands(records).values()]
 
 
 def rform_from_sums(count, sum_qv, sum_qv2, sum_rqv, sum_rqv2, sum_rqv_sq) -> tuple:
@@ -156,7 +155,7 @@ def returns_volatility_rform(records: ReturnsSet) -> float:
 
     (0.0 exactly for a single record; see rform_from_sums).
     """
-    n, *sums = item_sums(records, returns_summands)
+    n, *sums = item_sums(records, _record_summands)
     nonzero_divisor(records, "r21", sums[3])
     return finite(records, ["sigma2_rform"], [rform_from_sums(n, *sums[2:])[3]])[0]
 
@@ -177,7 +176,7 @@ class ReturnsVolatilityReport:
 
 def returns_volatility_report(records: ReturnsSet) -> ReturnsVolatilityReport:
     """All three volatility forms plus the weighted means for one record set."""
-    n, *sums = item_sums(records, returns_summands)
+    n, *sums = item_sums(records, _record_summands)
     nonzero_divisor(records, "q(2)", sums[3])
     direct, closed, terms = volatility_forms(n, *sums[:4])
     direct, closed, r11, r21, r22, rform, *terms = finite(

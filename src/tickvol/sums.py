@@ -5,7 +5,9 @@ algorithm) and returns the correctly rounded sum, so results are
 deterministic and independent of evaluation order.
 
 window_sums() computes the csum of many windows at once, a column at a
-time, over the rows some window covers. Every finite value is an integer
+time, over the rows some window covers. Each column is a recipe, a
+zero-argument callable (a ** 2, say), called where the column is read,
+so a process holds one summand at a time. Every finite value is an integer
 multiple of 2**(emin - 53), emin the column's smallest exponent, so the
 column's exact prefix sums are int64 cumsums of 32-bit limbs (after R. M.
 Neal's superaccumulators, arXiv:1505.05571), built a limb at a time from
@@ -20,8 +22,8 @@ a sum past the double range rounds to inf or -inf (fsum's
 OverflowError); an exact-zero window takes fsum's sign of zero.
 
 Past ingest._floor() covered rows, the even and the odd columns are two
-blocks of ingest._blockwise: with two CPUs, a forked child, which holds
-the columns, gets indices and sends back their window sums.
+blocks of ingest._blockwise: with two CPUs, a forked child gets
+indices, calls those recipes and sends back their window sums.
 """
 
 import math
@@ -47,9 +49,9 @@ def csum(values) -> float:
 
 
 def window_sums(columns, starts, lengths) -> np.ndarray:
-    """csum(column[start:start + length]) of each of the 1-d arrays in
-    columns, read as they are, for every window: one row per window, in
-    window order, and one column per array."""
+    """csum(column()[start:start + length]) of each recipe in columns (each
+    returns a 1-d array and is called once, in the process that sums it), for
+    every window: one row per window, in window order, one column per recipe."""
     starts = np.asarray(starts, dtype=np.intp)
     ends = starts + np.asarray(lengths, dtype=np.intp)
     # rows some window covers, from a difference array of window starts
@@ -65,7 +67,7 @@ def window_sums(columns, starts, lengths) -> np.ndarray:
     edges = inverse.reshape(2, -1)
 
     def group(indices):  # the window sums of these columns, one row each
-        return [_prefix_sums(np.asarray(columns[c], dtype=np.float64)[:len(covered)][covered],
+        return [_prefix_sums(np.asarray(columns[c](), dtype=np.float64)[:len(covered)][covered],
                              lo, hi, need, edges) for c in indices]
     every = range(len(columns))
     groups = [every[0::2], every[1::2]] if rank[-1] > _floor() and len(every) > 1 else [every]
@@ -182,8 +184,8 @@ def _limb_table(block: np.ndarray, emin: int, limbs: int) -> np.ndarray:
 def windowed_sums(timestamps, centers, width: float, summands) -> tuple:
     """Member counts of every window, and window_sums of the non-empty ones.
 
-    summands are arrays aligned with the sorted timestamps; column i of
-    the sums holds the window sums of summands[i], one row per window
+    summands are recipes of arrays aligned with the sorted timestamps; column i
+    of the sums holds the window sums of summands[i], one row per window
     with a non-zero count, in window order. Where csum would raise, the
     window gets inf, -inf or nan (see the module docstring), so the caller
     can report which sum overflowed.

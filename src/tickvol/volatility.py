@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DegenerateDenominatorError, NonFiniteError
-from .moments import item_sums, nonzero_divisor
+from .moments import item_sums, nonzero_divisor, power_summands
 from .sums import csum  # noqa: F401  (bench/tracer.py wraps volatility.csum)
 from .trades import PairSeries
 
@@ -44,17 +44,12 @@ def clamp_dispersion(value, mean_sq):
     return np.where((-threshold <= value) & (value < 0.0), 0.0, value)[()]
 
 
-# The algebra below is written once, over the window sums of a numerator
-# a and a denominator b, and serves prices (a = C, b = V) and returns
-# (a = cost ratio, b = volume ratio). Every argument may be a scalar or an
-# array with one entry per window; the per-window API passes the sums of
-# moments.item_sums, the CLI passes window_sums columns, so both evaluate
-# the same operations.
-
-
-def dispersion_summands(stream) -> list:
-    """a, a^2, b, b^2 of a stream or window: the volatility forms' summands."""
-    return [stream.a, stream.a ** 2, stream.b, stream.b ** 2]
+# The algebra below is written once, over the degree-1 and 2 window sums
+# of a numerator a and a denominator b, and serves prices (a = C, b = V)
+# and returns (a = cost ratio, b = volume ratio). Every argument may be a
+# scalar or an array with one entry per window; the per-window API passes
+# item_sums(view, power_summands, [1, 2]), the CLI the C1, C2, V1, V2
+# columns of moment_table, so both evaluate the same operations.
 
 
 def dispersion_terms(count, sum_a, sum_a2, sum_b, sum_b2) -> tuple:
@@ -169,7 +164,7 @@ class PriceVolatilityReport:
 def dispersion_stats(view: PairSeries) -> DispersionStats:
     """Means and dispersions of a and b over a window or stream: cost and
     volume for trades (returns.returns_dispersion_stats is this function)."""
-    n, *sums = item_sums(view, dispersion_summands)
+    n, *sums = item_sums(view, power_summands, [1, 2])
     return DispersionStats(n, *finite(view, _TERMS, dispersion_terms(n, *sums)))
 
 
@@ -181,7 +176,7 @@ def price_volatility_direct(view: PairSeries) -> float:
     A one-item window is an exact degeneracy (p(2) and p(1)^2 are the
     same real number), so it returns 0.0 rather than evaluation noise.
     """
-    sums = item_sums(view, dispersion_summands)
+    sums = item_sums(view, power_summands, [1, 2])
     nonzero_divisor(view, "p(2)", sums[4])
     return finite(view, ["sigma2_direct"], [direct_volatility(*sums)])[0]
 
@@ -202,7 +197,7 @@ def price_volatility_closed(stats: DispersionStats) -> float:
 def price_volatility_report(view: PairSeries) -> PriceVolatilityReport:
     """Both volatility forms plus the dispersion stats for one window or
     a whole stream."""
-    sums = item_sums(view, dispersion_summands)
+    sums = item_sums(view, power_summands, [1, 2])
     nonzero_divisor(view, "p(2)", sums[4])
     direct, closed, terms = volatility_forms(*sums)
     direct, closed, *terms = finite(view, ["sigma2_direct", "sigma2_closed", *_TERMS],

@@ -472,24 +472,43 @@ def kernel_job(rows):
     return columns, starts, lengths
 
 
-def sum_bits(job, monkeypatch):
-    """window_sums' bits forked, then with one CPU."""
+def sum_bits(job, monkeypatch, log=None):
+    """window_sums' bits forked, then with one CPU, of recipes of the job's
+    columns; each call of a recipe, if log is a path, appends a line
+    "column pid" to it."""
+    columns, starts, lengths = job
+
+    def recipe(c):
+        if log is not None:
+            with open(log, "a") as fh:
+                fh.write(f"{c} {os.getpid()}\n")
+        return columns[c].copy()  # a new array, as a power summand is
     got = []
     for cpus in ({0, 1}, {0}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        got.append(sums.window_sums(*job).view(np.int64))
+        recipes = [lambda c=c: recipe(c) for c in range(len(columns))]
+        got.append(sums.window_sums(recipes, starts, lengths).view(np.int64))
     return got
 
 
 @pytest.mark.parametrize("rows, forked", [(FLOOR, False), (FLOOR + 1, True)])
-def test_window_sums_past_the_floor_fork_with_the_same_bits(monkeypatch, forks, rows, forked):
+def test_window_sums_past_the_floor_fork_with_the_same_bits(monkeypatch, tmp_path, forks, rows,
+                                                            forked):
     columns, starts, lengths = job = kernel_job(rows)
     covered = np.zeros(rows + 100, bool)
     for start, length in zip(starts, lengths):
         covered[start:start + length] = True
     assert covered.sum() == rows and not covered[1000:1100].any()
-    forked_bits, in_process = sum_bits(job, monkeypatch)
+    log = tmp_path / "recipes.log"
+    forked_bits, in_process = sum_bits(job, monkeypatch, log)
     np.testing.assert_array_equal(forked_bits, in_process)
+    # each recipe is called once a run, the odd columns' in the forked child
+    calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    parent, child = os.getpid(), {pid for c, pid in calls[:5] if c % 2}
+    assert sorted(c for c, _ in calls[:5]) == sorted(c for c, _ in calls[5:]) == [0, 1, 2, 3, 4]
+    assert [pid for c, pid in calls[:5] if c % 2 == 0] == [parent] * 3
+    assert child == ({forks[0]} if forked else {parent})
+    assert {pid for _, pid in calls[5:]} == {parent}
     want = in_process.view(np.float64)
     assert np.isposinf(want[:, 0]).any() and np.isneginf(want[:, 1]).any()
     assert np.isnan(want[:, 2]).any() and np.isnan(want[:, 3]).any()

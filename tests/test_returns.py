@@ -34,7 +34,7 @@ from tickvol import (
 )
 from tickvol import cli
 from tickvol.returns import mean_return, records_in_window, returns_summands, rform_from_sums
-from tickvol.sums import windowed_sums
+from tickvol.moments import moment_table
 from tickvol.volatility import volatility_forms
 
 
@@ -334,10 +334,13 @@ def test_all_windows_path_matches_per_window_reports():
     records = build_returns(simulate_trades(SimConfig(n_trades=600, seed=13)), 3)
     width = 25.0
     centers = records.timestamps[0] + np.arange(0.0, 600.0, 8.0)
-    summands = returns_summands(records)
-    counts, sums = windowed_sums(records.timestamps, centers, width, summands)
-    direct, closed, _ = volatility_forms(counts[counts > 0], *sums.T[:4])
-    r11, _, _, rform = rform_from_sums(counts[counts > 0], *sums.T[2:])
+    extras = returns_summands(records)
+    assert list(extras) == ["r_qv", "r_qv2", "r_qv_sq"]
+    counts, sums = moment_table(records, centers, width, [1, 2], **extras)
+    direct, closed, _ = volatility_forms(counts[counts > 0],
+                                         *(sums[k] for k in ["C1", "C2", "V1", "V2"]))
+    r11, _, _, rform = rform_from_sums(counts[counts > 0],
+                                       *(sums[k] for k in ["V1", "V2", *extras]))
     windows = [records_in_window(records, WindowSpec(c, width))
                for c, n in zip(centers.tolist(), counts.tolist()) if n]
     reports = [returns_volatility_report(window) for window in windows]
@@ -346,8 +349,9 @@ def test_all_windows_path_matches_per_window_reports():
     assert closed.tolist() == [r.sigma_q2_closed for r in reports]
     assert r11.tolist() == [r.r11 for r in reports]
     # the columns returns-vol prints, bit for bit
-    table_counts, table = cli._volatility_table(records, centers, width)
+    table_counts, table, q2 = cli._volatility_table(records, centers, width)
     assert table_counts.tolist() == counts.tolist()
+    assert q2.tolist() == [returns_moment(window, 2) for window in windows]
     assert list(table) == ["mean_return", "sigma2_direct", "sigma2_rform", "sigma2_closed",
                            "r11", "r21", "r22", "negative_flag"]
     assert table["mean_return"].tolist() == [mean_return(window) for window in windows]

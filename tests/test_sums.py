@@ -21,7 +21,6 @@ from tickvol.returns import build_returns, returns_summands
 from tickvol.sums import csum, window_sums, windowed_sums
 from tickvol.synth import SimConfig, simulate_trades
 from tickvol.trades import window_bounds
-from tickvol.volatility import dispersion_summands
 
 POWERS = range(1, 9)
 
@@ -37,11 +36,16 @@ def _bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64).tolist()
 
 
+def _recipes(*arrays):
+    """The kernel's recipes of the given arrays: each returns its array."""
+    return [lambda a=a: a for a in arrays]
+
+
 def _forced(path, values, starts, lengths):
     """window_sums of a 1-d array, or of each column of a 2-d one, shaped
     as one row per window (of one sum per column)."""
     with mock.patch.multiple(sums, **PATHS[path]):
-        got = window_sums(list(values.reshape(len(values), -1).T), starts, lengths)
+        got = window_sums(_recipes(*values.reshape(len(values), -1).T), starts, lengths)
     return got.reshape(np.shape(lengths) + values.shape[1:])
 
 
@@ -176,7 +180,7 @@ class TestWindowedSums:
     def test_bounds_and_sums_match_brute_force(self, series, grid):
         ts, values = series
         centers, width = grid
-        counts, got = windowed_sums(ts, centers, width, [values, values ** 2])
+        counts, got = windowed_sums(ts, centers, width, _recipes(values, values ** 2))
         rows = iter(got.tolist())
         for c, n in zip(centers.tolist(), counts.tolist()):
             members = [i for i, t in enumerate(ts.tolist()) if c - width / 2 <= t <= c + width / 2]
@@ -195,7 +199,7 @@ class TestWindowedSums:
         ts = np.arange(len(values), dtype=np.float64)
         centers = np.array([1.0, 2.5, 3.0, 4.0, 5.5, 6.0, 7.0, 10.0, 20.0])
         with mock.patch.multiple(sums, **PATHS[path]):
-            counts, got = windowed_sums(ts, centers, 2.0, [values])
+            counts, got = windowed_sums(ts, centers, 2.0, _recipes(values))
         starts, lengths = window_bounds(ts, centers, 2.0)
         assert counts.tolist() == lengths.tolist() == [3, 2, 3, 3, 2, 3, 3, 3, 0]
         want = []
@@ -360,18 +364,19 @@ class TestPrefixPath:
         elif shape == "C^8":
             series = simulate_trades(SimConfig(n_trades=1000, seed=4, volume_sigma=3.0))
             summands = power_summands(series, [8])
-            assert _limbs(summands[0]) > 8
+            assert _limbs(summands[0]()) > 8
         elif shape == "returns-ndjson-wide":
             width, stride = 2000.0, 1000.0
             series = build_returns(series, 10)
-            summands = returns_summands(series)
+            summands = [*power_summands(series, [1, 2]), *returns_summands(series).values()]
         else:
             width, stride = (10.0, 5.0) if shape == "pricevol-narrow" else ((t1 - t0) / 16,) * 2
-            summands = dispersion_summands(series)
+            summands = power_summands(series, [1, 2])
         centers = window_centers(series, width, stride)
         _, got = windowed_sums(series.timestamps, centers, width, summands)
         starts, lengths = window_bounds(series.timestamps, centers, width)
         full = lengths > 0
-        want = [[csum(s[lo:lo + n]) for s in summands]
+        columns = [recipe() for recipe in summands]
+        want = [[csum(s[lo:lo + n]) for s in columns]
                 for lo, n in zip(starts[full].tolist(), lengths[full].tolist())]
         assert _bits(got) == _bits(want)

@@ -24,8 +24,8 @@ from tickvol import (
     window_centers,
 )
 from tickvol import cli
-from tickvol.sums import windowed_sums
-from tickvol.volatility import dispersion_summands, volatility_forms
+from tickvol.moments import moment_table
+from tickvol.volatility import volatility_forms
 
 
 def _view(rows):
@@ -203,9 +203,9 @@ def test_all_windows_path_matches_per_window_reports():
     series = simulate_trades(SimConfig(n_trades=600, seed=12))
     width = 20.0
     centers = window_centers(series, width, 6.0)
-    summands = dispersion_summands(series)
-    counts, sums = windowed_sums(series.timestamps, centers, width, summands)
-    direct, closed, terms = volatility_forms(counts[counts > 0], *sums.T)
+    counts, sums = moment_table(series, centers, width, [1, 2])
+    direct, closed, terms = volatility_forms(counts[counts > 0],
+                                             *(sums[k] for k in ["C1", "C2", "V1", "V2"]))
     reports = [price_volatility_report(select_window(series, WindowSpec(c, width)))
                for c, n in zip(centers.tolist(), counts.tolist()) if n]
     assert direct.tolist() == [r.sigma_p2_direct for r in reports]
@@ -213,8 +213,10 @@ def test_all_windows_path_matches_per_window_reports():
     assert [list(t) for t in zip(*(x.tolist() for x in terms))] == [
         list(astuple(r.stats))[1:] for r in reports]
     # the columns price-vol prints, bit for bit
-    table_counts, table = cli._volatility_table(series, centers, width)
+    table_counts, table, p2 = cli._volatility_table(series, centers, width)
     assert table_counts.tolist() == counts.tolist()
+    assert p2.tolist() == [price_moment(select_window(series, WindowSpec(c, width)), 2)
+                           for c, n in zip(centers.tolist(), counts.tolist()) if n]
     assert list(table) == ["sigma2_direct", "sigma2_closed", "sigma_c2", "sigma_v2", "phi_c2",
                            "phi_v2", "negative_flag"]
     assert table["sigma2_direct"].tolist() == [r.sigma_p2_direct for r in reports]
