@@ -428,6 +428,7 @@ def _identity_rows(series: TradeSeries, width: float, stride: float, lags: list[
         _check_windows(centers, counts, forms)
         rows.append(("returns_vol_three_way" if m else "price_vol_direct_vs_closed", m or None,
                      int(np.count_nonzero(counts)), _max_rel_dev(p2, *forms.values())))
+        del stream, counts, table, p2, forms  # freed before the next lag's are built
     return rows
 
 

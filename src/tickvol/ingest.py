@@ -17,19 +17,20 @@ CPUs, a job past _floor() rows runs half in one forked child
 (_blockwise), with one process's bytes and errors: a table or trade file
 is formatted in an even number of equal row blocks (_cuts), a regular
 trade file read in two halves of its bytes (_halves), window sums in two
-groups of columns (sums.window_sums). A pipe, or a half UTF-8 or a bulk
-parser refuses, is read in one process. A block of CSV lines is split
-once into three field columns, a block of NDJSON lines is parsed by one
-json.loads, and each column becomes one np.array(values, dtype=float64).
-numpy converts a Python str, int or float as float() does (raising where
-it raises), and integer timestamps go through int() first, so the syntax
-accepted is the line parser's. A block the bulk path refuses is parsed
-again line by line (_csv_lines, _ndjson_lines), which either accepts it
-or raises the ParseError that names the first bad line. Series
-validation runs once every block has parsed, so a parse error anywhere
-wins over an invalid row. The cyclic garbage collector is paused while a
-file is read: the parsed rows hold no cycles, and its collections would
-scan every dict and list json.loads builds.
+groups of columns (sums.window_sums). The child is sent nothing: it maps
+every other item of a list it holds from the fork. A pipe, or a half
+UTF-8 or a bulk parser refuses, is read in one process. A block of CSV
+lines is split once into three field columns, a block of NDJSON lines is
+parsed by one json.loads, and each column becomes one np.array(values,
+dtype=float64). numpy converts a Python str, int or float as float()
+does (raising where it raises), and integer timestamps go through int()
+first, so the syntax accepted is the line parser's. A block the bulk
+path refuses is parsed again line by line (_csv_lines, _ndjson_lines),
+which either accepts it or raises the ParseError that names the first
+bad line. Series validation runs once every block has parsed, so a parse
+error anywhere wins over an invalid row. The cyclic garbage collector is
+paused while a file is read: the parsed rows hold no cycles, and its
+collections would scan every dict and list json.loads builds.
 
 write_trades + load_trades round-trip a series bit-exactly in both
 layouts: a block is one % over its rows (_format_block), where %r gives
@@ -420,23 +421,24 @@ def _cuts(rows: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-def _blockwise(func, items):
+def _blockwise(func, items: list):
     """map(func, items) over the blocks of a job: row or byte ranges, column groups.
 
     A job of two or more blocks, with two CPUs to run on, forks one
-    child that maps every other item, sent to it and its result sent back
-    pickled over a pipe, one block ahead of the parent. If the child fails
-    (an exception, EOF or death), the parent maps that item and every
-    later one, so errors are map's. The child writes to no stream and ends
-    in os._exit: it flushes no inherited buffer and runs no atexit handler.
-    The parent closes the pipes and reaps it on every way out."""
-    items, cpus = iter(items), len(getattr(os, "sched_getaffinity", lambda pid: ())(0))
-    head = list(itertools.islice(items, 2 if cpus > 1 else 0))  # enough to choose
-    items = itertools.chain(head, items)
-    if len(head) < 2:
+    child that maps items[1::2] while the parent maps items[0::2]. The
+    child is sent nothing: it maps its share of the list it holds from
+    the fork, and each result comes back pickled over a pipe. If the
+    child fails (an exception, EOF or death), the parent maps that item
+    and every later one, so errors are map's. The child closes its copy
+    of the read end, so it cannot block on a pipe the parent has left;
+    it writes to no stream and ends in os._exit: it flushes no inherited
+    buffer and runs no atexit handler. The parent closes the pipe and
+    reaps it on every way out."""
+    cpus = len(getattr(os, "sched_getaffinity", lambda pid: ())(0))
+    if len(items) < 2 or cpus < 2:
         yield from map(func, items)
         return
-    (item_r, item_w), (result_r, result_w) = os.pipe(), os.pipe()
+    result_r, result_w = os.pipe()
     try:
         with warnings.catch_warnings():
             # 3.12+ warns that a fork of a process with threads (numpy's BLAS
@@ -449,39 +451,26 @@ def _blockwise(func, items):
         pid = None
     if pid == 0:
         try:
-            os.close(item_w)
             os.close(result_r)
             warnings.simplefilter("error")  # a warning fails the item: the parent maps it
-            inbox, outbox = open(item_r, "rb"), open(result_w, "wb")
-            while True:  # until EOF: the parent has closed its end
-                pickle.dump(func(pickle.load(inbox)), outbox, pickle.HIGHEST_PROTOCOL)
+            outbox = open(result_w, "wb")
+            for item in items[1::2]:
+                pickle.dump(func(item), outbox, pickle.HIGHEST_PROTOCOL)
                 outbox.flush()
         finally:
             os._exit(0)
-    os.close(item_r)
     os.close(result_w)
-    inbox, outbox = open(result_r, "rb"), open(item_w, "wb")
-    end, alive, pending = object(), pid is not None, []
+    inbox, alive = open(result_r, "rb"), pid is not None
     try:
-        for mine, theirs in itertools.zip_longest(items, items, fillvalue=end):
-            try:
-                if alive and theirs is not end:
-                    outbox.write(pickle.dumps(theirs, pickle.HIGHEST_PROTOCOL))
-                    outbox.flush()
-            except Exception:  # the child is gone, or the item does not pickle
-                alive = False
-            yield from pending
-            yield func(mine)
-            try:
-                pending = [pickle.load(inbox)] if alive and theirs is not end else []
-            except Exception:  # EOF or a truncated result: the child is gone
-                alive, pending = False, []
-            if theirs is not end and not pending:
-                pending = [func(theirs)]
-        yield from pending
+        for at, item in enumerate(items):
+            theirs = alive and at % 2 == 1
+            if theirs:
+                try:
+                    result = pickle.load(inbox)
+                except Exception:  # EOF or a truncated result: the child is gone
+                    theirs = alive = False
+            yield result if theirs else func(item)
     finally:
-        for pipe in (inbox, outbox):
-            with contextlib.suppress(OSError):
-                pipe.close()
+        inbox.close()
         if pid:
             os.waitpid(pid, 0)

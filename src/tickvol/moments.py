@@ -31,8 +31,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConfigError, DegreeOutOfRangeError, EmptyWindowError, NonFiniteError
-from .sums import csum, windowed_sums
-from .trades import PairSeries
+from .sums import csum, window_sums
+from .trades import PairSeries, window_bounds
 
 # Highest moment degree (and charfun truncation order): C^n overflows the
 # double range for large prices at high n.
@@ -173,8 +173,10 @@ def moment_table(stream: PairSeries, centers, width: float, degrees, **extras) -
     and p{n} = C{n}/V{n} of each degree, then the sums of each extra recipe by its
     name, from one kernel call and unchecked: inf, nan and 0 are the caller's."""
     with np.errstate(all="ignore"):
-        counts, sums = windowed_sums(stream.timestamps, centers, width,
-                                     [*power_summands(stream, degrees), *extras.values()])
+        starts, counts = window_bounds(stream.timestamps, centers, width)
+        full = counts > 0
+        sums = window_sums([*power_summands(stream, degrees), *extras.values()],
+                           starts[full], counts[full])
         columns = {}
         for n, c, v in zip(degrees, sums.T, sums.T[len(degrees):]):
             columns.update({f"C{n}": c, f"V{n}": v, f"p{n}": c / v})

@@ -22,8 +22,9 @@ a sum past the double range rounds to inf or -inf (fsum's
 OverflowError); an exact-zero window takes fsum's sign of zero.
 
 Past ingest._floor() covered rows, the even and the odd columns are two
-blocks of ingest._blockwise: with two CPUs, a forked child gets
-indices, calls those recipes and sends back their window sums.
+blocks of ingest._blockwise: with two CPUs, a forked child is sent
+nothing; it calls the odd recipes of the list it holds from the fork and
+sends back their window sums.
 """
 
 import math
@@ -31,7 +32,6 @@ import math
 import numpy as np
 
 from .ingest import _blockwise, _floor
-from .trades import window_bounds
 
 # Rows made limbs and prefix-summed, and windows rounded, at a time.
 PREFIX_BLOCK_ROWS = 1 << 15
@@ -180,16 +180,3 @@ def _limb_table(block: np.ndarray, emin: int, limbs: int) -> np.ndarray:
     table &= _LIMB
     return np.negative(table, out=table, where=mant < 0)
 
-
-def windowed_sums(timestamps, centers, width: float, summands) -> tuple:
-    """Member counts of every window, and window_sums of the non-empty ones.
-
-    summands are recipes of arrays aligned with the sorted timestamps; column i
-    of the sums holds the window sums of summands[i], one row per window
-    with a non-zero count, in window order. Where csum would raise, the
-    window gets inf, -inf or nan (see the module docstring), so the caller
-    can report which sum overflowed.
-    """
-    starts, counts = window_bounds(timestamps, centers, width)
-    full = counts > 0
-    return counts, window_sums(summands, starts[full], counts[full])

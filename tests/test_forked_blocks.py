@@ -235,17 +235,53 @@ def test_the_child_is_reaped_on_every_way_out(forks, error):
     assert len(forks) == 3
 
 
-def test_a_send_to_a_dead_child_leaves_its_blocks_to_the_parent(forks):
-    # the child is killed, but not reaped, when the parent pulls item 3, the
-    # child's item of the second pair: writing it to the child's pipe fails
-    def items():
-        for item in range(7):
-            if item == 3:
-                os.kill(forks[-1], signal.SIGKILL)
-                os.waitid(os.P_PID, forks[-1], os.WEXITED | os.WNOWAIT)
-            yield item
-    assert list(ingest._blockwise(str, items())) == list(map(str, range(7)))
+def test_a_child_killed_before_its_first_result_leaves_its_share_to_the_parent(forks):
+    parent = os.getpid()
+
+    def mapped(item):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return item, os.getpid()
+    items = list(range(7))
+    assert list(ingest._blockwise(mapped, items)) == [(item, parent) for item in items]
     assert len(forks) == 1
+
+
+def test_the_child_maps_the_odd_items_and_the_parent_the_even_ones(tmp_path, forks):
+    log = tmp_path / "calls.log"
+
+    def mapped(item):
+        with open(log, "a") as fh:
+            fh.write(f"{item} {os.getpid()}\n")
+        return item, os.getpid()
+    items = [f"block {i}" for i in range(7)]
+    got = list(ingest._blockwise(mapped, items))
+    parent, (child,) = os.getpid(), forks
+    assert got == [(item, child if i % 2 else parent) for i, item in enumerate(items)]
+    calls = [tuple(line.rsplit(" ", 1)) for line in log.read_text().splitlines()]
+    assert sorted(calls) == sorted((item, str(pid)) for item, pid in got)
+
+
+def test_a_consumer_that_stops_early_leaves_no_child_blocked_on_a_full_pipe(forks):
+    # each result fills the pipe many times over: a child still holding the
+    # read end would block in its write, and the parent in its waitpid
+    def mapped(item):
+        return bytes([item]) * 2 ** 20
+    first = []
+
+    def consume():
+        blocks = ingest._blockwise(mapped, list(range(4)))
+        first.append(next(blocks))
+        blocks.close()
+    consumer = threading.Thread(target=consume, daemon=True)
+    consumer.start()
+    consumer.join(timeout=30)
+    hung = consumer.is_alive()
+    if hung:  # end the child, so that the test fails instead of hanging
+        os.kill(forks[-1], signal.SIGKILL)
+        consumer.join(timeout=30)
+    assert not hung and not consumer.is_alive()
+    assert first == [bytes(2 ** 20)] and len(forks) == 1
 
 
 def test_unwritable_output_after_the_first_block(tmp_path, forks, capsys):

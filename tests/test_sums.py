@@ -5,7 +5,7 @@ for ties, empty and one-element windows, overlapping windows, powers 1-8,
 magnitudes 1e-8..1e8 and exponent spans from one limb to past 60. Every
 column is summed from exact limb prefix sums, in blocks of the default
 size and of 3 rows (so block edges fall inside windows). Where fsum
-raises, a window gets inf, -inf or nan, as windowed_sums reports it.
+raises, a window gets inf, -inf or nan, as window_sums reports it.
 """
 
 import math
@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from tickvol import sums
 from tickvol.moments import power_summands, window_centers
 from tickvol.returns import build_returns, returns_summands
-from tickvol.sums import csum, window_sums, windowed_sums
+from tickvol.sums import csum, window_sums
 from tickvol.synth import SimConfig, simulate_trades
 from tickvol.trades import window_bounds
 
@@ -180,7 +180,9 @@ class TestWindowedSums:
     def test_bounds_and_sums_match_brute_force(self, series, grid):
         ts, values = series
         centers, width = grid
-        counts, got = windowed_sums(ts, centers, width, _recipes(values, values ** 2))
+        starts, counts = window_bounds(ts, centers, width)
+        full = counts > 0
+        got = window_sums(_recipes(values, values ** 2), starts[full], counts[full])
         rows = iter(got.tolist())
         for c, n in zip(centers.tolist(), counts.tolist()):
             members = [i for i, t in enumerate(ts.tolist()) if c - width / 2 <= t <= c + width / 2]
@@ -198,10 +200,10 @@ class TestWindowedSums:
                            7.0, 1e-3, 0.25])
         ts = np.arange(len(values), dtype=np.float64)
         centers = np.array([1.0, 2.5, 3.0, 4.0, 5.5, 6.0, 7.0, 10.0, 20.0])
-        with mock.patch.multiple(sums, **PATHS[path]):
-            counts, got = windowed_sums(ts, centers, 2.0, _recipes(values))
         starts, lengths = window_bounds(ts, centers, 2.0)
-        assert counts.tolist() == lengths.tolist() == [3, 2, 3, 3, 2, 3, 3, 3, 0]
+        assert lengths.tolist() == [3, 2, 3, 3, 2, 3, 3, 3, 0]
+        with mock.patch.multiple(sums, **PATHS[path]):
+            got = window_sums(_recipes(values), starts[:-1], lengths[:-1])
         want = []
         for lo, n in zip(starts[:-1].tolist(), lengths[:-1].tolist()):
             try:
@@ -373,9 +375,9 @@ class TestPrefixPath:
             width, stride = (10.0, 5.0) if shape == "pricevol-narrow" else ((t1 - t0) / 16,) * 2
             summands = power_summands(series, [1, 2])
         centers = window_centers(series, width, stride)
-        _, got = windowed_sums(series.timestamps, centers, width, summands)
         starts, lengths = window_bounds(series.timestamps, centers, width)
         full = lengths > 0
+        got = window_sums(summands, starts[full], lengths[full])
         columns = [recipe() for recipe in summands]
         want = [[csum(s[lo:lo + n]) for s in columns]
                 for lo, n in zip(starts[full].tolist(), lengths[full].tolist())]
