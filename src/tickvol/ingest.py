@@ -33,9 +33,13 @@ paused while a file is read: the parsed rows hold no cycles, and its
 collections would scan every dict and list json.loads builds.
 
 write_trades + load_trades round-trip a series bit-exactly in both
-layouts: a block is one % over its rows (_format_block), where %r gives
-a float's shortest round-trip repr, and the price column is chosen so
-that price*volume reproduces the stored cost (_price_for_exact_cost).
+layouts: a float is written as its shortest round-trip repr, and the
+price column is chosen so that price*volume reproduces the stored cost
+(_price_for_exact_cost). A block on the seconds clock takes repr's digits
+from integer arithmetic on the floats' bits (_shortest) and is laid out
+as a byte matrix (_digit_block); one holding a value repr prints with an
+exponent, zero, inf or nan, and a nanosecond block, are one % over their
+rows (_format_block), where %r gives the repr.
 """
 
 from __future__ import annotations
@@ -351,7 +355,11 @@ def _price_for_exact_cost(cost: np.ndarray, volume: np.ndarray) -> np.ndarray:
         tied = np.flatnonzero(hits > 1)
         row, step = np.nonzero(exact[:, tied].T)  # row ascending, then walk order
         values = candidates[step, tied[row]]
-        length = np.fromiter(map(len, map(repr, values.tolist())), np.intp, len(values))
+        # len(repr(c)) of each candidate (all >= 0): from its digits where _in_reach
+        reach, length = _in_reach(values), np.empty(len(values), np.intp)
+        length[~reach] = [len(repr(c)) for c in values[~reach].tolist()]
+        _, nd, decpt = _shortest(values[reach])
+        length[reach] = np.maximum(decpt, 1) + np.maximum(nd - decpt, 1) + 1
         # a stable sort, so walk order is the last key; each row's winner opens its run
         order = np.lexsort((np.abs(values - q[tied[row]]), length, row))
         price[tied] = values[order[np.diff(row, prepend=-1) > 0]]
@@ -360,8 +368,131 @@ def _price_for_exact_cost(cost: np.ndarray, volume: np.ndarray) -> np.ndarray:
 
 def _format_block(template: str, columns) -> str:
     """Text of a block from one % over template, its row templates in
-    order: row i takes the i-th value of each column, in column order."""
+    order: row i takes the i-th value of each column, in column order.
+    Tables, and the trade blocks _digit_block leaves, are written so."""
     return template % tuple(itertools.chain.from_iterable(zip(*columns)))
+
+
+_U = np.uint64
+_POW5 = _U(5) ** np.arange(23, dtype=_U)
+_POW10 = _U(10) ** np.arange(20, dtype=_U)
+# "0000".."9999" as 4-byte words in memory order
+_DIGITS4 = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48)
+_DIGITS4 = _DIGITS4.view("<u4")[:, 0]
+
+
+def _in_reach(x: np.ndarray) -> np.ndarray:
+    """Where _shortest applies: repr prints |x| in [1e-4, 1e16) without an exponent."""
+    return (np.abs(x) >= 1e-4) & (np.abs(x) < 1e16)
+
+
+def _shortest(x: np.ndarray):
+    """repr's digits of each x _in_reach: (out, nd, decpt), the nd digits
+    of out with the point decpt places from their left (0.0123: 123, 3, -1).
+
+    Ryu's digit search (Adams, PLDI 2018) on exact integers: for x = M 2^E
+    (53-bit M) and s = 17 - floor(log10|x|), x 10^s = 8 M 5^s / 2^sh, a
+    product of two uint64 from four 32-bit ones, so its floor vr has an
+    exact remainder, as do the floors vp, vm of the bounds of the values
+    that read back as x (half an ulp out, a quarter below a power of two;
+    in if M is even). A log10 off by one near a power of ten leaves vr 17
+    or 19 digits long, which changes nothing."""
+    bits = x.view(_U)
+    mant = bits & _U((1 << 52) - 1)
+    m = (mant | _U(1 << 52)) << _U(3)
+    k = np.floor(np.log10(np.abs(x))).astype(np.int64)
+    s = 17 - k
+    p = _POW5[s]
+    sh = 1078 - (bits >> _U(52) & _U(2047)).astype(np.int64) - s
+    mh, ml, ph, pl = m >> _U(32), m & _U(0xFFFFFFFF), p >> _U(32), p & _U(0xFFFFFFFF)
+    ll = ml * pl
+    mid = ml * ph + mh * pl + (ll >> _U(32))
+    lo, hi = (mid << _U(32)) | (ll & _U(0xFFFFFFFF)), mh * ph + (mid >> _U(32))
+    vr = (lo >> sh.astype(_U)) | (hi << (64 - sh).astype(_U))
+    rem = (lo & ((_U(1) << sh.astype(_U)) - _U(1))).astype(np.int64)
+    half = (p << _U(3)).astype(np.int64)  # half an ulp, over 2^(sh + 1)
+    even, pow2 = (mant & _U(1)) == 0, (mant == 0).astype(np.int64)
+    up, down, gap = 2 * rem + half, (rem << pow2 + 1) - half, sh + 1 + pow2
+    vp = vr + (up >> (sh + 1)).astype(_U) - (((up & ((1 << (sh + 1)) - 1)) == 0) & ~even)
+    vm = vr + (down >> gap).astype(_U)
+    vm_tz = ((down & ((1 << gap) - 1)) == 0) & even  # vm is the bound, which reads back as x
+    vr_tz = rem == 0  # vr is x 10^s
+    # the common case: drop digits while (vm, vp] holds a multiple of 10
+    removed, pj, mj, vm_r = np.zeros(len(x), np.int64), vp, vm, vm
+    while True:
+        pj, mj = pj // _U(10), mj // _U(10)
+        go = pj > mj
+        if not go.any():
+            break
+        removed += go
+        vm_r = np.where(go, mj, vm_r)
+    last = vr // _POW10[removed - 1]
+    out = last // _U(10)
+    out += (out == vm_r) | (last - out * _U(10) >= 5)
+    if (rare := np.flatnonzero(vm_tz | vr_tz)).size:
+        out[rare], removed[rare] = _trailing_zeros(*(v[rare] for v in (vr, vp, vm, vm_tz, vr_tz)))
+    decpt = k + 1 + (vr >= _U(10 ** 18)) - (vr < _U(10 ** 17))  # floor(log10|x|) + 1
+    return out, decpt + s - removed, decpt
+
+
+def _trailing_zeros(vr, vp, vm, vm_tz, vr_tz):
+    """Ryu's digit removal where vm or vr is exact: digits go while (vm,
+    vp] holds a shorter number, then while an exact vm ends in 0, and an
+    exact tie rounds half to even. Returns (out, digits removed)."""
+    removed, last = np.zeros(len(vr), np.int64), np.zeros(len(vr), _U)
+    while True:
+        go, zero = vp // _U(10) > vm // _U(10), vm % _U(10) == 0
+        if not (step := go | (vm_tz & zero)).any():
+            break
+        vm_tz &= ~go | zero
+        vr_tz &= ~step | (last == 0)
+        last = np.where(step, vr % _U(10), last)
+        vr, vp, vm = (np.where(step, v // _U(10), v) for v in (vr, vp, vm))
+        removed += step
+    tie = vr_tz & (last == 5) & (vr % _U(2) == 0)
+    return vr + (((vr == vm) & ~vm_tz) | ((last >= 5) & ~tie)), removed
+
+
+def _slot_masks() -> np.ndarray:
+    """The slots of _NUMBER a number's text takes, by its code: sign,
+    decpt + 3 and digits shown - 1."""
+    neg, decpt, shown = (a.reshape(-1, 1) for a in np.meshgrid(
+        [False, True], np.arange(-3, 17), np.arange(1, 18), indexing="ij"))
+    digits = np.dstack([np.arange(16) < shown, np.arange(16) == decpt - 1]).reshape(-1, 32)
+    return np.hstack([neg, decpt <= 0, decpt <= 0, np.arange(3) < -decpt, digits, shown == 17])
+
+
+# A number's 39 slots: sign, "0.", 3 zeros, 17 digits with a point after each of the first 16
+_NUMBER = b"-0.000" + b"0." * 16 + b"0"
+_SLOT_MASKS = _slot_masks()
+
+
+def _digit_block(template: str, columns) -> str | None:
+    """_format_block(template * rows, columns) for a row template of %r and
+    literal text, or None for a block with a value out of _in_reach. Each
+    row is the template's bytes with _NUMBER's slots for each %r: the
+    digits go in, each number's row of _SLOT_MASKS zeroes the slots its
+    text leaves unused, and the block's bytes less the zeros are its text."""
+    x = np.column_stack(columns).ravel()
+    if not _in_reach(x).all():
+        return None
+    out, nd, decpt = _shortest(x)
+    # the 17 digits of out padded with zeros: a leading digit, then four words of 4
+    q = [(out * _POW10[17 - nd]).view(np.int64) // 10 ** e for e in (16, 12, 8, 4, 0)]
+    words = [(q[0] + 48) << 24] + [_DIGITS4[b - a * 10 ** 4] for a, b in zip(q, q[1:])]
+    # a number's slots, the literal before it and the row's last literal after
+    # the last number, each filled out with zeros to the same width
+    *literals, end = [text.encode() for text in template.split("%r")]
+    lead = max(map(len, literals))
+    groups = [text.ljust(lead, b"\0") + _NUMBER for text in literals]
+    groups[-1] += end
+    row = b"".join(group.ljust(len(groups[-1]), b"\0") for group in groups)
+    block = np.tile(np.frombuffer(row, np.uint8), len(columns[0])).reshape(len(x), len(groups[-1]))
+    block[:, lead + 6:lead + 39:2] = np.stack(words, 1).astype("<u4").view(np.uint8)[:, 3:]
+    masks = np.ones((len(_SLOT_MASKS), block.shape[1]), bool)
+    masks[:, lead:lead + 39] = _SLOT_MASKS
+    block *= np.take(masks, ((x < 0) * 20 + decpt + 3) * 17 + np.maximum(nd, decpt + 1) - 1, 0)
+    return block.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def trade_blocks(series: TradeSeries, schema: IngestSchema, fmt: str):
@@ -380,6 +511,8 @@ def trade_blocks(series: TradeSeries, schema: IngestSchema, fmt: str):
     def block_text(rows):
         t, cost, vol = (col[slice(*rows)] for col in (series.timestamps, series.a, series.b))
         mid = _price_for_exact_cost(cost, vol) if schema.variant == "ts_price_volume" else cost
+        if not schema.nanoseconds and (text := _digit_block(row, (t, mid, vol))) is not None:
+            return text
         # %r of a float is its shortest round-trip repr
         ts = map(round, (t * 1e9).tolist()) if schema.nanoseconds else t.tolist()
         return _format_block(row * len(t), (ts, mid.tolist(), vol.tolist()))

@@ -28,19 +28,19 @@ from .moments import item_sums, nonzero_divisor, power_summands
 from .sums import csum  # noqa: F401  (bench/tracer.py wraps volatility.csum)
 from .trades import PairSeries
 
-# absolute floor for clamping negative rounding residue in dispersions;
-# mathematically sigma^2 >= 0, so only tiny negatives are touched
+# bound, relative to the mean square, for clamping negative rounding residue
+# in dispersions; mathematically sigma^2 >= 0, so only tiny negatives are touched
 DISPERSION_CLAMP_REL = 1e-12
 
 
 def clamp_dispersion(value, mean_sq):
     """Zero out negative rounding residue in a dispersion.
 
-    Residue within 1e-12 * max(mean_sq, 1) of zero is floored to 0; larger
-    negatives are left alone so real data corruption stays visible.
-    Works elementwise on arrays.
+    Residue within 1e-12 * mean_sq of zero is floored to 0, at any scale of
+    the data; larger negatives are left alone so real data corruption stays
+    visible. Works elementwise on arrays.
     """
-    threshold = DISPERSION_CLAMP_REL * np.maximum(mean_sq, 1.0)
+    threshold = DISPERSION_CLAMP_REL * mean_sq
     return np.where((-threshold <= value) & (value < 0.0), 0.0, value)[()]
 
 

@@ -121,7 +121,7 @@ def test_forked_output_is_the_in_process_output(tmp_path, forks, trades, in_proc
 def test_a_killed_child_leaves_its_blocks_to_the_parent(tmp_path, monkeypatch, forks, trades,
                                                         in_process):
     # the children of a simulation, and of price-vol's load, window sums and table
-    killed = kill_children(monkeypatch, forks, (ingest, "_format_block"), (ingest, "_csv_block"),
+    killed = kill_children(monkeypatch, forks, (ingest, "_digit_block"), (ingest, "_csv_block"),
                            (sums, "_prefix_sums"), (cli, "_format_block"))
     assert run(tmp_path, commands(trades)[::2]) == in_process[::2]
     assert len(killed) == len(forks) == 4

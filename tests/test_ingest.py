@@ -3,6 +3,7 @@ parser, and the synthetic generator."""
 
 import contextlib
 import gc
+import math
 import os
 import re
 import warnings
@@ -623,3 +624,128 @@ class TestBlockWriter:
     def test_exact_cost_prices_match_on_any_positive_pairs(self, pairs):
         cost, volume = (np.array(col) for col in zip(*pairs))
         _same_bits(ingest._price_for_exact_cost(cost, volume), _reference_price(cost, volume)[0])
+
+
+def _digit_texts(x):
+    """Each float's text from the digit path (ingest._digit_block, one
+    column), or None where the path leaves it to the % template."""
+    x = np.asarray(x, dtype=np.float64)
+    reach = ingest._in_reach(x)
+    texts = [None] * len(x)
+    if reach.any():
+        lines = ingest._digit_block("%r\n", (x[reach],)).split("\n")
+        for i, text in zip(np.flatnonzero(reach).tolist(), lines):
+            texts[i] = text
+    return texts
+
+
+def _assert_repr_or_left(x):
+    """Every value prints repr's text exactly, or is left to %: exactly the
+    zeros, non-finite values and those repr prints with an exponent."""
+    x = np.asarray(x, dtype=np.float64)
+    for value, text in zip(x.tolist(), _digit_texts(x)):
+        fixed = math.isfinite(value) and value != 0 and "e" not in repr(value)
+        assert (text is not None) == fixed, repr(value)
+        assert text is None or text == repr(value), (text, repr(value))
+
+
+def _neighbours(values, ulps=3):
+    """values and the doubles up to ulps steps either side, both signs."""
+    x = np.asarray(values, dtype=np.float64)
+    steps = np.arange(-ulps, ulps + 1)[:, None]
+    around = (np.abs(x).view(np.int64) + steps).view(np.float64).ravel()
+    return np.concatenate([around, -around])
+
+
+_BITS_IN_REACH = (np.float64(1e-4).view(np.int64) - 4, np.float64(1e16).view(np.int64) + 4)
+
+
+class TestDigitPath:
+    """ingest._shortest's digits, laid out by _digit_block, against repr."""
+
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_any_bit_pattern(self, bits):
+        # every exponent and both signs, with zeros, subnormals, inf and nan
+        _assert_repr_or_left(np.array(bits, dtype=np.uint64).view(np.float64))
+
+    @given(st.lists(st.tuples(st.integers(*_BITS_IN_REACH), st.booleans()), min_size=1,
+                    max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_patterns_around_the_reach(self, draws):
+        bits, negative = (np.array(col) for col in zip(*draws))
+        x = bits.view(np.float64)
+        _assert_repr_or_left(np.where(negative, -x, x))
+
+    def test_powers_of_two_and_their_neighbours(self):
+        # the gap below a power of two is half the gap above it
+        _assert_repr_or_left(_neighbours(2.0 ** np.arange(-16, 56)))
+
+    def test_the_notation_switch_and_powers_of_ten(self):
+        # repr switches to an exponent below 1e-4 and from 1e16
+        _assert_repr_or_left(_neighbours(10.0 ** np.arange(-5, 18), ulps=4))
+        assert _digit_texts([np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e16, 0), 1e16]) == [
+            None, "0.0001", "9999999999999998.0", None]
+
+    def test_exact_decimals(self):
+        # dyadic values of up to 17 digits: x 10^s is an integer (the trailing-zero branch)
+        rng = np.random.default_rng(26)
+        digits = rng.integers(1, 18, 20_000)
+        n = np.array([int(rng.integers(10 ** (d - 1), 10 ** d)) for d in digits.tolist()],
+                     dtype=np.float64)
+        shifts = rng.integers(0, 40, len(n))
+        _assert_repr_or_left(np.concatenate([n, n * 0.5 ** shifts, -n / 2 ** (shifts % 8)]))
+
+    def test_short_decimals(self):
+        # the nearest doubles to decimals of 1 to 17 digits
+        rng = np.random.default_rng(27)
+        texts = [f"{rng.integers(1, 10 ** 17)}e{rng.integers(-22, 16)}" for _ in range(5_000)]
+        texts += [f"{rng.integers(1, 10 ** int(d))}e{e}" for d, e in
+                  zip(rng.integers(1, 8, 5_000), rng.integers(-10, 10, 5_000))]
+        _assert_repr_or_left([float(text) for text in texts])
+
+    def test_ties_at_the_17th_digit_round_half_even(self):
+        # n + 0.25 and n + 0.75 in [2^50, 2^51) lie halfway between two
+        # 17-digit decimals that both read back as them
+        n = 2.0 ** 50 + np.random.default_rng(28).integers(0, 2 ** 50, 2_000)
+        assert _digit_texts([2.0 ** 50 + 0.25, 2.0 ** 50 + 0.75]) == [
+            "1125899906842624.2", "1125899906842624.8"]
+        _assert_repr_or_left(np.concatenate([n + 0.25, n + 0.75, n + 0.5, -(n + 0.25)]))
+
+    @pytest.mark.parametrize("fmt", ["csv", "ndjson"])
+    def test_an_empty_series_and_a_one_row_block(self, fmt):
+        assert ingest._digit_block("%r,%r\n", ([], [])) == ""
+        for rows in ([], [(1.5, 2.0, 0.25)]):
+            series = TradeSeries(*(zip(*rows) if rows else ([], [], [])))
+            assert "".join(ingest.trade_blocks(series, PRICE_SCHEMA, fmt)) == \
+                _reference_trade_file(series, PRICE_SCHEMA, fmt)
+
+    def test_lengths_of_tied_prices_come_from_the_digits(self):
+        # no repr call for a candidate price in reach; the per-row repr loop is the oracle
+        rng = np.random.default_rng(29)
+        volume = rng.integers(100, 1000, 5_000).astype(np.float64)
+        cost = rng.integers(1, 10 ** 7, 5_000) / 100 * volume
+        with mock.patch("builtins.repr", side_effect=AssertionError("repr called")):
+            price = ingest._price_for_exact_cost(cost, volume)
+        _same_bits(price, _reference_price(cost, volume)[0])
+
+    @pytest.mark.parametrize("schema", SCHEMAS,
+                             ids=lambda schema: f"{schema.variant}-{schema.timestamp_unit}")
+    @pytest.mark.parametrize("fmt", ["csv", "ndjson"])
+    def test_a_block_left_to_percent_between_digit_blocks(self, monkeypatch, schema, fmt):
+        # 4 blocks of 3,072 rows; a cost of 5e-5 (and its price) leaves the second to %
+        sim = simulate_trades(SimConfig(n_trades=3 * ingest.BLOCK_ROWS, seed=26))
+        cost = sim.a.copy()
+        cost[4000] = 5e-5
+        # negative timestamps, which fill the sign slot, open the first block
+        series = TradeSeries(sim.timestamps - 100.0, cost, sim.b)
+        calls = []
+
+        def spy(*args, _block=ingest._digit_block):
+            calls.append(_block(*args) is not None)
+            return _block(*args)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(ingest, "_digit_block", spy)
+        got = "".join(ingest.trade_blocks(series, schema, fmt))
+        assert got == _reference_trade_file(series, schema, fmt)
+        assert calls == ([] if schema.nanoseconds else [True, False, True, True])

@@ -25,7 +25,7 @@ from tickvol import (
 )
 from tickvol import cli
 from tickvol.moments import moment_table
-from tickvol.volatility import volatility_forms
+from tickvol.volatility import clamp_dispersion, volatility_forms
 
 
 def _view(rows):
@@ -77,6 +77,29 @@ class TestDispersionStats:
             assert s.sigma_a2 >= 0.0 and s.sigma_b2 >= 0.0
             assert s.phi_a2 >= s.sigma_a2
             assert s.phi_b2 > s.sigma_b2  # strict: volume mean is positive
+
+
+class TestClampDispersion:
+    """Negative rounding residue is zeroed within 1e-12 of the mean square,
+    at every scale: a bound fixed below unit scale would hide real negatives."""
+
+    def test_a_negative_beyond_the_bound_stays_below_unit_scale(self):
+        # -1e-4 of its mean square: left alone, as the same ratio is at unit scale
+        assert clamp_dispersion(-1e-20, 1e-16) == -1e-20
+        assert clamp_dispersion(-1e-4, 1.0) == -1e-4
+
+    def test_residue_within_the_bound_is_zeroed(self):
+        assert clamp_dispersion(-1e-30, 1e-16) == 0.0
+        assert clamp_dispersion(-1e-10, 1e4) == 0.0
+        assert clamp_dispersion(-1e-7, 1e4) == -1e-7
+
+    @given(value=st.floats(-1.0, 1.0), mean_sq=st.floats(1e-3, 1e3), k=st.integers(-200, 200))
+    @settings(max_examples=300, deadline=None)
+    def test_scaling_by_a_power_of_four_commutes(self, value, mean_sq, k):
+        # 4^k scales value and mean square exactly, so the clamp must not see the scale
+        scale = 4.0 ** k
+        clamped = clamp_dispersion(value, mean_sq)
+        assert clamp_dispersion(value * scale, mean_sq * scale) == clamped * scale
 
 
 class TestDirectForm:
