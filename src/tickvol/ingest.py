@@ -392,11 +392,15 @@ def _shortest(x: np.ndarray):
 
     Ryu's digit search (Adams, PLDI 2018) on exact integers: for x = M 2^E
     (53-bit M) and s = 17 - floor(log10|x|), x 10^s = 8 M 5^s / 2^sh, a
-    product of two uint64 from four 32-bit ones, so its floor vr has an
-    exact remainder, as do the floors vp, vm of the bounds of the values
-    that read back as x (half an ulp out, a quarter below a power of two;
-    in if M is even). A log10 off by one near a power of ten leaves vr 17
-    or 19 digits long, which changes nothing."""
+    product of two uint64 from four 32-bit ones, so its floor vr has an exact
+    remainder, as do the floors vp, vm of the bounds of the values that read
+    back as x, half an ulp out on both sides (vp in if M is even). In reach
+    Ryu's other rules change no digit: each power of two, below which the gap
+    is narrower, is tested; vm is exact only from 2^51, and then never a
+    shorter decimal than x; a 5 dropped from an exact vr has only zeros below
+    it (an exact vr ends in 0, 25 or 75, and a nonzero digit below the 5 puts
+    vr over 40 units from any multiple of 100; the bounds are under 112 out).
+    A log10 off by one near a power of ten leaves vr 17 or 19 digits long."""
     bits = x.view(_U)
     mant = bits & _U((1 << 52) - 1)
     m = (mant | _U(1 << 52)) << _U(3)
@@ -411,46 +415,22 @@ def _shortest(x: np.ndarray):
     vr = (lo >> sh.astype(_U)) | (hi << (64 - sh).astype(_U))
     rem = (lo & ((_U(1) << sh.astype(_U)) - _U(1))).astype(np.int64)
     half = (p << _U(3)).astype(np.int64)  # half an ulp, over 2^(sh + 1)
-    even, pow2 = (mant & _U(1)) == 0, (mant == 0).astype(np.int64)
-    up, down, gap = 2 * rem + half, (rem << pow2 + 1) - half, sh + 1 + pow2
+    up, down, even = 2 * rem + half, 2 * rem - half, (mant & _U(1)) == 0
     vp = vr + (up >> (sh + 1)).astype(_U) - (((up & ((1 << (sh + 1)) - 1)) == 0) & ~even)
-    vm = vr + (down >> gap).astype(_U)
-    vm_tz = ((down & ((1 << gap) - 1)) == 0) & even  # vm is the bound, which reads back as x
-    vr_tz = rem == 0  # vr is x 10^s
-    # the common case: drop digits while (vm, vp] holds a multiple of 10
-    removed, pj, mj, vm_r = np.zeros(len(x), np.int64), vp, vm, vm
-    while True:
-        pj, mj = pj // _U(10), mj // _U(10)
-        go = pj > mj
-        if not go.any():
-            break
+    vm = vr + (down >> (sh + 1)).astype(_U)
+    # drop digits while (vm, vp] holds a multiple of 10
+    removed, pj, mj, vm_r = np.zeros(len(x), np.int64), vp // _U(10), vm // _U(10), vm
+    while (go := pj > mj).any():
         removed += go
         vm_r = np.where(go, mj, vm_r)
-    last = vr // _POW10[removed - 1]
+        pj, mj = pj // _U(10), mj // _U(10)
+    last = vr // _POW10[removed - 1]  # removed >= 1: vp - vm >= 2^-53 10^17 > 10
     out = last // _U(10)
-    out += (out == vm_r) | (last - out * _U(10) >= 5)
-    if (rare := np.flatnonzero(vm_tz | vr_tz)).size:
-        out[rare], removed[rare] = _trailing_zeros(*(v[rare] for v in (vr, vp, vm, vm_tz, vr_tz)))
+    digit = last - out * _U(10)
+    tie = (rem == 0) & (digit == 5) & ((out & _U(1)) == 0)  # x 10^s ends in 5 0...0: to even
+    out += (out == vm_r) | ((digit >= 5) & ~tie)
     decpt = k + 1 + (vr >= _U(10 ** 18)) - (vr < _U(10 ** 17))  # floor(log10|x|) + 1
     return out, decpt + s - removed, decpt
-
-
-def _trailing_zeros(vr, vp, vm, vm_tz, vr_tz):
-    """Ryu's digit removal where vm or vr is exact: digits go while (vm,
-    vp] holds a shorter number, then while an exact vm ends in 0, and an
-    exact tie rounds half to even. Returns (out, digits removed)."""
-    removed, last = np.zeros(len(vr), np.int64), np.zeros(len(vr), _U)
-    while True:
-        go, zero = vp // _U(10) > vm // _U(10), vm % _U(10) == 0
-        if not (step := go | (vm_tz & zero)).any():
-            break
-        vm_tz &= ~go | zero
-        vr_tz &= ~step | (last == 0)
-        last = np.where(step, vr % _U(10), last)
-        vr, vp, vm = (np.where(step, v // _U(10), v) for v in (vr, vp, vm))
-        removed += step
-    tie = vr_tz & (last == 5) & (vr % _U(2) == 0)
-    return vr + (((vr == vm) & ~vm_tz) | ((last >= 5) & ~tie)), removed
 
 
 def _slot_masks() -> np.ndarray:

@@ -96,7 +96,7 @@ def build_returns(series: TradeSeries, m: int) -> ReturnsSet:
     return ReturnsSet(
         m,
         np.arange(m, n, dtype=np.int64),
-        series.timestamps[m:].copy(),
+        series.timestamps[m:],
         qp,
         qc,
         qv,

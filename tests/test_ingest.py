@@ -688,13 +688,18 @@ class TestDigitPath:
             None, "0.0001", "9999999999999998.0", None]
 
     def test_exact_decimals(self):
-        # dyadic values of up to 17 digits: x 10^s is an integer (the trailing-zero branch)
+        # dyadic values of up to 17 digits: x 10^s is an integer, so vr is exact
         rng = np.random.default_rng(26)
         digits = rng.integers(1, 18, 20_000)
         n = np.array([int(rng.integers(10 ** (d - 1), 10 ** d)) for d in digits.tolist()],
                      dtype=np.float64)
         shifts = rng.integers(0, 40, len(n))
-        _assert_repr_or_left(np.concatenate([n, n * 0.5 ** shifts, -n / 2 ** (shifts % 8)]))
+        # within 4 ulps (both mantissa parities) of multiples of 10^j in
+        # [2^51, 1e16), the one range where a bound can be an exact decimal
+        tens = [rng.integers(2 ** 51 // 10 ** j, 10 ** (16 - j), 500) * 10 ** j
+                for j in range(1, 7)]
+        _assert_repr_or_left(np.concatenate([n, n * 0.5 ** shifts, -n / 2 ** (shifts % 8),
+                                             _neighbours(np.concatenate(tens), ulps=4)]))
 
     def test_short_decimals(self):
         # the nearest doubles to decimals of 1 to 17 digits
@@ -707,10 +712,14 @@ class TestDigitPath:
     def test_ties_at_the_17th_digit_round_half_even(self):
         # n + 0.25 and n + 0.75 in [2^50, 2^51) lie halfway between two
         # 17-digit decimals that both read back as them
-        n = 2.0 ** 50 + np.random.default_rng(28).integers(0, 2 ** 50, 2_000)
+        rng = np.random.default_rng(28)
+        n = 2.0 ** 50 + rng.integers(0, 2 ** 50, 2_000)
         assert _digit_texts([2.0 ** 50 + 0.25, 2.0 ** 50 + 0.75]) == [
             "1125899906842624.2", "1125899906842624.8"]
-        _assert_repr_or_left(np.concatenate([n + 0.25, n + 0.75, n + 0.5, -(n + 0.25)]))
+        # odd eighths past integers in every binade from 2^47 to 1e16, where vr is exact
+        odd = [2.0 ** e + rng.integers(0, 2 ** e, 1_000) + rng.choice([1, 3, 5, 7], 1_000) / 8
+               for e in range(47, 54)]
+        _assert_repr_or_left(np.concatenate([n + 0.25, n + 0.75, n + 0.5, -(n + 0.25), *odd]))
 
     @pytest.mark.parametrize("fmt", ["csv", "ndjson"])
     def test_an_empty_series_and_a_one_row_block(self, fmt):

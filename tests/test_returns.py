@@ -53,6 +53,11 @@ class TestBuildReturns:
         np.testing.assert_allclose(recs.cost_ratio, [1.5, 1.5], rtol=1e-15)
         np.testing.assert_allclose(recs.volume_ratio, [1.0, 1.5], rtol=1e-15)
 
+    def test_timestamps_are_a_read_only_view_of_the_series(self, three_trade_series):
+        recs = build_returns(three_trade_series, 1)
+        assert np.shares_memory(recs.timestamps, three_trade_series.timestamps)
+        assert not recs.timestamps.flags.writeable
+
     def test_identical_trades_give_unit_ratios(self):
         series = validate_series([(float(i), 4.0, 2.0) for i in range(5)])
         recs = build_returns(series, 2)
