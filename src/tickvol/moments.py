@@ -17,10 +17,13 @@ are exact compensated sums in ascending index order, so results are
 deterministic and independent of any parallel window schedule.
 
 Summands are recipes, zero-argument callables that return a column. Every
-per-window sum of the library goes through item_sums, which alone
-raises EmptyWindowError for an empty window and NonFiniteError for a sum
-past the double range; every window table, for each table command and
-charfun_truncated alike, through moment_table.
+per-window sum of the library goes through item_sums, which alone raises
+EmptyWindowError for an empty window and NonFiniteError for a sum past
+the double range or a divisor the caller names that underflows to 0;
+every per-window result, a moment p(n) included, through finite, which
+raises NonFiniteError where it is inf or nan. Every window table, for
+each table command and charfun_truncated alike, goes through
+moment_table.
 """
 
 from __future__ import annotations
@@ -60,12 +63,14 @@ def power_summands(stream, degrees) -> list:
     return [lambda x=x, n=n: x if n == 1 else x ** n for x in (stream.a, stream.b) for n in degrees]
 
 
-def item_sums(window, summands, *args) -> tuple:
+def item_sums(window, summands, *args, divisors=()) -> tuple:
     """(n, csum of each recipe's array in summands(window, *args)) of a window or stream.
 
     EmptyWindowError for an empty window; recipes run with numpy's
     warnings off, so a power or sum past the double range first shows as
-    NonFiniteError."""
+    NonFiniteError. divisors holds (result name, sum index) pairs, the
+    index counting from the first sum: NonFiniteError where such a sum
+    underflows to 0, as sum(b^n) does for volumes near 1e-200."""
     n = len(window)
     if n == 0:
         raise EmptyWindowError(f"{window!r} is empty")
@@ -75,17 +80,23 @@ def item_sums(window, summands, *args) -> tuple:
         sums = [csum(x) for x in columns]
     except (OverflowError, ValueError):  # fsum's partials overflow, or inf meets -inf
         sums = [math.inf]
-    if not all(map(math.isfinite, sums)):
-        raise NonFiniteError(f"a sum over {window!r} overflows the double range")
+    finite(window, ["a sum"] * len(sums), sums)
+    for name, k in divisors:
+        if sums[k] == 0:
+            raise NonFiniteError(f"{name} over {window!r} divides by a sum that underflows to 0")
     return (n, *sums)
 
 
-def nonzero_divisor(window, name: str, total: float) -> float:
-    """total, a sum that the result called name divides by; NonFiniteError
-    where it underflows to 0, as sum(b^n) does for volumes near 1e-200."""
-    if total == 0:
-        raise NonFiniteError(f"{name} over {window!r} divides by a sum that underflows to 0")
-    return total
+def finite(where, names, values) -> list[float]:
+    """values as floats; NonFiniteError naming the first (by names) that
+    is inf or nan, and the window or stats it is computed over. A value
+    can overflow while every sum is finite: phi_a2 does for one cost of
+    1.3e154, p(2) for two trades of cost 1e150 and volume 1e-10."""
+    values = [float(value) for value in values]
+    for name, value in zip(names, values):
+        if not math.isfinite(value):
+            raise NonFiniteError(f"{name} over {where!r} overflows the double range")
+    return values
 
 
 def aggregate_degree(view: PairSeries, n: int) -> tuple[float, float]:
@@ -98,8 +109,9 @@ def aggregate_degree(view: PairSeries, n: int) -> tuple[float, float]:
 def price_moment(view: PairSeries, n: int) -> float:
     """Degree-n moment sum(a^n) / sum(b^n): the price moment p(n) of
     trades (returns.returns_moment is this function)."""
-    a_n, b_n = aggregate_degree(view, n)
-    return a_n / nonzero_divisor(view, f"p({n})", b_n)
+    check_degree(n)
+    _, a_n, b_n = item_sums(view, power_summands, [n], divisors=[(f"p({n})", 1)])
+    return finite(view, [f"p({n})"], [a_n / b_n])[0]
 
 
 def vwap(view: PairSeries) -> float:
@@ -127,9 +139,11 @@ def collect_price_moments(view: PairSeries, degrees: Iterable[int]) -> dict:
         check_degree(n)
     if len(view) == 0:
         return {}
-    _, *sums = item_sums(view, power_summands, degs)
-    return {n: (c, v, c / nonzero_divisor(view, f"p({n})", v))
-            for n, c, v in zip(degs, sums, sums[len(degs):])}
+    k = len(degs)
+    _, *sums = item_sums(view, power_summands, degs,
+                         divisors=[(f"p({n})", k + i) for i, n in enumerate(degs)])
+    moments = finite(view, [f"p({n})" for n in degs], [c / v for c, v in zip(sums, sums[k:])])
+    return {n: (c, v, p) for n, c, v, p in zip(degs, sums, sums[k:], moments)}
 
 
 def window_centers(series: PairSeries, width: float, stride: float) -> np.ndarray:

@@ -39,14 +39,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LagTooLargeError
-from .moments import item_sums, nonzero_divisor, power_summands, price_moment
+from .moments import finite, item_sums, power_summands, price_moment
 from .sums import csum  # noqa: F401  (bench/tracer.py wraps returns.csum)
 from .trades import PairSeries, TradeSeries, select_window
 from .volatility import (
     _TERMS,
     DispersionStats,
     dispersion_stats,
-    finite,
     price_volatility_closed,
     price_volatility_direct,
     volatility_forms,
@@ -89,20 +88,11 @@ def build_returns(series: TradeSeries, m: int) -> ReturnsSet:
     n = len(series)
     if m >= n:
         raise LagTooLargeError(f"lag {m} >= series length {n}; no records possible")
-    qc = series.costs[m:] / series.costs[:-m]
-    qv = series.volumes[m:] / series.volumes[:-m]
-    prices = series.prices
-    qp = prices[m:] / prices[:-m]
-    return ReturnsSet(
-        m,
-        np.arange(m, n, dtype=np.int64),
-        series.timestamps[m:],
-        qp,
-        qc,
-        qv,
-        qp - 1.0,
-        np.log(qp),
-    )
+    with np.errstate(all="ignore"):  # a ratio past the double range stays inf
+        qc, qv, qp = (x[m:] / x[:-m] for x in (series.costs, series.volumes, series.prices))
+        log_return = np.log(qp)
+    return ReturnsSet(m, np.arange(m, n, dtype=np.int64), series.timestamps[m:], qp, qc, qv,
+                      qp - 1.0, log_return)
 
 
 # The returns stream is a PairSeries, so these are the trade functions.
@@ -155,8 +145,7 @@ def returns_volatility_rform(records: ReturnsSet) -> float:
 
     (0.0 exactly for a single record; see rform_from_sums).
     """
-    n, *sums = item_sums(records, _record_summands)
-    nonzero_divisor(records, "r21", sums[3])
+    n, *sums = item_sums(records, _record_summands, divisors=[("r21", 3)])
     return finite(records, ["sigma2_rform"], [rform_from_sums(n, *sums[2:])[3]])[0]
 
 
@@ -176,8 +165,7 @@ class ReturnsVolatilityReport:
 
 def returns_volatility_report(records: ReturnsSet) -> ReturnsVolatilityReport:
     """All three volatility forms plus the weighted means for one record set."""
-    n, *sums = item_sums(records, _record_summands)
-    nonzero_divisor(records, "q(2)", sums[3])
+    n, *sums = item_sums(records, _record_summands, divisors=[("q(2)", 3)])
     direct, closed, terms = volatility_forms(n, *sums[:4])
     direct, closed, r11, r21, r22, rform, *terms = finite(
         records, ["sigma2_direct", "sigma2_closed", "r11", "r21", "r22", "sigma2_rform", *_TERMS],

@@ -55,12 +55,14 @@ def window_sums(columns, starts, lengths) -> np.ndarray:
     starts = np.asarray(starts, dtype=np.intp)
     ends = starts + np.asarray(lengths, dtype=np.intp)
     # rows some window covers, from a difference array of window starts
-    # and ends; rank maps a row index to its index among covered rows
+    # and ends; rank maps a row index to its index among covered rows, and
+    # goes with delta before any column is read
     size = int(ends.max(initial=0)) + 1
     delta = np.bincount(starts, minlength=size) - np.bincount(ends, minlength=size)
     covered = np.cumsum(delta[:-1]) > 0
     rank = np.concatenate([[0], np.cumsum(covered)])
-    lo, hi = rank[starts], rank[ends]
+    lo, hi, rows = rank[starts], rank[ends], int(rank[-1])
+    del delta, rank
     # the distinct window edges, and each window's two among them: the
     # prefix sums every column keeps
     need, inverse = np.unique(np.concatenate([lo, hi]), return_inverse=True)
@@ -70,7 +72,7 @@ def window_sums(columns, starts, lengths) -> np.ndarray:
         return [_prefix_sums(np.asarray(columns[c](), dtype=np.float64)[:len(covered)][covered],
                              lo, hi, need, edges) for c in indices]
     every = range(len(columns))
-    groups = [every[0::2], every[1::2]] if rank[-1] > _floor() and len(every) > 1 else [every]
+    groups = [every[0::2], every[1::2]] if rows > _floor() and len(every) > 1 else [every]
     out = np.empty((len(columns), len(lo)))
     for indices, sums in zip(groups, _blockwise(group, groups)):
         out[indices] = sums

@@ -18,13 +18,12 @@ flagged, never clamped, so the identity test cannot be silently gamed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError, NonFiniteError
-from .moments import item_sums, nonzero_divisor, power_summands
+from .errors import DegenerateDenominatorError
+from .moments import finite, item_sums, power_summands
 from .sums import csum  # noqa: F401  (bench/tracer.py wraps volatility.csum)
 from .trades import PairSeries
 
@@ -140,18 +139,6 @@ class DispersionStats:
 _TERMS = [field.name for field in fields(DispersionStats)[1:]]  # dispersion_terms by name
 
 
-def finite(where, names, values) -> list[float]:
-    """values as floats; NonFiniteError naming the first (by names) that
-    is inf or nan, and the window or stats it is computed over. A value
-    can overflow while every sum is finite: phi_a2 does for one cost of
-    1.3e154, p(2) (so the direct form) for volumes of 1e-161 and 5e-324."""
-    values = [float(value) for value in values]
-    for name, value in zip(names, values):
-        if not math.isfinite(value):
-            raise NonFiniteError(f"{name} over {where!r} overflows the double range")
-    return values
-
-
 @dataclass(frozen=True)
 class PriceVolatilityReport:
     n_trades: int
@@ -176,8 +163,7 @@ def price_volatility_direct(view: PairSeries) -> float:
     A one-item window is an exact degeneracy (p(2) and p(1)^2 are the
     same real number), so it returns 0.0 rather than evaluation noise.
     """
-    sums = item_sums(view, power_summands, [1, 2])
-    nonzero_divisor(view, "p(2)", sums[4])
+    sums = item_sums(view, power_summands, [1, 2], divisors=[("p(2)", 3)])
     return finite(view, ["sigma2_direct"], [direct_volatility(*sums)])[0]
 
 
@@ -197,8 +183,7 @@ def price_volatility_closed(stats: DispersionStats) -> float:
 def price_volatility_report(view: PairSeries) -> PriceVolatilityReport:
     """Both volatility forms plus the dispersion stats for one window or
     a whole stream."""
-    sums = item_sums(view, power_summands, [1, 2])
-    nonzero_divisor(view, "p(2)", sums[4])
+    sums = item_sums(view, power_summands, [1, 2], divisors=[("p(2)", 3)])
     direct, closed, terms = volatility_forms(*sums)
     direct, closed, *terms = finite(view, ["sigma2_direct", "sigma2_closed", *_TERMS],
                                     [direct, closed, *terms])

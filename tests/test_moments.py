@@ -429,33 +429,45 @@ class TestOverflow:
     # Every sum is finite, but p(2) = 1000 / 1e-322 and p(1)^2 overflow, and
     # b1^2 = (1e-164)^2 underflows to 0, a denominator of both closed forms.
     _TINY_VOLUMES = [(0.0, 1.0, 1e-161)] + [(float(t), 1.0, 5e-324) for t in range(1, 1000)]
+    # Every sum is finite, but p(2) = 2e300 / 2e-20 is not.
+    _HUGE_PRICES = [(0.0, 1e150, 1e-10), (0.5, 1e150, 1e-10)]
 
-    @pytest.mark.parametrize("fn, name", [
-        (price_volatility_direct, "sigma2_direct"),
-        (price_volatility_report, "sigma2_direct"),
-        (lambda v: price_volatility_closed(dispersion_stats(v)), "sigma2_closed"),
-    ], ids=["price_volatility_direct", "price_volatility_report", "price_volatility_closed"])
-    def test_volatility_overflows_with_finite_sums(self, fn, name):
-        series = validate_series(self._TINY_VOLUMES)
+    @pytest.mark.parametrize("rows, fn, name", [
+        (_TINY_VOLUMES, price_volatility_direct, "sigma2_direct"),
+        (_TINY_VOLUMES, price_volatility_report, "sigma2_direct"),
+        (_TINY_VOLUMES, lambda v: price_volatility_closed(dispersion_stats(v)), "sigma2_closed"),
+        (_HUGE_PRICES, lambda v: price_moment(v, 2), r"p\(2\)"),
+        (_HUGE_PRICES, lambda v: collect_price_moments(v, [1, 2]), r"p\(2\)"),
+    ], ids=["price_volatility_direct", "price_volatility_report", "price_volatility_closed",
+            "huge_prices-price_moment", "huge_prices-collect_price_moments"])
+    def test_volatility_overflows_with_finite_sums(self, rows, fn, name):
+        series = validate_series(rows)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError, match=f"^{name} over .* overflows the double range"):
                 fn(series)
 
-    @pytest.mark.parametrize("fn, name", [
-        (returns_volatility_direct, "sigma2_direct"),
-        (returns_volatility_rform, "sigma2_rform"),
-        (returns_volatility_report, "sigma2_direct"),
-        (lambda r: returns_volatility_closed(returns_dispersion_stats(r)), "sigma2_closed"),
+    # the volume ratios of _TINY_VOLUMES' shape; returns of 1e300 make
+    # r11 = sum(r qv) / sum(qv) = 1e264, so r11^2 and r22 overflow
+    _TINY_RATIOS = ReturnsSet(1, np.arange(1, 1001), np.arange(1000.0), np.ones(1000),
+                              np.ones(1000), np.array([1e-161] + [1e-200] * 999),
+                              np.array([0.0] + [1e300] * 999), np.zeros(1000))
+    # a price ratio of 1e155 at a volume ratio of 1e-100: every sum is
+    # finite, but q(2) = (1e55)^2 / (1e-100)^2 is not
+    _HUGE_RATIOS = ReturnsSet(1, np.arange(1, 3), np.arange(2.0), np.full(2, 1e155),
+                              np.full(2, 1e55), np.full(2, 1e-100), np.full(2, 1e155),
+                              np.full(2, math.log(1e155)))
+
+    @pytest.mark.parametrize("records, fn, name", [
+        (_TINY_RATIOS, returns_volatility_direct, "sigma2_direct"),
+        (_TINY_RATIOS, returns_volatility_rform, "sigma2_rform"),
+        (_TINY_RATIOS, returns_volatility_report, "sigma2_direct"),
+        (_TINY_RATIOS, lambda r: returns_volatility_closed(returns_dispersion_stats(r)),
+         "sigma2_closed"),
+        (_HUGE_RATIOS, lambda r: returns_moment(r, 2), r"p\(2\)"),
     ], ids=["returns_volatility_direct", "returns_volatility_rform",
-            "returns_volatility_report", "returns_volatility_closed"])
-    def test_returns_volatility_overflows_with_finite_sums(self, fn, name):
-        # the volume ratios of _TINY_VOLUMES' shape; returns of 1e300 make
-        # r11 = sum(r qv) / sum(qv) = 1e264, so r11^2 and r22 overflow
-        ratio = np.array([1e-161] + [1e-200] * 999)
-        r = np.array([0.0] + [1e300] * 999)
-        records = ReturnsSet(1, np.arange(1, 1001), np.arange(1000.0), np.ones(1000),
-                             np.ones(1000), ratio, r, np.zeros(1000))
+            "returns_volatility_report", "returns_volatility_closed", "huge_ratios-returns_moment"])
+    def test_returns_volatility_overflows_with_finite_sums(self, records, fn, name):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteError, match=f"^{name} over .* overflows the double range"):

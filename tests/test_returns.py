@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import naive_ref
 from tickvol import (
     EmptyWindowError,
     LagTooLargeError,
+    NonFiniteError,
     PairSeries,
     ReturnsSet,
     SimConfig,
@@ -85,6 +87,17 @@ class TestBuildReturns:
         recs = build_returns(series, 2)
         assert recs.indices.tolist() == [2, 3]
         assert recs.cost_ratio.tolist() == pytest.approx([8.0 / 2.0, 9.0 / 3.0])
+
+    def test_overflowing_ratio_stays_inf_without_a_warning(self):
+        # cost and price ratios of 1e310 overflow, and the volume ratio of
+        # 1e-310 is subnormal: the record keeps inf, the report refuses it
+        series = validate_series([(0.0, 1e-10, 1e150), (1.0, 1e300, 1e-160)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            recs = build_returns(series, 1)
+            assert recs.cost_ratio.tolist() == recs.price_ratio.tolist() == [math.inf]
+            with pytest.raises(NonFiniteError, match="overflows the double range"):
+                returns_volatility_report(recs)
 
 
 class TestPerRecordRelations:

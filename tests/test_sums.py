@@ -9,6 +9,8 @@ raises, a window gets inf, -inf or nan, as window_sums reports it.
 """
 
 import math
+import os
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -172,6 +174,24 @@ class TestWindowSums:
         for path in PATHS:
             assert _forced(path, np.ones((5, 3)), np.array([], dtype=int),
                            np.array([], dtype=int)).shape == (0, 3)
+
+    def test_row_map_is_freed_before_the_columns(self, monkeypatch):
+        # 200k rows a second apart, width 10, stride 5, two columns on one
+        # CPU: the traced peak was 80 B a row while the int64 row map
+        # (delta and rank, 16 B a row) lived through the column sums, 64
+        # without it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        n = 200_000
+        starts, lengths = window_bounds(np.arange(n, dtype=np.float64),
+                                        5.0 + 5.0 * np.arange(n // 5), 10.0)
+        cols = np.random.default_rng(0).uniform(1.0, 2.0, (2, n))
+        tracemalloc.start()
+        try:
+            window_sums(_recipes(*cols), starts, lengths)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 72
 
 
 class TestWindowedSums:
