@@ -183,16 +183,15 @@ def window_centers(series: PairSeries, width: float, stride: float) -> np.ndarra
 
 
 def moment_table(stream: PairSeries, centers, width: float, degrees, **extras) -> tuple:
-    """Item counts of every window and, for the non-empty ones, the columns C{n}, V{n}
-    and p{n} = C{n}/V{n} of each degree, then the sums of each extra recipe by its
-    name, from one kernel call and unchecked: inf, nan and 0 are the caller's."""
+    """Item counts hi - lo of every window's rows lo:hi (window_bounds) and, for the non-empty
+    ones, C{n}, V{n} and p{n} = C{n}/V{n} of each degree, then each extra recipe's sums by
+    its name, from one kernel call and unchecked: inf, nan and 0 are the caller's."""
     with np.errstate(all="ignore"):
-        starts, counts = window_bounds(stream.timestamps, centers, width)
-        full = counts > 0
+        lo, hi = window_bounds(stream.timestamps, centers, width)
+        full = hi > lo
         sums = window_sums([*power_summands(stream, degrees), *extras.values()],
-                           starts[full], counts[full])
+                           lo[full], hi[full])
         columns = {}
-        for n, c, v in zip(degrees, sums.T, sums.T[len(degrees):]):
+        for n, c, v in zip(degrees, sums, sums[len(degrees):]):
             columns.update({f"C{n}": c, f"V{n}": v, f"p{n}": c / v})
-    return counts, {**columns, **dict(zip(extras, sums.T[2 * len(degrees):]))}
-
+    return hi - lo, {**columns, **dict(zip(extras, sums[2 * len(degrees):]))}

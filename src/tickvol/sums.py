@@ -21,10 +21,10 @@ nan gets fsum's value, or nan for both infinities (fsum's ValueError);
 a sum past the double range rounds to inf or -inf (fsum's
 OverflowError); an exact-zero window takes fsum's sign of zero.
 
-Past ingest._floor() covered rows, the even and the odd columns are two
-blocks of ingest._blockwise: with two CPUs, a forked child is sent
-nothing; it calls the odd recipes of the list it holds from the fork and
-sends back their window sums.
+Past ingest._floor() covered rows, each recipe is one item of
+ingest._blockwise: with two CPUs, a forked child is sent nothing; it calls
+the odd recipes of the list it holds from the fork and sends back each
+one's window sums.
 """
 
 import math
@@ -48,12 +48,10 @@ def csum(values) -> float:
     return math.fsum(values)
 
 
-def window_sums(columns, starts, lengths) -> np.ndarray:
-    """csum(column()[start:start + length]) of each recipe in columns (each
-    returns a 1-d array and is called once, in the process that sums it), for
-    every window: one row per window, in window order, one column per recipe."""
-    starts = np.asarray(starts, dtype=np.intp)
-    ends = starts + np.asarray(lengths, dtype=np.intp)
+def window_sums(columns, starts, ends) -> list:
+    """csum(column()[start:end]) of each recipe in columns (each returns a 1-d array and
+    is called once, in the process that sums it) for every window [start, end) of the
+    integer arrays starts and ends (window_bounds' lo and hi): one float64 array per recipe."""
     # rows some window covers, from a difference array of window starts
     # and ends; rank maps a row index to its index among covered rows, and
     # goes with delta before any column is read
@@ -68,15 +66,10 @@ def window_sums(columns, starts, lengths) -> np.ndarray:
     need, inverse = np.unique(np.concatenate([lo, hi]), return_inverse=True)
     edges = inverse.reshape(2, -1)
 
-    def group(indices):  # the window sums of these columns, one row each
-        return [_prefix_sums(np.asarray(columns[c](), dtype=np.float64)[:len(covered)][covered],
-                             lo, hi, need, edges) for c in indices]
-    every = range(len(columns))
-    groups = [every[0::2], every[1::2]] if rows > _floor() and len(every) > 1 else [every]
-    out = np.empty((len(columns), len(lo)))
-    for indices, sums in zip(groups, _blockwise(group, groups)):
-        out[indices] = sums
-    return out.T
+    def summed(recipe):  # the window sums of one column
+        return _prefix_sums(np.asarray(recipe(), dtype=np.float64)[:len(covered)][covered],
+                            lo, hi, need, edges)
+    return list((_blockwise if rows > _floor() else map)(summed, columns))
 
 
 def _prefix_sums(col: np.ndarray, lo: np.ndarray, hi: np.ndarray, need: np.ndarray,

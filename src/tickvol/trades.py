@@ -157,23 +157,23 @@ def validate_series(raw_trades: Iterable[tuple[float, float, float]]) -> TradeSe
 
 
 def window_bounds(timestamps: np.ndarray, centers, width: float) -> tuple:
-    """(first index, member count) of every window [c - width/2, c + width/2].
-
-    Both ends inclusive, over sorted timestamps; centers may be a scalar
-    or an array, and all windows are located by one searchsorted per edge.
-    """
+    """(lo, hi) of every window [c - width/2, c + width/2] over sorted timestamps:
+    rows lo:hi are its members, both ends inclusive. lo counts the timestamps below
+    c - width/2 and hi those at or below c + width/2; the first edge is never above the
+    second, so hi >= lo for every center (a nan center gives len(timestamps) for both).
+    centers may be a scalar or an array; one searchsorted per edge locates all windows."""
     half = width / 2
     lo = np.searchsorted(timestamps, centers - half, side="left")
     hi = np.searchsorted(timestamps, centers + half, side="right")
-    return lo, np.maximum(hi - lo, 0)
+    return lo, hi
 
 
 def select_window(series: PairSeries, spec: WindowSpec) -> PairSeries:
-    """All items with center - width/2 <= t_i <= center + width/2, as a
-    zero-copy row slice of the same class as series (see PairSeries._rows).
+    """All items with center - width/2 <= t_i <= center + width/2: rows lo:hi of
+    window_bounds, as a zero-copy slice of the same class as series (PairSeries._rows).
 
     Both ends inclusive. An empty window is legal; consumers decide
     whether that is an error.
     """
-    lo, count = window_bounds(series.timestamps, spec.center, spec.width)
-    return series._rows(int(lo), int(lo + count))
+    lo, hi = window_bounds(series.timestamps, spec.center, spec.width)
+    return series._rows(int(lo), int(hi))

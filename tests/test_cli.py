@@ -88,6 +88,15 @@ class TestMoments:
             ["moments", "--input", "/nonexistent/x.csv", "--window", "2"], capsys)
         assert code == 3
 
+    def test_a_repeated_ndjson_field_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "t.ndjson"
+        path.write_text('{"ts": 1, "cost": 1, "volume": 1}\n'
+                        '{"ts": 1, "ts": 2, "cost": 1, "volume": 1}\n')
+        code, out, err = run_cli(["moments", "--input", str(path), "--window", "2"], capsys)
+        assert (code, out) == (3, "")
+        assert err == ("error: line 2: expected fields ['cost', 'ts', 'volume'], "
+                       "got ['cost', 'ts', 'ts', 'volume']\n")
+
     def test_bad_degrees_exits_2(self, two_trade_file, capsys):
         code, _, _ = run_cli(
             ["moments", "--input", two_trade_file, "--window", "2",

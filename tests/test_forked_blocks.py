@@ -150,6 +150,22 @@ def test_a_bad_line_gives_the_in_process_error(tmp_path, monkeypatch, forks, tra
     assert len(forks) == 1
 
 
+def test_a_repeated_ndjson_field_in_the_child_half_gives_the_one_cpu_error(tmp_path, monkeypatch,
+                                                                          forks, trades):
+    # the bulk parser refuses the block by its comma count; both runs name the line
+    line = 3 * 2 ** 14 - 1
+    lines = pathlib.Path(trades[".ndjson"]).read_text().split("\n")
+    lines[line - 1] = lines[line - 1].replace("{", '{"ts": 0, ', 1)
+    path = tmp_path / "t.ndjson"
+    path.write_text("\n".join(lines))
+    forked, in_process = load_both(path, monkeypatch)
+    assert forked == in_process == (
+        ParseError,
+        f"line {line}: expected fields ['cost', 'ts', 'volume'], got ['cost', 'ts', 'ts', 'volume']",
+        line)
+    assert len(forks) == 1
+
+
 def test_a_read_error_after_a_parse_error_comes_second(tmp_path, monkeypatch, forks, trades):
     # the child's half, with the bad byte, is read while the parent parses its own
     data = pathlib.Path(trades[".csv"]).read_bytes().split(b"\n")
@@ -523,7 +539,8 @@ def sum_bits(job, monkeypatch, log=None):
     for cpus in ({0, 1}, {0}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         recipes = [lambda c=c: recipe(c) for c in range(len(columns))]
-        got.append(sums.window_sums(recipes, starts, lengths).view(np.int64))
+        got.append(np.stack(sums.window_sums(recipes, starts, starts + lengths), axis=1)
+                   .view(np.int64))
     return got
 
 

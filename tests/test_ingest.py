@@ -31,6 +31,9 @@ from tickvol.ingest import render_trades
 COST_SCHEMA = IngestSchema("ts_cost_volume")
 PRICE_SCHEMA = IngestSchema("ts_price_volume")
 
+_GOOD_ROW = '{"ts": 1.0, "cost": 10.0, "volume": 2.0}'
+_REPEATED_TS = '{"ts": 1, "ts": 2, "cost": 1, "volume": 1}'
+
 
 class TestSchema:
     def test_variants(self):
@@ -158,6 +161,22 @@ class TestLoadNdjson:
         path = tmp_path / "t.ndjson"
         path.write_text('{"ts": 1.0, "cost": 10.0, "volume": 2.0}\n\n\n')
         assert len(load_trades(path, COST_SCHEMA)) == 1
+
+    @pytest.mark.parametrize("lines, line", [
+        ([_GOOD_ROW, _REPEATED_TS], 2),
+        # the repeat is the first error, ahead of a bad row on line 3
+        ([_REPEATED_TS, _GOOD_ROW, "{broken"], 1),
+    ], ids=["second line", "ahead of a later bad line"])
+    def test_repeated_field_names_its_line(self, tmp_path, lines, line):
+        # json.loads keeps a repeated field's last value: this row would be a trade at t=2
+        path = tmp_path / "t.ndjson"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_trades(path, COST_SCHEMA)
+        assert str(exc.value) == (f"line {line}: expected fields ['cost', 'ts', 'volume'], "
+                                  "got ['cost', 'ts', 'ts', 'volume']")
+        assert exc.value.line == line
+        assert ingest._ndjson_block(lines[:2], COST_SCHEMA) is None
 
 
 @pytest.mark.parametrize("text", [
@@ -353,8 +372,10 @@ def _ndjson_file(draw, fields, ns):
     for _ in range(draw(st.integers(0, 2))):
         i = draw(st.integers(0, len(lines) - 1))
         kind = draw(st.sampled_from(["{0}, {0}", "{0}],[{0}", "{0}]", "[{0}", "[1, 2, 3]", "{{",
-                                     "{0}}}", "", " \t", *["split"] * 5]))
-        if kind != "split":
+                                     "{0}}}", "", " \t", *["split"] * 5, "repeat"]))
+        if kind == "repeat":  # a field named twice, ahead of its other members
+            lines[i] = lines[i].replace("{", '{"%s": 1, ' % draw(st.sampled_from(fields)), 1)
+        elif kind != "split":
             lines[i] = kind.format(lines[i])
         elif i + 1 < len(lines):  # a line break inside a row
             head, _, tail = lines[i].partition(", ")

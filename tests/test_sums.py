@@ -47,8 +47,8 @@ def _forced(path, values, starts, lengths):
     """window_sums of a 1-d array, or of each column of a 2-d one, shaped
     as one row per window (of one sum per column)."""
     with mock.patch.multiple(sums, **PATHS[path]):
-        got = window_sums(_recipes(*values.reshape(len(values), -1).T), starts, lengths)
-    return got.reshape(np.shape(lengths) + values.shape[1:])
+        got = window_sums(_recipes(*values.reshape(len(values), -1).T), starts, starts + lengths)
+    return np.stack(got, axis=-1).reshape(np.shape(lengths) + values.shape[1:])
 
 
 def _assert_matches_csum(cols, starts, lengths):
@@ -97,9 +97,9 @@ class TestWindowSums:
     def test_powers_match_csum_on_every_window(self, series, grid):
         ts, values = series
         centers, width = grid
-        starts, lengths = window_bounds(ts, centers, width)
+        starts, ends = window_bounds(ts, centers, width)
         cols = np.column_stack([values ** p for p in POWERS])
-        _assert_matches_csum(cols, starts, lengths)
+        _assert_matches_csum(cols, starts, ends - starts)
 
     @given(st.lists(_signed, min_size=1, max_size=300), st.data())
     @settings(max_examples=100, deadline=None)
@@ -182,12 +182,12 @@ class TestWindowSums:
         # without it
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         n = 200_000
-        starts, lengths = window_bounds(np.arange(n, dtype=np.float64),
-                                        5.0 + 5.0 * np.arange(n // 5), 10.0)
+        starts, ends = window_bounds(np.arange(n, dtype=np.float64),
+                                     5.0 + 5.0 * np.arange(n // 5), 10.0)
         cols = np.random.default_rng(0).uniform(1.0, 2.0, (2, n))
         tracemalloc.start()
         try:
-            window_sums(_recipes(*cols), starts, lengths)
+            window_sums(_recipes(*cols), starts, ends)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -200,10 +200,11 @@ class TestWindowedSums:
     def test_bounds_and_sums_match_brute_force(self, series, grid):
         ts, values = series
         centers, width = grid
-        starts, counts = window_bounds(ts, centers, width)
+        starts, ends = window_bounds(ts, centers, width)
+        counts = ends - starts
         full = counts > 0
-        got = window_sums(_recipes(values, values ** 2), starts[full], counts[full])
-        rows = iter(got.tolist())
+        got = window_sums(_recipes(values, values ** 2), starts[full], ends[full])
+        rows = iter(np.stack(got, axis=1).tolist())
         for c, n in zip(centers.tolist(), counts.tolist()):
             members = [i for i, t in enumerate(ts.tolist()) if c - width / 2 <= t <= c + width / 2]
             assert n == len(members)
@@ -220,17 +221,18 @@ class TestWindowedSums:
                            7.0, 1e-3, 0.25])
         ts = np.arange(len(values), dtype=np.float64)
         centers = np.array([1.0, 2.5, 3.0, 4.0, 5.5, 6.0, 7.0, 10.0, 20.0])
-        starts, lengths = window_bounds(ts, centers, 2.0)
+        starts, ends = window_bounds(ts, centers, 2.0)
+        lengths = ends - starts
         assert lengths.tolist() == [3, 2, 3, 3, 2, 3, 3, 3, 0]
         with mock.patch.multiple(sums, **PATHS[path]):
-            got = window_sums(_recipes(values), starts[:-1], lengths[:-1])
+            got = window_sums(_recipes(values), starts[:-1], ends[:-1])
         want = []
         for lo, n in zip(starts[:-1].tolist(), lengths[:-1].tolist()):
             try:
                 want.append(csum(values[lo:lo + n]))
             except ValueError:  # fsum's "-inf + inf"
                 want.append(math.nan)
-        got, want = got[:, 0], np.array(want)
+        got, want = got[0], np.array(want)
         assert np.isnan(got).tolist() == np.isnan(want).tolist() == [
             False, False, False, True, False, True, True, False]
         assert _bits(got[~np.isnan(got)]) == _bits(want[~np.isnan(want)])
@@ -395,9 +397,10 @@ class TestPrefixPath:
             width, stride = (10.0, 5.0) if shape == "pricevol-narrow" else ((t1 - t0) / 16,) * 2
             summands = power_summands(series, [1, 2])
         centers = window_centers(series, width, stride)
-        starts, lengths = window_bounds(series.timestamps, centers, width)
+        starts, ends = window_bounds(series.timestamps, centers, width)
+        lengths = ends - starts
         full = lengths > 0
-        got = window_sums(summands, starts[full], lengths[full])
+        got = np.stack(window_sums(summands, starts[full], ends[full]), axis=1)
         columns = [recipe() for recipe in summands]
         want = [[csum(s[lo:lo + n]) for s in columns]
                 for lo, n in zip(starts[full].tolist(), lengths[full].tolist())]

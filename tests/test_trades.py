@@ -1,5 +1,7 @@
 """Trade model: validation, sorting, window selection."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -15,6 +17,7 @@ from tickvol import (
     select_window,
     validate_series,
 )
+from tickvol.trades import window_bounds
 
 
 class TestValidateSeries:
@@ -185,6 +188,8 @@ _lattice_series = st.lists(
     max_size=30,
 )
 
+_MAX = float(np.finfo(np.float64).max)
+
 
 class TestWindowProperties:
     @given(_lattice_series,
@@ -239,6 +244,26 @@ class TestWindowProperties:
                 assert view.lag == stream.lag == lag
             # a window of a window is cut from the same whole stream
             assert select_window(view, WindowSpec(center, width / 2)).series is stream
+
+    @given(st.lists(st.sampled_from([-_MAX, -1e308, -5e307, -1.0, 0.0, 1.0, 5e307, 1e308, _MAX]),
+                    min_size=1, max_size=12),
+           st.lists(st.one_of(st.sampled_from([-math.inf, -_MAX, -1e308, 0.0, 1e308, _MAX,
+                                               math.inf, math.nan]), st.floats()), max_size=6),
+           st.one_of(st.sampled_from([1.0, 1e307, 1e308]), st.floats(5e-324, 1e308)))
+    def test_row_ranges_hold_where_the_edges_overflow(self, timestamps, centers, width):
+        # centers at +-1e308, +-inf and nan, widths up to 1e308 (so c +- width/2
+        # overflows), and centers that put repeated timestamps on a window edge
+        series = validate_series((t, 1.0, 1.0) for t in timestamps)
+        ts = series.timestamps.tolist()
+        centers = [*centers, *(t + s * width / 2 for t in ts for s in (-1.0, 1.0))]
+        with np.errstate(over="ignore"):  # numpy's warning for an edge that overflows
+            lo, hi = window_bounds(series.timestamps, np.array(centers), width)
+        for c, a, b in zip(centers, lo.tolist(), hi.tolist()):
+            members = [i for i, t in enumerate(ts) if c - width / 2 <= t <= c + width / 2]
+            assert a <= b and list(range(a, b)) == members, (c, width)
+            assert [int(x) for x in window_bounds(series.timestamps, c, width)] == [a, b]
+            view = select_window(series, WindowSpec(c, width))
+            assert view.timestamps.tolist() == [ts[i] for i in members]
 
     @given(st.integers(min_value=0, max_value=40).map(lambda k: k / 4),
            st.integers(min_value=1, max_value=48).map(lambda k: k / 4))
