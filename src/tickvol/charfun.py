@@ -100,8 +100,8 @@ def multi_time_moment(series: PairSeries, times: Sequence[float], width: float) 
     windows, EmptyWindowError when any involved window has no data and
     NonFiniteError when a sum or the moment overflows, or b_sum underflows to 0.
     """
-    if not width > 0:
-        raise ValueError("width must be positive")
+    if not 0 < width < math.inf:
+        raise ValueError("width must be positive and finite")
     times = tuple(float(t) for t in times)
     n = len(times)
     if n == 0:
@@ -142,8 +142,8 @@ class MomentProvider:
     width: float
 
     def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError("width must be positive")
+        if not 0 < self.width < math.inf:
+            raise ValueError("width must be positive and finite")
 
 
 moment_provider = MomentProvider

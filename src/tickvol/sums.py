@@ -19,7 +19,8 @@ The cost grows with the covered rows plus the windows, whatever the
 overlap. Every column takes this path: a window holding inf, -inf or
 nan gets fsum's value, or nan for both infinities (fsum's ValueError);
 a sum past the double range rounds to inf or -inf (fsum's
-OverflowError); an exact-zero window takes fsum's sign of zero.
+OverflowError); an exact zero is +0.0, as in fsum, and a nonzero sum
+never rounds to 0 (below 2**-1022 it is a multiple of 2**-1074).
 
 Past ingest._floor() covered rows, each recipe is one item of
 ingest._blockwise: with two CPUs, a forked child is sent nothing; it calls
@@ -112,11 +113,6 @@ def _prefix_sums(col: np.ndarray, lo: np.ndarray, hi: np.ndarray, need: np.ndarr
     if special is not None:
         pos, neg, nan = special[:, hi] - special[:, lo] > 0
         sums[pos], sums[neg], sums[nan | pos & neg] = np.inf, -np.inf, np.nan
-    # an exact zero takes fsum's sign of zero, which varies by Python
-    # version; a nonzero sum never rounds to 0, since one below 2**-1022
-    # is a multiple of 2**-1074 and so a double
-    for w in np.flatnonzero(sums == 0).tolist():
-        sums[w] = math.fsum(col[lo[w]:hi[w]].tolist())
     return sums
 
 

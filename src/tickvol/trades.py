@@ -28,14 +28,14 @@ from .errors import ValidationError
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Averaging window: center time t and width (must be > 0)."""
+    """Averaging window: center time t and width (positive and finite)."""
 
     center: float
     width: float
 
     def __post_init__(self):
-        if not (self.width > 0):
-            raise ValueError(f"window width must be positive, got {self.width}")
+        if not 0 < self.width < np.inf:
+            raise ValueError(f"window width must be positive and finite, got {self.width}")
 
 
 def _validate_columns(ts: np.ndarray, a: np.ndarray, b: np.ndarray,

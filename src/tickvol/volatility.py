@@ -92,8 +92,8 @@ def closed_volatility(a_mean, b_mean, sigma_a2, sigma_b2, phi_b2):
     dominates the b mean. For terms from any non-empty window of positive
     values b1 > 0 and the denominator is not negative; other terms are
     corrupted, not unusual input, and raise DegenerateDenominatorError.
-    b1^2 can underflow to 0 (b1 = 1e-164), and then the result is inf or
-    nan for the caller to report.
+    A sum past the double range, or b1^2 underflowing to 0 (b1 = 1e-164),
+    gives inf or nan for the caller to report.
 
     Squares use float_power, which like Python's float ** 2 calls libm
     pow; x * x differs from it in the last bit for about 1 in 1000 values.
@@ -101,7 +101,7 @@ def closed_volatility(a_mean, b_mean, sigma_a2, sigma_b2, phi_b2):
     with np.errstate(all="ignore"):
         b1_sq = np.float_power(b_mean, 2.0)
         denom = b1_sq * (phi_b2 + sigma_b2)
-        bad = ~((b_mean > 0) & (denom >= 0))
+        bad = (b_mean <= 0) | (denom < 0)
         if np.any(bad):
             b1, twice = (float(np.extract(bad, x)[0]) for x in (b_mean, 2 * denom))
             raise DegenerateDenominatorError(
@@ -173,7 +173,8 @@ def price_volatility_closed(stats: DispersionStats) -> float:
     2 * (phi_b^2 sigma_a^2 - phi_a^2 sigma_b^2) / (phi_b^4 - sigma_b^4)
 
     sigma_p^2 for the stats of trades, Sigma_q^2 for those of returns
-    records (returns.returns_volatility_closed is this function).
+    records (returns.returns_volatility_closed is this function); an inf
+    or nan result (stats with b_mean = inf, say) raises NonFiniteError.
     """
     closed = closed_volatility(stats.a_mean, stats.b_mean, stats.sigma_a2, stats.sigma_b2,
                                stats.phi_b2)

@@ -39,8 +39,9 @@ class TestMultiTimeMoment:
         ps = _pairs(TWO_TRADES)
         with pytest.raises(DegreeOutOfRangeError, match="^times tuple must not be empty$"):
             multi_time_moment(ps, (), 2.0)
-        with pytest.raises(ValueError, match="^width must be positive$"):
-            multi_time_moment(ps, (0.5,), 0.0)
+        for width in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="^width must be positive and finite$"):
+                multi_time_moment(ps, (0.5,), width)
 
     def test_diagonal_matches_single_window(self):
         ps = _pairs(TWO_TRADES)
@@ -302,8 +303,9 @@ class TestMomentProvider:
         provider = moment_provider(ps, 2.0)
         assert (provider.series, provider.width) == (ps, 2.0)
         assert not callable(provider)
-        with pytest.raises(ValueError):
-            moment_provider(ps, 0.0)
+        for width in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="^width must be positive and finite$"):
+                moment_provider(ps, width)
 
 
 class TestDerivativeCheck:

@@ -953,6 +953,29 @@ class TestOverflow:
         assert code == 2 and stdout == "" and not out.exists()
         assert err == f"error: {message.format(prefix=prefix)}; rescale the input units\n"
 
+    @pytest.mark.parametrize("rows, window, center", [
+        # volumes 2^-512 and 2^511 by turns, at exact costs: the volume ratios
+        # 2^1023 sum past the double range, and the r qv column (2^1023 twice,
+        # -2^1022 four times) sums to an exact 0 though fsum's partials overflow
+        ("".join(f"{t},{p * v!r},{v!r}\n" for t, (p, v) in enumerate(zip(
+            [1, 2, 2, 4, 4, 2, 2, 1, 1, 0.5, 0.5, 0.25], [2.0 ** -512, 2.0 ** 511] * 6))),
+         "100", "50.0"),
+        # two volume ratios of 1e308
+        ("0,1e-154,1e-154\n1,3e154,1e154\n2,1e-154,1e-154\n3,3e154,1e154\n", "10", "5.0"),
+    ], ids=["exact_zero_r_qv", "two_ratios"])
+    def test_volume_ratio_sum_overflow_exits_2(self, rows, window, center, tmp_path, capsys):
+        # legal input, not corrupted stats
+        path = tmp_path / "ratios.csv"
+        path.write_text("ts,cost,volume\n" + rows)
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run_cli(["returns-vol", "--input", str(path), "--window", window,
+                                         "--lag", "1", "--output", str(out)], capsys)
+        assert code == 2 and stdout == "" and not out.exists()
+        assert err == (f"error: mean_return overflows the double range in the window at "
+                       f"t={center}; rescale the input units\n")
+
     def test_charfun_overflow_exits_2(self, tmp_path, capsys):
         path = tmp_path / "big.csv"
         path.write_text("ts,cost,volume\n0.0,1e200,1.0\n")

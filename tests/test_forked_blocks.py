@@ -21,6 +21,7 @@ from tickvol import IngestSchema, ParseError, ValidationError, cli, ingest, load
 from tickvol.cli import main
 
 from test_cli import _env
+from test_ingest import _REFUSED_ROWS
 
 COST_SCHEMA = IngestSchema("ts_cost_volume")
 
@@ -163,6 +164,19 @@ def test_a_repeated_ndjson_field_in_the_child_half_gives_the_one_cpu_error(tmp_p
         ParseError,
         f"line {line}: expected fields ['cost', 'ts', 'volume'], got ['cost', 'ts', 'ts', 'volume']",
         line)
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("row, message", _REFUSED_ROWS)
+def test_a_row_the_bulk_parser_refuses_in_the_child_half_gives_the_one_cpu_error(
+        tmp_path, monkeypatch, forks, trades, row, message):
+    line = 3 * 2 ** 14 - 1
+    lines = pathlib.Path(trades[".ndjson"]).read_text().split("\n")
+    lines[line - 1] = row
+    path = tmp_path / "t.ndjson"
+    path.write_text("\n".join(lines))
+    forked, in_process = load_both(path, monkeypatch)
+    assert forked == in_process == (ParseError, f"line {line}: {message}", line)
     assert len(forks) == 1
 
 

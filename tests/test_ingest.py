@@ -33,6 +33,17 @@ PRICE_SCHEMA = IngestSchema("ts_price_volume")
 
 _GOOD_ROW = '{"ts": 1.0, "cost": 10.0, "volume": 2.0}'
 _REPEATED_TS = '{"ts": 1, "ts": 2, "cost": 1, "volume": 1}'
+# rows with a trade's two commas that the bulk parser refuses, and the
+# line parser's text for each
+_REFUSED_ROWS = [
+    pytest.param("[1, 2, 3]", "expected an object", id="array"),
+    pytest.param('{"ts": 1, "cost": "2,3"}',
+                 "expected fields ['cost', 'ts', 'volume'], got ['cost', 'ts']", id="two members"),
+    pytest.param('{"ts": 1, "cost": "2", "volume": 3}', "cost must be a number, got '2'",
+                 id="string cost"),
+    pytest.param('{"ts": 1, "cost": true, "volume": 3}', "cost must be a number, got True",
+                 id="true cost"),
+]
 
 
 class TestSchema:
@@ -177,6 +188,16 @@ class TestLoadNdjson:
                                   "got ['cost', 'ts', 'ts', 'volume']")
         assert exc.value.line == line
         assert ingest._ndjson_block(lines[:2], COST_SCHEMA) is None
+
+    @pytest.mark.parametrize("row, message", _REFUSED_ROWS)
+    def test_a_row_the_bulk_parser_refuses_names_its_line(self, tmp_path, row, message):
+        lines = [_GOOD_ROW, row]
+        assert ingest._ndjson_block(lines, COST_SCHEMA) is None
+        path = tmp_path / "t.ndjson"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_trades(path, COST_SCHEMA)
+        assert (str(exc.value), exc.value.line) == (f"line 2: {message}", 2)
 
 
 @pytest.mark.parametrize("text", [

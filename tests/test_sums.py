@@ -10,6 +10,7 @@ raises, a window gets inf, -inf or nan, as window_sums reports it.
 
 import math
 import os
+import random
 import tracemalloc
 from unittest import mock
 
@@ -374,6 +375,24 @@ class TestPrefixPath:
         zeros = np.array([-0.0, -0.0, -0.0])
         _assert_matches_csum(zeros[:, None], np.array([0, 1, 0]), np.array([3, 1, 0]))
 
+    def test_exact_zero_windows_are_positive_zero_without_fsum(self, monkeypatch):
+        # a column of zeros under 10,000 overlapping windows: every sum is
+        # +0.0 from the limbs, with no per-window fsum call
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        starts = np.arange(10_000) % 900
+        with mock.patch.object(math, "fsum", wraps=math.fsum) as fsum:
+            got = window_sums(_recipes(np.array([-0.0, 0.0] * 500)), starts, starts + 100)[0]
+        assert fsum.call_count == 0
+        assert _bits(got) == _bits(np.zeros(10_000))
+
+    def test_exact_zero_where_fsum_overflows(self):
+        # fsum's partials overflow on the way to an exact 0
+        values = np.array([1e308, 1e308, -1e308, -1e308])
+        with pytest.raises(OverflowError):
+            csum(values)
+        for path in PATHS:
+            assert _bits(_forced(path, values, np.array([0]), np.array([4]))) == _bits([0.0])
+
     @pytest.mark.parametrize("shape", ["moments-overlap", "pricevol-narrow",
                                        "returns-ndjson-wide", "identity-check", "C^8"])
     def test_benchmark_grids_take_the_exact_path(self, shape):
@@ -405,3 +424,18 @@ class TestPrefixPath:
         want = [[csum(s[lo:lo + n]) for s in columns]
                 for lo, n in zip(starts[full].tolist(), lengths[full].tolist())]
         assert _bits(got) == _bits(want)
+
+
+def test_fsum_of_an_exact_zero_is_positive_zero():
+    # window_sums gives every exact-zero window +0.0, so csum must too: a
+    # Python whose fsum keeps a sign of zero fails here by name. Pairs x,
+    # -x with signed zeros mixed in, and all--0.0 inputs; no numpy
+    rng = random.Random(31)
+    sums = [math.fsum([]), math.fsum([-0.0]), math.fsum([-0.0] * 3)]
+    for _ in range(20_000):
+        xs = [rng.uniform(-1.0, 1.0) * 2.0 ** rng.randint(-1074, 1000)
+              for _ in range(rng.randint(0, 4))]
+        values = xs + [-x for x in xs] + rng.choices([0.0, -0.0], k=rng.randint(0, 3))
+        rng.shuffle(values)
+        sums.append(math.fsum(values))
+    assert {(x, math.copysign(1.0, x)) for x in sums} == {(0.0, 1.0)}

@@ -165,10 +165,11 @@ class TestSelectWindow:
         assert len(select_window(one, WindowSpec(5.0, 1.0))) == 1
 
     def test_window_spec_rejects_bad_width(self):
-        with pytest.raises(ValueError):
-            WindowSpec(0.0, 0.0)
-        with pytest.raises(ValueError):
-            WindowSpec(0.0, -1.0)
+        # the right edge of WindowSpec(-inf, inf), -inf + inf, is nan
+        for center, width in ((0.0, 0.0), (0.0, -1.0), (-math.inf, math.inf), (0.0, math.inf),
+                              (0.0, math.nan)):
+            with pytest.raises(ValueError, match="^window width must be positive and finite"):
+                WindowSpec(center, width)
 
     def test_view_slices_match_members(self, series):
         view = select_window(series, WindowSpec(1.5, 1.0))

@@ -1,5 +1,6 @@
 """Price volatility: dispersion stats, direct vs closed identity."""
 
+import math
 import random
 from dataclasses import astuple
 
@@ -11,6 +12,7 @@ from tickvol import (
     DegenerateDenominatorError,
     DispersionStats,
     EmptyWindowError,
+    NonFiniteError,
     SimConfig,
     WindowSpec,
     dispersion_stats,
@@ -147,6 +149,15 @@ class TestClosedForm:
         )
         with pytest.raises(DegenerateDenominatorError):
             price_volatility_closed(corrupt)
+
+    def test_overflowed_terms_are_not_corrupted(self):
+        # b1 = inf comes from a volume sum past the double range: legal input
+        overflowed = DispersionStats(
+            n=2, a_mean=1.0, a_sq_mean=1.0, b_mean=math.inf, b_sq_mean=math.inf,
+            sigma_a2=0.0, sigma_b2=math.nan, phi_a2=2.0, phi_b2=math.inf,
+        )
+        with pytest.raises(NonFiniteError, match="^sigma2_closed over .* overflows"):
+            price_volatility_closed(overflowed)
 
 
 _window_strategy = st.lists(
