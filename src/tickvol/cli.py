@@ -63,7 +63,7 @@ from .errors import (
 )
 from .ingest import (SCHEMA_VARIANTS, TIMESTAMP_UNITS, IngestSchema, _blockwise, _cuts,
                      _format_block, load_trades, trade_blocks, write_trades)
-from .moments import DEFAULT_DEGREE_CAP, moment_table, window_centers
+from .moments import DEFAULT_DEGREE_CAP, _span, moment_table, window_centers
 from .returns import build_returns, returns_summands, rform_from_sums
 from .synth import SimConfig, simulate_trades
 from .trades import PairSeries, TradeSeries
@@ -303,22 +303,16 @@ def cmd_moments(args) -> int:
     return EXIT_OK
 
 
-def cmd_price_vol(args) -> int:
+def cmd_volatility(args) -> int:
+    """price-vol (lag None: the trades) and returns-vol (the lag-m records)."""
     width, stride = _window_stride(args)
-    series = _load_input(args)
-    centers = window_centers(series, width, stride)
-    _emit_windows(args, centers, "n_trades", *_volatility_table(series, centers, width)[:2])
-    return EXIT_OK
-
-
-def cmd_returns_vol(args) -> int:
-    width, stride = _window_stride(args)
-    if args.lag < 1:
+    if args.lag is not None and args.lag < 1:
         raise ConfigError(f"--lag must be >= 1, got {args.lag}")
     series = _load_input(args)
-    records = build_returns(series, args.lag)
+    stream = series if args.lag is None else build_returns(series, args.lag)
     centers = window_centers(series, width, stride)
-    _emit_windows(args, centers, "n_records", *_volatility_table(records, centers, width)[:2])
+    count_key = "n_trades" if args.lag is None else "n_records"
+    _emit_windows(args, centers, count_key, *_volatility_table(stream, centers, width)[:2])
     return EXIT_OK
 
 
@@ -444,7 +438,7 @@ def cmd_identity_check(args) -> int:
         series = simulate_trades(SimConfig(n_trades=args.n_trades, seed=seed))
         _diagnostic(f"seed: {seed}")
     if width is None:
-        t0, t1 = series.span()
+        t0, t1 = _span(series)
         width = (t1 - t0) / 16 if t1 > t0 else 1.0
     names, lag, windows, devs = zip(*_identity_rows(series, width, stride or width, lags))
     status = ["PASS" if dev <= IDENTITY_TOLERANCE else "FAIL" for dev in devs]
@@ -501,14 +495,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(sub)
     _add_window_flags(sub)
     _add_output_flags(sub)
-    sub.set_defaults(func=cmd_price_vol)
+    sub.set_defaults(func=cmd_volatility, lag=None)
 
     sub = subs.add_parser("returns-vol", help="lag-m returns volatility in three equivalent forms")
     _add_io_flags(sub)
     _add_window_flags(sub)
     sub.add_argument("--lag", type=int, default=1, help="returns lag m (index-based)")
     _add_output_flags(sub)
-    sub.set_defaults(func=cmd_returns_vol)
+    sub.set_defaults(func=cmd_volatility)
 
     sub = subs.add_parser("charfun", help="truncated characteristic functional on a time grid")
     _add_io_flags(sub)

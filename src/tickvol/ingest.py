@@ -514,13 +514,11 @@ def render_trades(series: TradeSeries, schema: IngestSchema, fmt: str) -> str:
     return "".join(trade_blocks(series, schema, fmt))
 
 
-def write_trades(series: TradeSeries, path: str | os.PathLike, schema: IngestSchema,
-                 fmt: str | None = None) -> None:
-    """Write a series as CSV (default) or NDJSON ('.ndjson'/'.jsonl' paths),
-    a block of rows at a time."""
-    if fmt is None:
-        suffix = os.path.splitext(os.fspath(path))[1].lower()
-        fmt = "ndjson" if suffix in (".ndjson", ".jsonl") else "csv"
+def write_trades(series: TradeSeries, path: str | os.PathLike, schema: IngestSchema) -> None:
+    """Write a series as NDJSON to a '.ndjson' or '.jsonl' path (any case),
+    else as CSV, a block of rows at a time."""
+    suffix = os.path.splitext(os.fspath(path))[1].lower()
+    fmt = "ndjson" if suffix in (".ndjson", ".jsonl") else "csv"
     with contextlib.closing(trade_blocks(series, schema, fmt)) as blocks:
         first = next(blocks, "")  # trade_blocks checks the series before the file opens
         with open(path, "w", encoding="utf-8") as fh:
@@ -529,7 +527,7 @@ def write_trades(series: TradeSeries, path: str | os.PathLike, schema: IngestSch
 
 def _floor() -> int:
     """The most rows a job runs in one process: two CPUs win from about 4k rows of text;
-    the kernel's recipe fork lost at 200k trades, won at 1M for 7-8 recipes (README)."""
+    the kernel's recipe fork: whole runs on 200k trades win with 8 recipes, tie with 4 or 7 (README)."""
     return 2 * BLOCK_ROWS
 
 

@@ -146,6 +146,15 @@ def collect_price_moments(view: PairSeries, degrees: Iterable[int]) -> dict:
     return {n: (c, v, p) for n, c, v, p in zip(degs, sums, sums[k:], moments)}
 
 
+def _span(series: PairSeries) -> tuple[float, float]:
+    """series.span(); NonFiniteError when t1 - t0 overflows the double range."""
+    t0, t1 = series.span()
+    if t1 - t0 == math.inf:
+        raise NonFiniteError(f"the {t1 - t0} s span from t={t0} to t={t1} overflows the "
+                             "double range; rescale the input units")
+    return t0, t1
+
+
 def window_centers(series: PairSeries, width: float, stride: float) -> np.ndarray:
     """Rolling window centers over the series time span.
 
@@ -153,7 +162,7 @@ def window_centers(series: PairSeries, width: float, stride: float) -> np.ndarra
     by stride while the window's left edge still lies at or before the
     last trade. Anchoring to the data keeps output independent of the
     absolute epoch. ValueError for a width or stride that is not positive
-    and finite, NonFiniteError for a center past the double range.
+    and finite, NonFiniteError for a span or a center past the double range.
     """
     if not 0 < width < math.inf:
         raise ValueError("width must be positive and finite")
@@ -161,7 +170,7 @@ def window_centers(series: PairSeries, width: float, stride: float) -> np.ndarra
         raise ValueError("stride must be positive and finite")
     if len(series) == 0:
         return np.empty(0)
-    t0, t1 = series.span()
+    t0, t1 = _span(series)
     span = t1 - t0
     steps = span / stride
     k = int(math.floor(steps)) if steps < MAX_WINDOWS else MAX_WINDOWS

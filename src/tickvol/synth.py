@@ -57,13 +57,13 @@ def simulate_trades(config: SimConfig) -> TradeSeries:
     gaps = rng.exponential(scale=1.0 / config.arrival_rate, size=n)
     np.maximum(gaps, 1e-12, out=gaps)
     ts = config.start_time + np.cumsum(gaps)
-    # timestamps must be strictly increasing even where a gap underflows
-    # the local float resolution; nudging is rare enough to loop
-    bad = np.flatnonzero(np.diff(ts) <= 0)
-    if bad.size:
-        for i in range(int(bad[0]), n - 1):
-            if ts[i + 1] <= ts[i]:
-                ts[i + 1] = np.nextafter(ts[i], np.inf)
+    # timestamps must be strictly increasing even where gaps are below the
+    # float resolution (epoch clocks tie often): on the doubles' ordered int64
+    # keys, each is raised to at least one above the one before, in one pass
+    keys = ts.view(np.int64)
+    keys = np.where(keys < 0, -2**63 - keys, keys)  # both zeros map to 0; -0.0 is never drawn
+    keys = np.maximum.accumulate(keys - np.arange(n)) + np.arange(n)
+    ts = np.where(keys < 0, -2**63 - keys, keys).view(np.float64)
     steps = rng.normal(loc=0.0, scale=config.sigma_step, size=n)
     prices = config.start_price * np.exp(np.cumsum(steps))
     volumes = rng.lognormal(mean=config.volume_mu, sigma=config.volume_sigma, size=n)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import naive_ref
+from tickvol import charfun
 from tickvol import (
     DegreeOutOfRangeError,
     EmptyWindowError,
@@ -32,6 +33,19 @@ DISJOINT = [(0.0, 4.0, 2.0), (10.0, 6.0, 2.0), (10.5, 9.0, 3.0)]
 
 def _pairs(rows):
     return PairSeries.from_trades(validate_series(rows))
+
+
+def _table_of_terms_near_the_limit(*args):
+    """A stub moment_table of one window whose p(1) and p(5) make the order
+    terms i p(1) y = 1.79e308 i and i p(5) y^5/120 = 1.4e306 i at y = x h =
+    10, so that every term is finite and their sum is not. No trade file
+    was found that does this: a window's p(n) is at least p(m)^(n/m) over
+    a power of its trade count, which keeps high orders from being small
+    next to low ones."""
+    p = [1.79e307, 1.0, 1.0, 1.0, 1.7e303]
+    table = {f"{k}{n}": np.array([1.0 if k == "V" else v]) for n, v in enumerate(p, 1)
+             for k in "CVp"}
+    return np.array([1]), table
 
 
 class TestMultiTimeMoment:
@@ -289,6 +303,15 @@ class TestOverflow:
             with pytest.raises(NonFiniteError,
                                match=f"^the sum of V2 underflows to 0 in the window at t={t}$"):
                 charfun_truncated(provider, grid, [1.0] * len(grid), 1.0, 2)
+
+    def test_charfun_truncated_sum_of_terms(self, monkeypatch):
+        monkeypatch.setattr(charfun, "moment_table", _table_of_terms_near_the_limit)
+        provider = moment_provider(_pairs([(0.0, 1.0, 1.0)]), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="^the sum of the order terms overflows "
+                                                     "the double range$"):
+                charfun_truncated(provider, [0.0], [10.0], 1.0, 5)
 
     def test_finite_near_the_limit(self):
         provider = moment_provider(_pairs([(0.0, 1e200, 1.0)]), 1.0)

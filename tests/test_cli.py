@@ -16,9 +16,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tickvol import IngestSchema, WindowSpec, aggregate_degree, ingest, load_trades, select_window
+from tickvol import (IngestSchema, WindowSpec, aggregate_degree, charfun, ingest, load_trades,
+                     select_window)
 from tickvol.cli import main
 
+from test_charfun import _table_of_terms_near_the_limit
 from test_ingest import _cpus
 
 TWO_TRADE_CSV = "ts,cost,volume\n0.0,10.0,2.0\n1.0,6.0,3.0\n"
@@ -712,9 +714,12 @@ class TestErrorLines:
              "malformed": "ts,cost,volume\n0.0,4.0,2.0\n1.0,oops,2.0\n",
              "invalid": "ts,cost,volume\n0.0,1.0,1.0\n1.0,inf,1.0\n",
              "late": "ts,cost,volume\n1.7e308,1.0,1.0\n1.75e308,1.0,1.0\n",
+             "wide": "ts,cost,volume\n-1e308,1.0,1.0\n1e308,1.0,1.0\n",
              "empty": "", "bad_ts": "ts,cost,volume\n0.0,4.0,2.0\nx,6.0,2.0\n",
              "bad_testfn": "0.5\nabc\n"}
     CHARFUN = ["charfun", "--input", "{three}", "--testfn", "{testfn}"]
+    SPAN_OVERFLOW = ("the inf s span from t=-1e+308 to t=1e+308 overflows the double range; "
+                     "rescale the input units")
 
     @pytest.mark.parametrize("args, code, message", [
         (["returns-vol", "--input", "{three}", "--window", "6", "--lag", "10"], 2,
@@ -746,6 +751,8 @@ class TestErrorLines:
         (["moments", "--input", "{late}", "--window", "1e308"], 2,
          "window center inf overflows the double range (last trade at t=1.75e+308); "
          "rescale the input units"),
+        (["price-vol", "--input", "{wide}", "--window", "1"], 2, SPAN_OVERFLOW),
+        (["identity-check", "--input", "{wide}"], 2, SPAN_OVERFLOW),
         (["moments", "--input", "{empty}", "--window", "5"], 3, "empty file: missing header"),
         (["moments", "--input", "{bad_ts}", "--window", "5"], 3,
          "line 3: timestamp must be a decimal number, got 'x'"),
@@ -756,7 +763,8 @@ class TestErrorLines:
             "identity_check_negative_seed", "identity_check_negative_stride", "charfun_overlap",
             "malformed_line", "invalid_trade", "unwritable_output", "infinite_window",
             "infinite_stride", "charfun_infinite_window", "charfun_infinite_grid",
-            "overflowing_center", "empty_file", "malformed_timestamp", "malformed_testfn"])
+            "overflowing_center", "overflowing_span", "overflowing_default_width", "empty_file",
+            "malformed_timestamp", "malformed_testfn"])
     def test_error_line_and_code(self, args, code, message, tmp_path, capsys):
         paths = {"tmp": str(tmp_path)}
         for name, text in self.FILES.items():
@@ -790,6 +798,19 @@ class TestErrorLines:
 
 
 class TestFileErrors:
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["one_cpu", "forked"])
+    @pytest.mark.parametrize("line", [5_002, 15_002, 20_002],
+                             ids=["first_half", "second_half", "end"])
+    def test_blank_csv_line_exits_3(self, line, cpus, tmp_path, capsys):
+        # 20,000 rows are cut into two halves, one read by a forked child
+        rows = [f"{i},1.0,1.0\n" for i in range(20_000)]
+        rows.insert(line - 2, "\n")
+        path = tmp_path / "blank.csv"
+        path.write_text("ts,cost,volume\n" + "".join(rows))
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: cpus):
+            got = run_cli(["price-vol", "--input", str(path), "--window", "10"], capsys)
+        assert got == (3, "", f"error: line {line}: blank line inside data\n")
+
     def test_invalid_trade_prints_a_plain_number(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("ts,cost,volume\n0.0,1.0,1.0\n1.0,inf,1.0\n")
@@ -975,6 +996,16 @@ class TestOverflow:
         assert code == 2 and stdout == "" and not out.exists()
         assert err == (f"error: mean_return overflows the double range in the window at "
                        f"t={center}; rescale the input units\n")
+
+    def test_charfun_sum_of_terms_overflow_exits_2(self, three_trade_file, tmp_path, capsys,
+                                                   monkeypatch):
+        monkeypatch.setattr(charfun, "moment_table", _table_of_terms_near_the_limit)
+        testfn = tmp_path / "x.txt"
+        testfn.write_text("10\n")
+        got = run_cli(["charfun", "--input", three_trade_file, "--window", "1", "--grid", "0:1:1",
+                       "--testfn", str(testfn), "--nmax", "5"], capsys)
+        assert got == (2, "", "error: the sum of the order terms overflows the double range; "
+                              "lower --nmax or rescale the input units\n")
 
     def test_charfun_overflow_exits_2(self, tmp_path, capsys):
         path = tmp_path / "big.csv"

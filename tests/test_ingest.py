@@ -302,6 +302,31 @@ class TestSimulate:
         series = simulate_trades(SimConfig(n_trades=2000, seed=5, arrival_rate=50.0))
         assert np.all(np.diff(series.timestamps) > 0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tie_pass_matches_the_loop(self, seed):
+        # random series, with ties and negative starts; a third of those
+        # far from 0 draw their gaps below the clock's resolution, so that
+        # most of their timestamps tie
+        rng = np.random.default_rng(seed)
+        moved = 0
+        for k in range(150):
+            start = float(rng.choice([0.0, 5e-324, -5e-324, -1e-300, -3.0, 1.7e9, -1.7e9, 1e15]))
+            rate = 10 ** rng.uniform(0, 15)
+            if abs(start) > 1 and rng.random() < 0.3:
+                rate = rng.uniform(1, 1000) / np.spacing(abs(start))
+            config = SimConfig(n_trades=int(rng.integers(1, 401)), seed=k, start_time=start,
+                               arrival_rate=rate)
+            want, ties = _looped_timestamps(config)
+            assert simulate_trades(config).timestamps.tobytes() == want.tobytes()
+            moved += ties
+        assert moved > 1000
+
+    def test_tie_pass_matches_the_loop_on_an_epoch_clock(self):
+        config = SimConfig(n_trades=1_000_000, seed=1, start_time=1.7e9, arrival_rate=1000.0)
+        want, ties = _looped_timestamps(config)
+        assert ties == 120
+        assert simulate_trades(config).timestamps.tobytes() == want.tobytes()
+
     def test_output_is_valid_series(self):
         series = simulate_trades(SimConfig(n_trades=200, seed=6))
         revalidated = validate_series(
@@ -317,6 +342,22 @@ class TestSimulate:
             SimConfig(n_trades=10, seed=1, sigma_step=-0.1)
         with pytest.raises(ValueError):
             SimConfig(n_trades=10, seed=1, start_price=0.0)
+
+
+def _looped_timestamps(config):
+    """simulate_trades' timestamps made strictly increasing by a loop that
+    raises each tied one to the double after its predecessor, the reference
+    for the simulator's one-pass form; and how many the loop moved."""
+    rng = np.random.default_rng(config.seed)
+    gaps = rng.exponential(scale=1.0 / config.arrival_rate, size=config.n_trades)
+    ts = config.start_time + np.cumsum(np.maximum(gaps, 1e-12))
+    ties = 0
+    bad = np.flatnonzero(np.diff(ts) <= 0)
+    for i in range(int(bad[0]) if bad.size else len(ts), len(ts) - 1):
+        if ts[i + 1] <= ts[i]:
+            ts[i + 1] = np.nextafter(ts[i], np.inf)
+            ties += 1
+    return ts, ties
 
 
 SCHEMAS = [IngestSchema(variant, unit) for variant in ("ts_cost_volume", "ts_price_volume")

@@ -366,8 +366,9 @@ class TestPrefixPath:
             assert _bits(got) == _bits([0.0, 0.0, 0.0, 3e10, csum(values)])
 
     def test_negative_zero_windows_match_csum(self):
-        # fsum's sign for an exact zero changed in Python 3.12; the exact
-        # path must give this interpreter's csum bits either way
+        # fsum gives +0.0 for every exact-zero sum, [-0.0] included, on
+        # Python 3.10 to 3.13; the exact path must give this interpreter's
+        # csum bits all the same
         values = np.array([-0.0, -0.0, 1.0, -1.0, -0.0, 0.0, 2.5, -0.0])
         starts = np.array([0, 0, 2, 0, 4, 1, 6, 7, 3])
         lengths = np.array([2, 1, 2, 4, 2, 0, 2, 1, 2])
